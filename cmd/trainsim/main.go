@@ -45,6 +45,7 @@ import (
 	"seqpoint/internal/profiler"
 	"seqpoint/internal/report"
 	"seqpoint/internal/serving"
+	"seqpoint/internal/workload"
 )
 
 // writeTrace prices one iteration at traceSL and writes its kernel
@@ -102,7 +103,6 @@ func mainExit() int {
 		routing  = flag.String("routing", serving.RoutingRoundRobin, "(with -serve) fleet routing: rr, least, jsq or po2")
 		queueCap = flag.Int("queue-cap", 0, "(with -serve) per-replica admission queue bound (0 = unbounded)")
 		autoScal = flag.Bool("autoscale", false, "(with -serve) autoscale the fleet between 1 and -replicas on queue depth")
-		simPar   = flag.Int("sim-parallelism", 0, "(with -serve) advance independent replicas on this many goroutines between routing barriers (0/1 = serial; output is byte-identical)")
 		kvCapGB  = flag.Float64("kv-capacity-gb", 0, "(with -serve) per-replica KV-cache capacity in GB; 0 disables the memory model")
 		kvSteps  = flag.Int("decode-steps", 0, "(with -serve -kv-capacity-gb) decode steps per request")
 		kvPre    = flag.String("kv-preempt", "", "(with -serve -kv-capacity-gb) over-capacity behavior: evict or block")
@@ -163,10 +163,9 @@ func mainExit() int {
 		mode = "plan"
 	}
 	var visited []string
-	routingSet, simParSet, rateSet := false, false, false
+	routingSet, rateSet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		routingSet = routingSet || f.Name == "routing"
-		simParSet = simParSet || f.Name == "sim-parallelism"
 		rateSet = rateSet || f.Name == "rate"
 		visited = append(visited, f.Name)
 	})
@@ -201,12 +200,11 @@ func mainExit() int {
 		kvCfg, disaggCfg, err := kvFromFlags(*kvCapGB, *kvSteps, *kvPre, *disagg, *replicas)
 		if err == nil {
 			// Any fleet-only knob — including an explicit -routing, a
-			// bounded queue, a pool split, or replica-advancement
-			// parallelism on a single replica — selects the fleet
-			// simulator, so no flag is ever silently ignored.
-			if *replicas > 1 || *autoScal || *queueCap > 0 || routingSet || simParSet || disaggCfg != nil {
+			// bounded queue or a pool split on a single replica — selects
+			// the fleet simulator, so no flag is ever silently ignored.
+			if *replicas > 1 || *autoScal || *queueCap > 0 || routingSet || disaggCfg != nil {
 				err = runFleet(*model, *cfgIdx, *batch, *seed, *rate, *policy, *requests, *timeout,
-					*replicas, *routing, *queueCap, *autoScal, *simPar, kvCfg, disaggCfg, arr)
+					*replicas, *routing, *queueCap, *autoScal, kvCfg, disaggCfg, arr)
 			} else {
 				err = runServe(*model, *cfgIdx, *batch, *seed, *rate, *policy, *requests, *timeout, kvCfg, arr)
 			}
@@ -240,8 +238,7 @@ var (
 		"overlap": true, "epochs": true, "o": true, "trace-sl": true, "trace-o": true,
 	}
 	fleetOnlyFlags = map[string]bool{
-		"replicas": true, "routing": true, "autoscale": true,
-		"sim-parallelism": true, "disagg": true,
+		"replicas": true, "routing": true, "autoscale": true, "disagg": true,
 	}
 	serveOnlyFlags = map[string]bool{
 		"tenants": true, "pattern": true, "trace-out": true, "trace-in": true,
@@ -343,14 +340,14 @@ type arrivalSpec struct {
 // arrivalTrace builds the serve-mode arrival trace: a replayed trace
 // file, a generated multi-tenant or pattern-shaped trace, or the
 // default Poisson process.
-func arrivalTrace(w experiments.Workload, requests int, rate float64, seed int64, arr arrivalSpec) (serving.Trace, error) {
+func arrivalTrace(w experiments.Workload, requests int, rate float64, seed int64, arr arrivalSpec) (workload.Trace, error) {
 	if arr.in != "" {
 		if arr.tenants != "" || arr.pattern != "" {
-			return serving.Trace{}, fmt.Errorf("-trace-in replays a recorded trace; -tenants and -pattern shape generated ones — drop one side")
+			return workload.Trace{}, fmt.Errorf("-trace-in replays a recorded trace; -tenants and -pattern shape generated ones — drop one side")
 		}
-		tr, err := serving.LoadTrace(arr.in)
+		tr, err := workload.LoadTrace(arr.in)
 		if err != nil {
-			return serving.Trace{}, err
+			return workload.Trace{}, err
 		}
 		if arr.rateSet {
 			return tr.ScaleToRate(rate)
@@ -358,20 +355,20 @@ func arrivalTrace(w experiments.Workload, requests int, rate float64, seed int64
 		return tr, nil
 	}
 	if arr.tenants == "" && arr.pattern == "" {
-		return serving.PoissonTrace(w.Train, requests, rate, seed)
+		return workload.PoissonTrace(w.Train, requests, rate, seed)
 	}
 	cohorts, err := parseTenants(arr.tenants, w.Train.Lengths)
 	if err != nil {
-		return serving.Trace{}, err
+		return workload.Trace{}, err
 	}
-	pat := serving.Pattern{Kind: arr.pattern}
-	if arr.pattern == serving.PatternDiurnal {
+	pat := workload.Pattern{Kind: arr.pattern}
+	if arr.pattern == workload.PatternDiurnal {
 		// Mirror the HTTP envelope's defaults: ±50% swing, two cycles
 		// over the nominal trace horizon.
 		pat.Amplitude = 0.5
 		pat.PeriodUS = float64(requests) / rate * 1e6 / 2
 	}
-	return serving.Generate(serving.GenSpec{
+	return workload.Generate(workload.GenSpec{
 		Requests:   requests,
 		RatePerSec: rate,
 		Seed:       seed,
@@ -383,11 +380,11 @@ func arrivalTrace(w experiments.Workload, requests int, rate float64, seed int64
 // parseTenants parses the -tenants cohort list ("chat=3,bulk=1") into
 // equal-weight cohorts drawing from the corpus lengths. An empty list
 // (pattern shaping without tenancy) yields one anonymous cohort.
-func parseTenants(spec string, seqLens []int) ([]serving.Cohort, error) {
+func parseTenants(spec string, seqLens []int) ([]workload.Cohort, error) {
 	if spec == "" {
-		return []serving.Cohort{{Tenants: 1, Weight: 1, SeqLens: seqLens}}, nil
+		return []workload.Cohort{{Tenants: 1, Weight: 1, SeqLens: seqLens}}, nil
 	}
-	var cohorts []serving.Cohort
+	var cohorts []workload.Cohort
 	for _, part := range strings.Split(spec, ",") {
 		class, count, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok || class == "" {
@@ -397,17 +394,17 @@ func parseTenants(spec string, seqLens []int) ([]serving.Cohort, error) {
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("-tenants cohort %q needs a positive tenant count, got %q", class, count)
 		}
-		cohorts = append(cohorts, serving.Cohort{Class: class, Tenants: n, Weight: 1, SeqLens: seqLens})
+		cohorts = append(cohorts, workload.Cohort{Class: class, Tenants: n, Weight: 1, SeqLens: seqLens})
 	}
 	return cohorts, nil
 }
 
 // saveArrivals writes the run's arrival trace when -trace-out is set.
-func saveArrivals(path string, tr serving.Trace) error {
+func saveArrivals(path string, tr workload.Trace) error {
 	if path == "" {
 		return nil
 	}
-	if err := serving.SaveTrace(path, tr); err != nil {
+	if err := workload.SaveTrace(path, tr); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d-request arrival trace to %s\n", len(tr.Requests), path)
@@ -505,7 +502,7 @@ func addKVRows(t *report.Table, meanTTFT, p99TTFT float64, preemptions int, peak
 // roll-up.
 func runFleet(model string, cfgIdx, batch int, seed int64, rate float64, policyName string,
 	requests int, timeoutUS float64, replicas int, routingName string, queueCap int,
-	autoscale bool, simParallelism int, kv *serving.KVConfig, disagg *serving.DisaggConfig,
+	autoscale bool, kv *serving.KVConfig, disagg *serving.DisaggConfig,
 	arr arrivalSpec) error {
 	cfgs := gpusim.TableII()
 	if cfgIdx < 1 || cfgIdx > len(cfgs) {
@@ -532,15 +529,14 @@ func runFleet(model string, cfgIdx, batch int, seed int64, rate float64, policyN
 		return err
 	}
 	spec := serving.FleetSpec{
-		Model:       w.Model,
-		Trace:       trace,
-		Policy:      pol,
-		Router:      router,
-		Replicas:    replicas,
-		QueueCap:    queueCap,
-		Parallelism: simParallelism,
-		KV:          kv,
-		Disagg:      disagg,
+		Model:    w.Model,
+		Trace:    trace,
+		Policy:   pol,
+		Router:   router,
+		Replicas: replicas,
+		QueueCap: queueCap,
+		KV:       kv,
+		Disagg:   disagg,
 	}
 	if autoscale {
 		// Scale between one replica and the flag's fleet size: up past

@@ -10,6 +10,7 @@ import (
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/planner"
 	"seqpoint/internal/serving"
+	"seqpoint/internal/workload"
 )
 
 // TestBadModeFlags pins the three-way mode × flag-group matrix:
@@ -158,20 +159,20 @@ func TestRunServeAndFleet(t *testing.T) {
 	if err := runServe("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, nil, arrivalSpec{}); err != nil {
 		t.Errorf("runServe: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "jsq", 64, false, 0, nil, nil, arrivalSpec{}); err != nil {
+	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "jsq", 64, false, nil, nil, arrivalSpec{}); err != nil {
 		t.Errorf("runFleet: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 2, "po2", 0, true, 0, nil, nil, arrivalSpec{}); err != nil {
+	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 2, "po2", 0, true, nil, nil, arrivalSpec{}); err != nil {
 		t.Errorf("runFleet autoscale: %v", err)
 	}
 	kv := &serving.KVConfig{CapacityBytes: 0.05e9, DecodeSteps: 16}
 	if err := runServe("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, kv, arrivalSpec{}); err != nil {
 		t.Errorf("runServe kv: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "kv", 64, false, 0, kv, nil, arrivalSpec{}); err != nil {
+	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "kv", 64, false, kv, nil, arrivalSpec{}); err != nil {
 		t.Errorf("runFleet kv routing: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "rr", 64, false, 0, kv,
+	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "rr", 64, false, kv,
 		&serving.DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}, arrivalSpec{}); err != nil {
 		t.Errorf("runFleet disagg: %v", err)
 	}
@@ -180,19 +181,19 @@ func TestRunServeAndFleet(t *testing.T) {
 	if err := runServe("gnmt", 9, 8, 1, 300, "dynamic", 48, 20000, nil, arrivalSpec{}); err == nil {
 		t.Error("config out of range should error")
 	}
-	if err := runFleet("gnmt", 0, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("gnmt", 0, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("config out of range should error")
 	}
-	if err := runFleet("cnn", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("cnn", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("cnn is not servable")
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "magic", 48, 20000, 2, "rr", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("gnmt", 1, 8, 1, 300, "magic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("unknown policy should error")
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "torus", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "torus", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("unknown routing should error")
 	}
-	if err := runFleet("gnmt", 1, 8, 1, -5, "dynamic", 48, 20000, 2, "rr", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("gnmt", 1, 8, 1, -5, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("negative rate should error")
 	}
 }
@@ -240,7 +241,7 @@ func TestArrivalTrace(t *testing.T) {
 	if len(plain.Requests) != 32 || plain.Requests[0].Tenant != "" {
 		t.Errorf("default trace = %s with %d requests", plain.Name, len(plain.Requests))
 	}
-	gen, err := arrivalTrace(w, 64, 200, 1, arrivalSpec{tenants: "chat=2,bulk=1", pattern: serving.PatternDiurnal})
+	gen, err := arrivalTrace(w, 64, 200, 1, arrivalSpec{tenants: "chat=2,bulk=1", pattern: workload.PatternDiurnal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestArrivalTrace(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "arrivals.trace")
-	if err := serving.SaveTrace(path, gen); err != nil {
+	if err := workload.SaveTrace(path, gen); err != nil {
 		t.Fatal(err)
 	}
 	replay, err := arrivalTrace(w, 0, 0, 0, arrivalSpec{in: path})
@@ -293,14 +294,14 @@ func TestServeRecordReplay(t *testing.T) {
 		t.Skip("full serving simulations skipped in -short mode")
 	}
 	path := filepath.Join(t.TempDir(), "arrivals.trace")
-	rec := arrivalSpec{tenants: "chat=2,bulk=1", pattern: serving.PatternDiurnal, out: path}
+	rec := arrivalSpec{tenants: "chat=2,bulk=1", pattern: workload.PatternDiurnal, out: path}
 	if err := runServe("gnmt", 1, 8, 1, 300, "wfq", 48, 20000, nil, rec); err != nil {
 		t.Fatalf("record run: %v", err)
 	}
 	if err := runServe("gnmt", 1, 8, 1, 300, "fixed", 0, 20000, nil, arrivalSpec{in: path}); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "wfq", 0, 20000, 2, "rr", 0, false, 0, nil, nil,
+	if err := runFleet("gnmt", 1, 8, 1, 300, "wfq", 0, 20000, 2, "rr", 0, false, nil, nil,
 		arrivalSpec{in: path}); err != nil {
 		t.Fatalf("fleet replay run: %v", err)
 	}

@@ -82,14 +82,13 @@ func goldenTenantSummary(t testing.TB, trace seqpoint.ServingTrace, par int) []b
 		t.Fatal(err)
 	}
 	res, err := seqpoint.SimulateFleet(seqpoint.FleetSpec{
-		Model:       seqpoint.NewGNMT(),
-		Trace:       trace,
-		Policy:      policy,
-		Router:      seqpoint.NewRoundRobin(),
-		Replicas:    goldenTenantReplicas,
-		QueueCap:    goldenTenantQueueCap,
-		Profiles:    eng,
-		Parallelism: par,
+		Model:    seqpoint.NewGNMT(),
+		Trace:    trace,
+		Policy:   policy,
+		Router:   seqpoint.NewRoundRobin(),
+		Replicas: goldenTenantReplicas,
+		QueueCap: goldenTenantQueueCap,
+		Profiles: eng,
 	}, seqpoint.VegaFE())
 	if err != nil {
 		t.Fatal(err)

@@ -247,43 +247,33 @@ func goldenFleetSpec(t *testing.T, eng *seqpoint.Engine) seqpoint.FleetSpec {
 
 // TestGoldenFleetDeterminism holds the fleet simulator to the same
 // contract as training and single-queue serving: byte-identical
-// FleetSummary JSON at profiling parallelism 1, 4 and GOMAXPROCS —
-// and, since PR 6, at every FleetSpec.Parallelism (the
-// replica-advancement knob) — pinned against a committed golden file.
-// Regenerate with -update-golden.
+// FleetSummary JSON at profiling parallelism 1, 4 and GOMAXPROCS,
+// pinned against a committed golden file. Regenerate with
+// -update-golden.
 func TestGoldenFleetDeterminism(t *testing.T) {
 	parallelisms := []int{1, 4, runtime.GOMAXPROCS(0)}
 
 	var reference []byte
 	for _, par := range parallelisms {
-		// Each profiling parallelism is paired with a different
-		// replica-advancement parallelism, so both knobs are swept
-		// without quadratic runtime. (This golden spec autoscales, so
-		// SimulateFleet falls back to serial advancement — the knob
-		// must still not change a byte.)
-		for _, simPar := range []int{0, par + 1} {
-			// A fresh private engine per run: a cold cache is the harder
-			// determinism test.
-			eng := seqpoint.NewEngine()
-			eng.SetParallelism(par)
-			spec := goldenFleetSpec(t, eng)
-			spec.Parallelism = simPar
-			res, err := seqpoint.SimulateFleet(spec, seqpoint.VegaFE())
-			if err != nil {
-				t.Fatalf("parallelism=%d sim-parallelism=%d: %v", par, simPar, err)
-			}
-			buf, err := res.Summary().Serialize()
-			if err != nil {
-				t.Fatalf("parallelism=%d sim-parallelism=%d: serialize: %v", par, simPar, err)
-			}
-			if reference == nil {
-				reference = buf
-				continue
-			}
-			if !bytes.Equal(buf, reference) {
-				t.Fatalf("FleetSummary at parallelism %d/%d differs from the reference run:\n%s\nvs\n%s",
-					par, simPar, buf, reference)
-			}
+		// A fresh private engine per run: a cold cache is the harder
+		// determinism test.
+		eng := seqpoint.NewEngine()
+		eng.SetParallelism(par)
+		res, err := seqpoint.SimulateFleet(goldenFleetSpec(t, eng), seqpoint.VegaFE())
+		if err != nil {
+			t.Fatalf("parallelism=%d: %v", par, err)
+		}
+		buf, err := res.Summary().Serialize()
+		if err != nil {
+			t.Fatalf("parallelism=%d: serialize: %v", par, err)
+		}
+		if reference == nil {
+			reference = buf
+			continue
+		}
+		if !bytes.Equal(buf, reference) {
+			t.Fatalf("FleetSummary at parallelism %d differs from the reference run:\n%s\nvs\n%s",
+				par, buf, reference)
 		}
 	}
 
@@ -353,10 +343,9 @@ func goldenFleetKVSpec(t *testing.T, eng *seqpoint.Engine) seqpoint.FleetSpec {
 
 // TestGoldenFleetKVDeterminism holds memory-aware serving to the same
 // byte contract: identical FleetSummary JSON at profiling parallelism
-// 1, 4 and GOMAXPROCS and at every replica-advancement parallelism,
-// for both the aggregated fleet and the disaggregated two-pool
-// topology, pinned against a committed golden file. Regenerate with
-// -update-golden.
+// 1, 4 and GOMAXPROCS, for both the aggregated fleet and the
+// disaggregated two-pool topology, pinned against a committed golden
+// file. Regenerate with -update-golden.
 func TestGoldenFleetKVDeterminism(t *testing.T) {
 	parallelisms := []int{1, 4, runtime.GOMAXPROCS(0)}
 
@@ -364,31 +353,28 @@ func TestGoldenFleetKVDeterminism(t *testing.T) {
 	for _, disagg := range []bool{false, true} {
 		var reference []byte
 		for _, par := range parallelisms {
-			for _, simPar := range []int{0, par + 1} {
-				eng := seqpoint.NewEngine()
-				eng.SetParallelism(par)
-				spec := goldenFleetKVSpec(t, eng)
-				spec.Parallelism = simPar
-				if disagg {
-					spec.Router = seqpoint.NewRoundRobin()
-					spec.Disagg = &seqpoint.FleetDisagg{PrefillReplicas: 1, DecodeReplicas: 2}
-				}
-				res, err := seqpoint.SimulateFleet(spec, seqpoint.VegaFE())
-				if err != nil {
-					t.Fatalf("disagg=%v parallelism=%d sim-parallelism=%d: %v", disagg, par, simPar, err)
-				}
-				buf, err := res.Summary().Serialize()
-				if err != nil {
-					t.Fatalf("disagg=%v parallelism=%d sim-parallelism=%d: serialize: %v", disagg, par, simPar, err)
-				}
-				if reference == nil {
-					reference = buf
-					continue
-				}
-				if !bytes.Equal(buf, reference) {
-					t.Fatalf("disagg=%v: FleetSummary at parallelism %d/%d differs from the reference run:\n%s\nvs\n%s",
-						disagg, par, simPar, buf, reference)
-				}
+			eng := seqpoint.NewEngine()
+			eng.SetParallelism(par)
+			spec := goldenFleetKVSpec(t, eng)
+			if disagg {
+				spec.Router = seqpoint.NewRoundRobin()
+				spec.Disagg = &seqpoint.FleetDisagg{PrefillReplicas: 1, DecodeReplicas: 2}
+			}
+			res, err := seqpoint.SimulateFleet(spec, seqpoint.VegaFE())
+			if err != nil {
+				t.Fatalf("disagg=%v parallelism=%d: %v", disagg, par, err)
+			}
+			buf, err := res.Summary().Serialize()
+			if err != nil {
+				t.Fatalf("disagg=%v parallelism=%d: serialize: %v", disagg, par, err)
+			}
+			if reference == nil {
+				reference = buf
+				continue
+			}
+			if !bytes.Equal(buf, reference) {
+				t.Fatalf("disagg=%v: FleetSummary at parallelism %d differs from the reference run:\n%s\nvs\n%s",
+					disagg, par, buf, reference)
 			}
 		}
 		fmt.Fprintf(&got, "=== disagg %v ===\n", disagg)

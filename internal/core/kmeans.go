@@ -16,18 +16,9 @@ import (
 // The paper reports that runtime alone is "a good enough proxy" for the
 // full profile; this function is what that claim is verified against.
 func SelectKMeansProfiles(records []SLRecord, profiles map[int][]float64, k int, seed int64) (Selection, error) {
-	recs, err := normalizeRecords(records)
+	recs, k, err := kmeansInputs(records, k)
 	if err != nil {
 		return Selection{}, err
-	}
-	if len(recs) == 0 {
-		return Selection{}, ErrNoRecords
-	}
-	if k > len(recs) {
-		k = len(recs)
-	}
-	if k < 1 {
-		return Selection{}, fmt.Errorf("core: k-means needs k >= 1, got %d", k)
 	}
 
 	// Assemble and validate the vectors in record order.
@@ -70,37 +61,7 @@ func SelectKMeansProfiles(records []SLRecord, profiles map[int][]float64, k int,
 	if err != nil {
 		return Selection{}, err
 	}
-	reps := res.NearestToCentroid(vecs)
-
-	weights := make([]float64, k)
-	for i, r := range recs {
-		weights[res.Assign[i]] += float64(r.Freq)
-	}
-
-	var points []SeqPoint
-	for c, repIdx := range reps {
-		if repIdx < 0 {
-			continue
-		}
-		r := recs[repIdx]
-		points = append(points, SeqPoint{
-			SeqLen: r.SeqLen,
-			Weight: weights[c],
-			Stat:   r.Stat,
-			Bin:    c,
-		})
-	}
-
-	actual := epochTotal(recs)
-	proj := projectTotal(points)
-	return Selection{
-		Points:        points,
-		Bins:          k,
-		Binned:        true,
-		ProjectedStat: proj,
-		ActualStat:    actual,
-		ErrorPct:      pctErr(proj, actual),
-	}, nil
+	return kmeansSelection(recs, k, res, vecs), nil
 }
 
 // SelectKMeans is the Section VII-C ablation: instead of binning
@@ -110,48 +71,61 @@ func SelectKMeansProfiles(records []SLRecord, profiles map[int][]float64, k int,
 // binning performs as well as this; the ablation benchmark verifies the
 // same holds here.
 func SelectKMeans(records []SLRecord, k int, seed int64) (Selection, error) {
-	recs, err := normalizeRecords(records)
+	recs, k, err := kmeansInputs(records, k)
 	if err != nil {
 		return Selection{}, err
 	}
-	if len(recs) == 0 {
-		return Selection{}, ErrNoRecords
-	}
-	if k > len(recs) {
-		k = len(recs)
-	}
-	if k < 1 {
-		return Selection{}, fmt.Errorf("core: k-means needs k >= 1, got %d", k)
-	}
 
 	values := make([]float64, len(recs))
+	points := make([][]float64, len(recs))
 	for i, r := range recs {
 		values[i] = r.Stat
+		points[i] = []float64{r.Stat}
 	}
 	res, err := cluster.KMeans1D(values, k, seed)
 	if err != nil {
 		return Selection{}, err
 	}
+	return kmeansSelection(recs, k, res, points), nil
+}
 
-	points1d := make([][]float64, len(values))
-	for i, v := range values {
-		points1d[i] = []float64{v}
+// kmeansInputs normalizes the records and clamps k to their count: the
+// input contract both k-means selectors share.
+func kmeansInputs(records []SLRecord, k int) ([]SLRecord, int, error) {
+	recs, err := normalizeRecords(records)
+	if err != nil {
+		return nil, 0, err
 	}
-	reps := res.NearestToCentroid(points1d)
+	if len(recs) == 0 {
+		return nil, 0, ErrNoRecords
+	}
+	if k > len(recs) {
+		k = len(recs)
+	}
+	if k < 1 {
+		return nil, 0, fmt.Errorf("core: k-means needs k >= 1, got %d", k)
+	}
+	return recs, k, nil
+}
 
-	// Weight per cluster: total iteration frequency of its members.
+// kmeansSelection turns a clustering of recs (points are the vectors
+// it clustered) into a Selection: each cluster's member nearest its
+// centroid represents it, weighted by the cluster's total iteration
+// frequency.
+func kmeansSelection(recs []SLRecord, k int, res cluster.Result, points [][]float64) Selection {
+	reps := res.NearestToCentroid(points)
 	weights := make([]float64, k)
 	for i, r := range recs {
 		weights[res.Assign[i]] += float64(r.Freq)
 	}
 
-	var points []SeqPoint
+	var selected []SeqPoint
 	for c, repIdx := range reps {
 		if repIdx < 0 {
 			continue
 		}
 		r := recs[repIdx]
-		points = append(points, SeqPoint{
+		selected = append(selected, SeqPoint{
 			SeqLen: r.SeqLen,
 			Weight: weights[c],
 			Stat:   r.Stat,
@@ -160,13 +134,13 @@ func SelectKMeans(records []SLRecord, k int, seed int64) (Selection, error) {
 	}
 
 	actual := epochTotal(recs)
-	proj := projectTotal(points)
+	proj := projectTotal(selected)
 	return Selection{
-		Points:        points,
+		Points:        selected,
 		Bins:          k,
 		Binned:        true,
 		ProjectedStat: proj,
 		ActualStat:    actual,
 		ErrorPct:      pctErr(proj, actual),
-	}, nil
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"seqpoint/internal/atomicfile"
 	"seqpoint/internal/profiler"
 )
 
@@ -184,32 +185,21 @@ func validateEntry(se snapshotEntry) error {
 
 // SaveSnapshot atomically writes the cache snapshot to path and
 // returns how many entries it wrote: the bytes land in a temporary
-// file in the same directory, which is renamed over path only after a
-// successful write, so a crash mid-save can never leave a truncated
-// snapshot behind.
-func (e *Engine) SaveSnapshot(path string) (n int, err error) {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// file in the same directory, which is fsynced and renamed over path
+// only after a successful write, so a crash mid-save can never leave a
+// truncated snapshot behind.
+func (e *Engine) SaveSnapshot(path string) (int, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return 0, fmt.Errorf("engine: creating cache directory: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	var n int
+	err := atomicfile.Write(path, func(w io.Writer) error {
+		var err error
+		n, err = e.WriteSnapshot(w)
+		return err
+	})
 	if err != nil {
-		return 0, fmt.Errorf("engine: creating temporary cache file: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if n, err = e.WriteSnapshot(tmp); err != nil {
-		return 0, err
-	}
-	if err = tmp.Close(); err != nil {
-		return 0, fmt.Errorf("engine: closing temporary cache file: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("engine: installing cache file: %w", err)
+		return 0, fmt.Errorf("engine: saving cache file: %w", err)
 	}
 	return n, nil
 }

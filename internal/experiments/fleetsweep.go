@@ -6,6 +6,7 @@ import (
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/report"
 	"seqpoint/internal/serving"
+	"seqpoint/internal/workload"
 )
 
 // FleetSweepRow is one (replica count × routing policy) cell's
@@ -122,7 +123,7 @@ func FleetSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, replicaCo
 			return FleetSweepResult{}, err
 		}
 		rate := rates[0]
-		trace, err := serving.PoissonTrace(w.Train, requests, rate, w.Seed)
+		trace, err := workload.PoissonTrace(w.Train, requests, rate, w.Seed)
 		if err != nil {
 			return FleetSweepResult{}, err
 		}

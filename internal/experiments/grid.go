@@ -9,6 +9,7 @@ import (
 	"seqpoint/internal/serving"
 	"seqpoint/internal/stats"
 	"seqpoint/internal/trainer"
+	"seqpoint/internal/workload"
 )
 
 // This file holds the arrival-rate-grid construction the serving
@@ -89,7 +90,7 @@ func servingPolicy(eng trainer.ProfileSource, w Workload, cfg gpusim.Config) (se
 // full, so the achieved throughput is the per-replica saturation rate
 // on this request mix.
 func measureCapacity(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, policy serving.Policy, requests int) (float64, error) {
-	burst, err := serving.BurstTrace(w.Train, requests, w.Seed)
+	burst, err := workload.BurstTrace(w.Train, requests, w.Seed)
 	if err != nil {
 		return 0, err
 	}

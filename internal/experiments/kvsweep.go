@@ -7,6 +7,7 @@ import (
 	"seqpoint/internal/models"
 	"seqpoint/internal/report"
 	"seqpoint/internal/serving"
+	"seqpoint/internal/workload"
 )
 
 // KVSweepRow is one KV-cache capacity's serving outcome.
@@ -89,7 +90,7 @@ func KVSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, capacitiesGB
 		return KVSweepResult{}, err
 	}
 	rate := rates[0]
-	trace, err := serving.PoissonTrace(w.Train, requests, rate, w.Seed)
+	trace, err := workload.PoissonTrace(w.Train, requests, rate, w.Seed)
 	if err != nil {
 		return KVSweepResult{}, err
 	}

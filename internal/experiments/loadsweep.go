@@ -6,6 +6,7 @@ import (
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/report"
 	"seqpoint/internal/serving"
+	"seqpoint/internal/workload"
 )
 
 // LoadSweepRow is one arrival rate's serving outcome.
@@ -103,7 +104,7 @@ func LoadSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, factors []
 	}
 	for i, f := range fs {
 		rate := rates[i]
-		trace, err := serving.PoissonTrace(w.Train, requests, rate, w.Seed)
+		trace, err := workload.PoissonTrace(w.Train, requests, rate, w.Seed)
 		if err != nil {
 			return LoadSweepResult{}, err
 		}

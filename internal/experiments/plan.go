@@ -9,6 +9,7 @@ import (
 	"seqpoint/internal/report"
 	"seqpoint/internal/serving"
 	"seqpoint/internal/trainer"
+	"seqpoint/internal/workload"
 )
 
 // This file is the planner's probe seam over the profile-backed fleet
@@ -74,7 +75,7 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 			if pc.Trace != nil {
 				trace, err = pc.Trace.ScaleToRate(ratePerSec)
 			} else {
-				trace, err = serving.PoissonTrace(w.Train, pc.Requests, ratePerSec, w.Seed)
+				trace, err = workload.PoissonTrace(w.Train, pc.Requests, ratePerSec, w.Seed)
 			}
 			if err != nil {
 				return zero, err

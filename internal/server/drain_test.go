@@ -172,7 +172,9 @@ func TestComputePanicContained(t *testing.T) {
 	}
 
 	// The limiter token and inflight gauge came back, so the next
-	// request computes normally on the only slot.
+	// request computes normally on the only slot. The compute goroutine
+	// returns the token after answering, so wait for it first.
+	s.computeWG.Wait()
 	st := s.Stats()
 	if st.Inflight != 0 || len(s.sem) != 0 {
 		t.Fatalf("panic leaked state: inflight=%d sem=%d", st.Inflight, len(s.sem))

@@ -77,9 +77,10 @@ type FleetRequest struct {
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Autoscale enables the reactive autoscaler.
 	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
-	// Parallelism > 1 advances independent replicas concurrently
-	// between routing barriers; the response is byte-identical to the
-	// serial default (0 or 1). Purely a speed knob for large fleets.
+	// Parallelism must be non-negative and is otherwise ignored.
+	//
+	// Deprecated: ignored; fleets advance serially. Still accepted so
+	// clients that send it are not refused by strict decoding.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Disagg splits the fleet into prefill and decode pools joined by a
 	// handoff queue. Requires the KV model; incompatible with
@@ -232,17 +233,16 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 	status, body := s.execute(r.Context(), coalesceKey("fleet", req), func() (int, []byte) {
 		res, err := serving.SimulateFleet(serving.FleetSpec{
-			Model:       workload.Model,
-			Trace:       trace,
-			Policy:      policy,
-			Router:      router,
-			Replicas:    req.Replicas,
-			QueueCap:    req.QueueCap,
-			Autoscale:   req.autoscaleConfig(),
-			Parallelism: req.Parallelism,
-			Profiles:    s.eng,
-			KV:          req.kvConfig(),
-			Disagg:      req.disaggConfig(),
+			Model:     workload.Model,
+			Trace:     trace,
+			Policy:    policy,
+			Router:    router,
+			Replicas:  req.Replicas,
+			QueueCap:  req.QueueCap,
+			Autoscale: req.autoscaleConfig(),
+			Profiles:  s.eng,
+			KV:        req.kvConfig(),
+			Disagg:    req.disaggConfig(),
 		}, hw)
 		if err != nil {
 			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)

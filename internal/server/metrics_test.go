@@ -96,6 +96,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("healthz: status %d", health.Code)
 	}
 	s.ObserveSnapshot(42)
+	// Computations are detached from their handlers and release the
+	// inflight gauge after delivering the response, so wait for them
+	// before asserting the gauge is back to zero.
+	s.computeWG.Wait()
 
 	m, _ := scrapeMetrics(t, s)
 

@@ -128,8 +128,8 @@ func BenchmarkFleetKV(b *testing.B) {
 	}
 }
 
-// BenchmarkServingHotPath measures the single-queue event loop — the
-// admit/consult/dispatch/record cycle every fleet replica runs — over
+// BenchmarkServingHotPath measures Simulate — the fleet event loop
+// with a single replica: its route/consult/dispatch/record cycle — over
 // 200k arrivals near saturation, plus the summary roll-up.
 func BenchmarkServingHotPath(b *testing.B) {
 	const (

@@ -24,9 +24,9 @@ import (
 //     prices pad-to-max decode waves. The handoff queue is unbounded:
 //     admission control happened at the front door.
 //
-// Because each stage is itself byte-deterministic at any profiling or
-// replica-advancement parallelism, so is the composition; the merge
-// below is pure bookkeeping in fixed (trace ID / replica ID) order.
+// Because each stage is itself byte-deterministic at any profiling
+// parallelism, so is the composition; the merge below is pure
+// bookkeeping in fixed (trace ID / replica ID) order.
 
 // DisaggConfig splits a fleet into prefill and decode pools.
 type DisaggConfig struct {

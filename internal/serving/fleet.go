@@ -10,22 +10,18 @@ import (
 	"seqpoint/internal/trainer"
 )
 
-// This file generalizes the single-queue serving simulator (sim.go) to
-// a fleet: N replicas, each running the PR-4 event loop's semantics,
-// fronted by a routing policy, a bounded admission queue per replica,
-// and an optional reactive autoscaler. A 1-replica fleet with
-// round-robin routing and an unbounded queue reproduces Simulate
-// byte-for-byte (see FleetResult.AsServing and the property test) —
-// the fleet layer is a strict generalization, not a parallel
-// implementation drifting on its own.
+// This file is the package's one serving event loop: N replicas, each
+// batching its own queue under the shared policy, fronted by a routing
+// policy, a bounded admission queue per replica, and an optional
+// reactive autoscaler. Simulate (sim.go) is this loop with one
+// round-robin replica and an unbounded queue, and the disaggregated
+// topology (disagg.go) composes two runs of it.
 //
 // The event loop is indexed, not scanned: replica wake/finish times
 // live in a min-heap (fleetheap.go) and policy re-consults in a dirty
 // set, so one event costs O(log R) instead of O(R). Batch latencies
-// come from a flat price table (pricetable.go). Replicas can also be
-// advanced concurrently between routing barriers (fleetparallel.go)
-// when FleetSpec.Parallelism asks for it; every path produces the
-// same bytes.
+// come from a flat price table (pricetable.go). Replicas advance
+// serially, in (time, replica ID) order.
 
 // MaxFleetReplicas bounds the modeled fleet size; beyond it the O(N)
 // per-arrival routing scan stops being the simulation's cheap part.
@@ -98,11 +94,9 @@ type FleetSpec struct {
 	// joined by a handoff queue (requires KV); nil keeps the aggregated
 	// topology where every replica runs both phases.
 	Disagg *DisaggConfig
-	// Parallelism > 1 advances independent replicas concurrently
-	// between routing barriers, producing byte-identical results to
-	// the serial loop (0 and 1 mean serial). Autoscaled fleets always
-	// run serially: the scaler reads every replica's queue at every
-	// event, so there is no independent stretch to parallelize.
+	// Parallelism must be non-negative and is otherwise ignored.
+	//
+	// Deprecated: ignored; fleets advance serially.
 	Parallelism int
 	// Profiles overrides the profile source; nil uses the process
 	// default (the shared engine when internal/engine is linked).
@@ -286,10 +280,6 @@ type fleetReplica struct {
 	// dispatched or grew its queue, bounding runaway wait loops.
 	consults int
 
-	// pickScratch is the replica-owned takeBatch index scratch, so
-	// concurrent replica advancement never shares sort buffers.
-	pickScratch []int
-
 	// KV-model state, all replica-local (zero with KV off):
 	// launchTimes/launchWaves describe the in-flight busy period,
 	// kvQueued/kvInflight the router-visible cache pressure, and
@@ -311,11 +301,9 @@ type fleetReplica struct {
 // The event loop is fully deterministic: replica events pop from the
 // heap in (time, replica ID) order, arrivals are routed in trace
 // order, and the only randomness (po2 routing) is seeded. Profiling
-// parallelism — and replica-advancement parallelism
-// (FleetSpec.Parallelism) — changes how fast the answer is computed,
-// never an output byte. Each distinct replica cluster prefetches the
-// trace's unique SLs at the policy's max batch in one bulk
-// ProfileSource call.
+// parallelism changes how fast the answer is computed, never an output
+// byte. Each distinct replica cluster prefetches the trace's unique
+// SLs at the policy's max batch in one bulk ProfileSource call.
 func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -326,6 +314,13 @@ func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	if spec.Disagg != nil {
 		return simulateDisagg(spec, hw)
 	}
+	return runFleet(spec, hw)
+}
+
+// runFleet runs the event loop over an aggregated (non-disaggregated)
+// spec its caller has already validated, so Simulate can validate its
+// trace once rather than again here.
+func runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	src := spec.Profiles
 	if src == nil {
 		src = trainer.DefaultProfileSource()
@@ -380,7 +375,6 @@ func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		inDirty:     make([]bool, allocated),
 		viewScratch: make([]ReplicaView, allocated),
 		served:      make([]RequestMetric, len(spec.Trace.Requests)),
-		isServed:    make([]bool, len(spec.Trace.Requests)),
 		lastScaleAt: math.Inf(-1),
 	}
 	if err := f.run(); err != nil {
@@ -410,23 +404,17 @@ type fleetRun struct {
 	inDirty   []bool
 	busyCount int
 
-	// viewScratch is the reused router-snapshot buffer; dlogScratch
-	// the reused barrier-merge dispatch log (parallel rounds only).
+	// viewScratch is the reused router-snapshot buffer, pickScratch the
+	// reused takeBatch index scratch.
 	viewScratch []ReplicaView
-	dlogScratch []dispatchRec
+	pickScratch []int
 
 	served      []RequestMetric
-	isServed    []bool
 	lastScaleAt float64
 }
 
 func (f *fleetRun) run() error {
 	trace := f.spec.Trace.Requests
-	if f.roundWorkers() > 1 {
-		if err := f.runRounds(); err != nil {
-			return err
-		}
-	}
 	for f.done < len(trace) {
 		if err := f.dispatchDirty(); err != nil {
 			return err
@@ -530,16 +518,16 @@ func (f *fleetRun) dispatchDirty() error {
 			wake := math.Min(d.WaitUntilUS, nextArrival)
 			if math.IsInf(wake, 1) && f.busyCount == 0 {
 				return fmt.Errorf("serving: policy %q refused to dispatch with no future event (replica %d, queue %d, clock %v)",
-					f.spec.Policy.Name(), r.id, len(r.queue), f.clock)
+					f.res.Policy, r.id, len(r.queue), f.clock)
 			}
 			if !math.IsInf(d.WaitUntilUS, 1) && d.WaitUntilUS <= f.clock {
 				return fmt.Errorf("serving: policy %q asked to wait until the past (%v at clock %v)",
-					f.spec.Policy.Name(), d.WaitUntilUS, f.clock)
+					f.res.Policy, d.WaitUntilUS, f.clock)
 			}
 			r.wakeAt = d.WaitUntilUS
 			if r.consults++; r.consults > f.maxBatch+policyConsultSlack {
 				return fmt.Errorf("serving: policy %q consulted %d times on replica %d without dispatching",
-					f.spec.Policy.Name(), r.consults, r.id)
+					f.res.Policy, r.consults, r.id)
 			}
 			if f.clock < r.wakeAt {
 				break // deadline armed; re-consult when it arrives
@@ -551,28 +539,18 @@ func (f *fleetRun) dispatchDirty() error {
 	return nil
 }
 
-// launch prices and starts one batch on r at the current clock.
+// launch moves the policy's pick into r's in-flight batch at the
+// current clock and prices its busy period — a single pad-to-max price
+// on the compute-only path, a prefill/decode wave plan under the KV
+// model (which may evict part of the pick back to the queue).
 func (f *fleetRun) launch(r *fleetReplica, pick []int) error {
-	lat, err := f.startBatch(r, pick, f.clock)
+	// res.Policy is the name formatted once per run: the bundled
+	// policies build Name with fmt.Sprintf, so calling it per dispatch
+	// would allocate on every batch.
+	batch, scratch, err := takeBatch(r.inflight, &r.queue, pick, f.pickScratch, f.maxBatch, f.res.Policy)
+	f.pickScratch = scratch
 	if err != nil {
 		return err
-	}
-	f.res.BusyUS += lat
-	f.busyCount++
-	return nil
-}
-
-// startBatch moves the policy's pick into r's in-flight batch at time
-// now and prices its busy period — a single pad-to-max price on the
-// compute-only path, a prefill/decode wave plan under the KV model
-// (which may evict part of the pick back to the queue). Every effect
-// is replica-local; callers account the global busy time and busy
-// count in their own (serial or barrier-merged) order.
-func (f *fleetRun) startBatch(r *fleetReplica, pick []int, now float64) (float64, error) {
-	batch, scratch, err := takeBatch(r.inflight, &r.queue, pick, r.pickScratch, f.maxBatch, f.spec.Policy.Name())
-	r.pickScratch = scratch
-	if err != nil {
-		return 0, err
 	}
 	r.inflight = batch
 	var lat float64
@@ -584,14 +562,14 @@ func (f *fleetRun) startBatch(r *fleetReplica, pick []int, now float64) (float64
 			}
 		}
 		if lat, err = f.prices.latency(r.clusterIdx, len(batch), paddedSL); err != nil {
-			return 0, err
+			return err
 		}
 		r.paddedSL = paddedSL
 	} else {
 		plan, times, err := f.kv.plan(f.prices, r.clusterIdx, batch, r.launchTimes)
 		r.launchTimes = times
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if plan.keep < len(batch) {
 			// Eviction: the displaced suffix rejoins the queue front so
@@ -611,16 +589,18 @@ func (f *fleetRun) startBatch(r *fleetReplica, pick []int, now float64) (float64
 		r.kvInflight = plan.keptKV
 	}
 	r.busy = true
-	r.startedAt = now
-	r.doneAt = now + lat
+	r.startedAt = f.clock
+	r.doneAt = f.clock + lat
 	// Accumulate the priced latency itself, in dispatch order — not
 	// doneAt-startedAt, whose float rounding would break the byte-exact
-	// equivalence with the single-queue loop.
+	// equivalence with the single-queue reference loop.
 	r.busyUS += lat
+	f.res.BusyUS += lat
+	f.busyCount++
 	r.wakeAt = math.Inf(1)
 	r.needConsult = false
 	r.consults = 0
-	return lat, nil
+	return nil
 }
 
 // drainDue pops every replica event at or before the clock: batch
@@ -648,30 +628,10 @@ func (f *fleetRun) drainDue() {
 }
 
 // completeReplica retires r's in-flight batch at the clock, recording
-// per-request metrics.
+// per-request metrics and counting the priced batches its busy period
+// contained (capacity waves under the KV model, 1 otherwise).
 func (f *fleetRun) completeReplica(r *fleetReplica) {
-	n, waves := f.retireBatch(r)
-	f.done += n
-	f.res.Batches += waves
-	if r.doneAt > f.res.MakespanUS {
-		f.res.MakespanUS = r.doneAt
-	}
-	f.busyCount--
-	if len(r.queue) > 0 {
-		r.needConsult = true
-		f.markDirty(r.id)
-	} else {
-		r.needConsult = false
-	}
-}
-
-// retireBatch writes r's completed per-request metrics and resets its
-// in-flight state, returning the request count and the number of
-// priced batches the busy period contained (capacity waves under the
-// KV model, 1 otherwise). Every effect is replica-local or a disjoint
-// per-request slot write, so the serial and parallel completion paths
-// share it.
-func (f *fleetRun) retireBatch(r *fleetReplica) (n, waves int) {
+	waves := 1
 	if f.kv == nil {
 		for _, q := range r.inflight {
 			f.served[q.ID] = RequestMetric{
@@ -685,9 +645,7 @@ func (f *fleetRun) retireBatch(r *fleetReplica) (n, waves int) {
 				Replica:   r.id,
 				Tenant:    q.Tenant,
 			}
-			f.isServed[q.ID] = true
 		}
-		waves = 1
 	} else {
 		for i, q := range r.inflight {
 			t := r.launchTimes[i]
@@ -703,17 +661,25 @@ func (f *fleetRun) retireBatch(r *fleetReplica) (n, waves int) {
 				Replica:   r.id,
 				Tenant:    q.Tenant,
 			}
-			f.isServed[q.ID] = true
 		}
 		waves = r.launchWaves
 		r.kvInflight = 0
 	}
-	n = len(r.inflight)
+	n := len(r.inflight)
 	r.served += n
 	r.batches += waves
 	r.busy = false
 	r.inflight = r.inflight[:0]
-	return n, waves
+	f.done += n
+	f.res.Batches += waves
+	if r.doneAt > f.res.MakespanUS {
+		f.res.MakespanUS = r.doneAt
+	}
+	f.busyCount--
+	r.needConsult = len(r.queue) > 0
+	if r.needConsult {
+		f.markDirty(r.id)
+	}
 }
 
 // routeArrivals admits every arrival at or before the clock, in trace
@@ -722,16 +688,32 @@ func (f *fleetRun) retireBatch(r *fleetReplica) (n, waves int) {
 // whose own cache footprint exceeds the capacity is rejected outright
 // (no replica could ever serve it), and a router that returns an
 // ineligible replica fails the run with ErrBadRoute. The fleet
-// snapshot is built once per pass in the reused scratch buffer and
-// updated in place as arrivals land.
+// snapshot is built in the reused scratch buffer and updated in place
+// as arrivals land.
+//
+// While the fleet is quiet until the next arrival, the pass advances
+// the clock and routes it too: the event loop would otherwise make a
+// round trip that changes nothing but the clock. Only queues change in
+// a quiet stretch, so the in-place snapshot stays exact — except for
+// KV bytes, whose in-place float sum can round differently from a
+// rebuild's, so with the KV model each arrival instant rebuilds it.
 func (f *fleetRun) routeArrivals() error {
 	trace := f.spec.Trace.Requests
 	var (
 		views    []ReplicaView
 		eligible int
 	)
-	for f.next < len(trace) && trace[f.next].ArrivalUS <= f.clock {
+	for f.next < len(trace) {
 		req := trace[f.next]
+		if req.ArrivalUS > f.clock {
+			if !f.quietUntil(req.ArrivalUS) {
+				break
+			}
+			f.clock = req.ArrivalUS
+			if f.kv != nil {
+				views = nil
+			}
+		}
 		f.next++
 		if f.kv != nil && f.kv.peakBytes(req) > f.kv.capacity {
 			f.res.Rejections = append(f.res.Rejections, Rejection{
@@ -785,6 +767,23 @@ func (f *fleetRun) routeArrivals() error {
 		}
 	}
 	return nil
+}
+
+// quietUntil reports whether the event loop would do nothing but route
+// arrivals up to time t: no autoscaler evaluates (it runs at every
+// event), no replica event is due at or before t, and every replica
+// owing a consult is busy, retired or empty, so the consult would be
+// skipped.
+func (f *fleetRun) quietUntil(t float64) bool {
+	if f.spec.Autoscale != nil || f.heap.min() <= t {
+		return false
+	}
+	for _, id := range f.dirty {
+		if r := f.replicas[id]; r.live && !r.busy && len(r.queue) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // views snapshots the fleet for the router into the reused scratch
@@ -858,18 +857,25 @@ func (f *fleetRun) autoscale() {
 }
 
 // finalize compacts per-request metrics and per-replica stats into the
-// result. The served buffer is compacted in place — metrics are
-// already in trace-ID order — so the result borrows it instead of
-// copying a second multi-million-entry slice.
+// result. Served metrics sit at their trace IDs, so the buffer is
+// compacted in place by skipping the rejected IDs (Rejections is in
+// trace order), and the result borrows it instead of copying a second
+// multi-million-entry slice. A run without rejections needs no pass.
 func (f *fleetRun) finalize() {
-	k := 0
-	for id, ok := range f.isServed {
-		if ok {
-			f.served[k] = f.served[id]
+	served := f.served
+	if rej := f.res.Rejections; len(rej) > 0 {
+		k := 0
+		for id := range served {
+			if len(rej) > 0 && rej[0].ID == id {
+				rej = rej[1:]
+				continue
+			}
+			served[k] = served[id]
 			k++
 		}
+		served = served[:k]
 	}
-	f.res.Requests = f.served[:k]
+	f.res.Requests = served
 	f.res.ReplicaStats = make([]ReplicaStats, len(f.replicas))
 	var replicaUS float64
 	for i, r := range f.replicas {
@@ -887,8 +893,6 @@ func (f *fleetRun) finalize() {
 	}
 	f.res.ReplicaSeconds = replicaUS / 1e6
 	if f.kv != nil {
-		// Per-replica counters summed in replica order: order-free
-		// integers and a max, so the parallel path cannot perturb them.
 		kvs := &KVRunStats{BytesPerToken: f.kv.bpt, CapacityBytes: f.kv.capacity}
 		for _, r := range f.replicas {
 			kvs.Preemptions += r.preempts

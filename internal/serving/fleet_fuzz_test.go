@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"seqpoint/internal/dataset"
@@ -265,36 +264,6 @@ func FuzzFleetInvariants(f *testing.F) {
 			t.Fatal("KV-disabled run produced KV stats")
 		}
 
-		// Parallel advancement (Parallelism > 1) must reproduce the
-		// serial loop byte-for-byte on non-autoscaled fleets — same
-		// summary and same per-request metrics. A fresh router is built
-		// for the re-run because routers carry deterministic state (the
-		// round-robin cursor, po2's seeded RNG).
-		if spec.Autoscale == nil {
-			prouter, err := ParseRouting(routerNames[int(routing)%len(routerNames)], seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pspec := spec
-			pspec.Router = prouter
-			pspec.Parallelism = int(n)%3 + 2
-			pres, err := SimulateFleet(pspec, gpusim.VegaFE())
-			if err != nil {
-				t.Fatalf("parallel SimulateFleet: %v", err)
-			}
-			want, _ := res.Summary().Serialize()
-			got, _ := pres.Summary().Serialize()
-			if !bytes.Equal(got, want) {
-				t.Fatalf("parallelism %d diverged from serial:\n%s\nvs\n%s", pspec.Parallelism, got, want)
-			}
-			if !reflect.DeepEqual(res.Requests, pres.Requests) {
-				t.Fatalf("parallelism %d produced different per-request metrics", pspec.Parallelism)
-			}
-			if !reflect.DeepEqual(res.Rejections, pres.Rejections) {
-				t.Fatalf("parallelism %d produced different rejections", pspec.Parallelism)
-			}
-		}
-
 		// Tenant neutrality: under every tenant-agnostic policy (all but
 		// wfq, whose fair pick reorders by design), labels must only add
 		// the per-tenant roll-up — the untenanted shadow of the trace
@@ -321,13 +290,14 @@ func FuzzFleetInvariants(f *testing.F) {
 		}
 
 		// Generalization: the 1-replica unbounded round-robin fleet is
-		// the single-queue simulator.
+		// the single-queue simulator, as the standalone reference loop
+		// implements it.
 		if nReplicas == 1 && cap == 0 && spec.Autoscale == nil && router.Name() == RoutingRoundRobin {
-			single, err := Simulate(Spec{
+			single, err := referenceSimulate(Spec{
 				Model: spec.Model, Trace: trace, Policy: policy, Profiles: &stubSource{}, KV: kv,
 			}, gpusim.VegaFE())
 			if err != nil {
-				t.Fatalf("Simulate: %v", err)
+				t.Fatalf("referenceSimulate: %v", err)
 			}
 			asServing, err := res.AsServing()
 			if err != nil {
@@ -336,7 +306,7 @@ func FuzzFleetInvariants(f *testing.F) {
 			want, _ := single.Summary().Serialize()
 			got, _ := asServing.Summary().Serialize()
 			if !bytes.Equal(got, want) {
-				t.Fatalf("1-replica fleet diverged from Simulate:\n%s\nvs\n%s", got, want)
+				t.Fatalf("1-replica fleet diverged from the reference loop:\n%s\nvs\n%s", got, want)
 			}
 		}
 	})

@@ -12,6 +12,7 @@ import (
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
 	"seqpoint/internal/profiler"
+	"seqpoint/internal/workload"
 )
 
 // clusterStub prices a batch at sequence length sl as sl*100 µs divided
@@ -110,15 +111,15 @@ func TestRouterPicks(t *testing.T) {
 
 // TestFleetSingleReplicaEquivalence is the strict-generalization
 // property: a 1-replica round-robin fleet with an unbounded queue must
-// reproduce the single-queue simulator byte-for-byte, for every
-// bundled policy and arrival process.
+// reproduce the standalone single-queue reference loop byte-for-byte,
+// for every bundled policy and arrival process.
 func TestFleetSingleReplicaEquivalence(t *testing.T) {
 	corpus := dataset.IWSLT15(1)
 	poisson, err := PoissonTrace(corpus, 200, 80, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	burst, err := BurstTrace(corpus, 100, 3)
+	burst, err := workload.BurstTrace(corpus, 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFleetSingleReplicaEquivalence(t *testing.T) {
 	} {
 		for _, pol := range []Policy{fixed, dynamic, length} {
 			t.Run(tc.name+"/"+pol.Name(), func(t *testing.T) {
-				single, err := Simulate(Spec{
+				single, err := referenceSimulate(Spec{
 					Model: models.NewGNMT(), Trace: tc.trace, Policy: pol, Profiles: &stubSource{},
 				}, gpusim.VegaFE())
 				if err != nil {
@@ -161,7 +162,7 @@ func TestFleetSingleReplicaEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Errorf("1-replica fleet diverged from Simulate:\nfleet: %s\nsingle: %s", got, want)
+					t.Errorf("1-replica fleet diverged from the reference loop:\nfleet: %s\nsingle: %s", got, want)
 				}
 			})
 		}
@@ -481,5 +482,35 @@ func TestAsServingErrors(t *testing.T) {
 	})
 	if _, err := res.AsServing(); err == nil {
 		t.Error("AsServing should refuse a multi-replica fleet")
+	}
+}
+
+// TestParallelismValidation pins the deprecated FleetSpec.Parallelism
+// contract: a negative value is still rejected, and any other value is
+// accepted and changes no output byte.
+func TestParallelismValidation(t *testing.T) {
+	policy, err := NewFixedBatch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := FleetSpec{
+		Model:       models.NewGNMT(),
+		Trace:       replay(t, []float64{0, 0, 5, 9}, []int{3, 5, 7, 3}),
+		Policy:      policy,
+		Router:      NewRoundRobin(),
+		Replicas:    2,
+		Parallelism: -1,
+		Profiles:    &stubSource{},
+	}
+	if _, err := SimulateFleet(spec, gpusim.VegaFE()); err == nil {
+		t.Fatal("negative parallelism accepted")
+	}
+	spec.Parallelism = 0
+	want, _ := fleetSim(t, spec).Summary().Serialize()
+	spec.Parallelism = 4
+	spec.Router = NewRoundRobin()
+	got, _ := fleetSim(t, spec).Summary().Serialize()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Parallelism changed the summary:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -2,7 +2,6 @@ package serving
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -256,32 +255,6 @@ func TestDisaggTwoStageServing(t *testing.T) {
 	if sum.Disagg == "" || sum.P99TTFTUS <= 0 {
 		t.Fatalf("summary should carry the pool split and TTFT tail, got disagg=%q p99TTFT=%v",
 			sum.Disagg, sum.P99TTFTUS)
-	}
-}
-
-// The disaggregated run must be deterministic across the parallelism
-// knob, like every other fleet mode.
-func TestDisaggParallelismByteIdentical(t *testing.T) {
-	dyn, _ := NewDynamicBatch(4, 500)
-	spec := FleetSpec{
-		Model: models.NewGNMT(), Trace: replay(t,
-			[]float64{0, 3, 5, 8, 11, 14, 16, 20}, []int{3, 7, 4, 6, 2, 9, 5, 8}),
-		Policy: dyn, Router: NewRoundRobin(), Replicas: 4,
-		KV:     &KVConfig{CapacityBytes: 1e9, DecodeSteps: 3},
-		Disagg: &DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2},
-	}
-	serial := fleetSim(t, spec)
-	par := spec
-	par.Router = NewRoundRobin()
-	par.Parallelism = 4
-	parRes := fleetSim(t, par)
-	if !reflect.DeepEqual(serial.Requests, parRes.Requests) {
-		t.Fatal("disagg requests diverge under parallelism")
-	}
-	a, _ := serial.Summary().Serialize()
-	b, _ := parRes.Summary().Serialize()
-	if string(a) != string(b) {
-		t.Fatalf("disagg summaries diverge under parallelism:\n%s\nvs\n%s", a, b)
 	}
 }
 

@@ -167,7 +167,7 @@ func (p lengthAware) candidateWindow() int {
 // anchor, ties toward earlier arrival. It lives in a sync.Pool so a
 // length-aware dispatch costs no sort scratch or comparison-closure
 // allocation; the policy value itself stays stateless, which keeps
-// Decide safe to call from concurrently advancing replicas.
+// Decide safe to call from concurrent simulations sharing one policy.
 type laSorter struct {
 	idx    []int
 	queue  []Request

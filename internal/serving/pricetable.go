@@ -26,7 +26,7 @@ var ErrNonFinitePrice = errors.New("serving: profile source returned non-finite 
 const decodeSL = 1
 
 // priceTable is the flat per-(cluster, batch, SL) batch-latency table
-// both event loops price against. It replaces the map-keyed memo the
+// the event loop prices against. It replaces the map-keyed memo the
 // simulators were built with: the memo hashed a composite key on every
 // launch, where the table is one integer offset into a dense float64
 // slice. The maxBatch row of every distinct cluster is prefetched in
@@ -42,9 +42,9 @@ const decodeSL = 1
 //
 // Unfilled slots hold NaN — a value no valid profile can produce
 // (fills reject non-finite prices with ErrNonFinitePrice), so presence
-// needs no side bitmap. On-demand fills are guarded by a mutex so
-// parallel replica simulation (see FleetSpec.Parallelism) can price
-// concurrently.
+// needs no side bitmap. Reads and on-demand fills are guarded by a
+// mutex; the bundled event loop advances replicas serially, so it is
+// never contended.
 type priceTable struct {
 	src      trainer.ProfileSource
 	hw       gpusim.Config
@@ -178,7 +178,7 @@ func (t *priceTable) latency(clusterIdx, batch, sl int) (float64, error) {
 	}
 	// Fill misses under the write lock: besides guarding the slot, this
 	// serializes all on-demand ProfileSource calls, so sources need not
-	// be thread-safe even when replicas advance concurrently.
+	// be thread-safe even if the table is shared.
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if us = t.prices[off]; !math.IsNaN(us) {

@@ -97,13 +97,22 @@ func NewRoundRobin() Router { return &roundRobin{} }
 func (r *roundRobin) Name() string { return RoutingRoundRobin }
 
 func (r *roundRobin) Route(req Request, replicas []ReplicaView) int {
+	// The cursor wraps by comparison rather than a modulo per probe:
+	// Route runs once per arrival, and Simulate's single replica makes
+	// it the loop's hottest call.
 	n := len(replicas)
-	for i := 0; i < n; i++ {
-		v := replicas[(r.next+i)%n]
-		if v.eligible() {
-			r.next = (v.ID + 1) % n
+	i := r.next
+	for k := 0; k < n; k++ {
+		if i >= n {
+			i %= n
+		}
+		if v := &replicas[i]; v.eligible() {
+			if r.next = v.ID + 1; r.next == n {
+				r.next = 0
+			}
 			return v.ID
 		}
+		i++
 	}
 	// The fleet never calls Route with no eligible replica; scanning a
 	// full cycle without one is unreachable, and the fleet surfaces it

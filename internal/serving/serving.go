@@ -1,33 +1,32 @@
 // Package serving simulates online inference serving: the load-
 // dependent regime the paper's offline training and fixed-batch
 // inference simulators (Section VII-E) stop short of. Requests arrive
-// over time, a batching policy decides when to launch and which queued
-// requests to group, a single server executes one batch at a time, and
-// every per-batch latency comes from the same analytical cost model —
-// through the trainer's ProfileSource seam, so the engine's cross-run
-// profile cache prices each unique (batch, padded SL) forward pass
-// exactly once per process.
+// over time, are routed to one of N replicas, a batching policy decides
+// when each replica launches a batch and which queued requests it
+// groups, and every per-batch latency comes from the same analytical
+// cost model — through the trainer's ProfileSource seam, so the
+// engine's cross-run profile cache prices each unique (batch, padded
+// SL) forward pass exactly once per process.
 //
 // This is where SeqPoint-style sequence-length skew matters most: with
 // pad-to-max batching the batch's longest request dictates the whole
 // batch's latency, so the SL distribution of the arrival stream shapes
 // the p95/p99 latency tail long before the server saturates.
 //
-// The simulator is a deterministic discrete-event loop: arrivals are a
-// pre-generated seeded trace (Poisson or replayed), the event loop is
-// strictly sequential, and profiling parallelism only changes how fast
-// profiles are computed — never a single output byte.
+// The simulator is one deterministic discrete-event loop (fleet.go):
+// arrivals are a pre-generated seeded trace (Poisson or replayed),
+// replicas advance serially in (time, replica ID) order, and profiling
+// parallelism only changes how fast profiles are computed — never a
+// single output byte. Simulate is that loop with a single replica.
 //
 // The arrival side — Request/Trace, the generators and the versioned
-// trace file format — lives in internal/workload; the aliases and
-// wrappers below keep this package's historical surface intact, so
-// simulator call sites and the public facade are untouched by the
-// extraction.
+// trace file format — lives in internal/workload. Request and Trace
+// below are the names this package's specs are written in;
+// PoissonTrace and PatternDiurnal forward to workload for the perfbench
+// module, which calls them through this package.
 package serving
 
 import (
-	"io"
-
 	"seqpoint/internal/dataset"
 	"seqpoint/internal/workload"
 )
@@ -38,10 +37,6 @@ type Request = workload.Request
 // Trace is an arrival-ordered request sequence.
 type Trace = workload.Trace
 
-// ErrBadTrace is the typed cause every trace-validation failure wraps;
-// see workload.ErrBadTrace.
-var ErrBadTrace = workload.ErrBadTrace
-
 // PoissonTrace generates n requests with exponentially distributed
 // inter-arrival times at ratePerSec requests per second; see
 // workload.PoissonTrace.
@@ -49,69 +44,6 @@ func PoissonTrace(c *dataset.Corpus, n int, ratePerSec float64, seed int64) (Tra
 	return workload.PoissonTrace(c, n, ratePerSec, seed)
 }
 
-// BurstTrace generates n requests that all arrive at time zero; see
-// workload.BurstTrace.
-func BurstTrace(c *dataset.Corpus, n int, seed int64) (Trace, error) {
-	return workload.BurstTrace(c, n, seed)
-}
-
-// ReplayTrace builds a trace from explicit arrival offsets and
-// sequence lengths; see workload.ReplayTrace.
-func ReplayTrace(name string, arrivalsUS []float64, seqLens []int) (Trace, error) {
-	return workload.ReplayTrace(name, arrivalsUS, seqLens)
-}
-
-// GenSpec describes one generated multi-tenant workload; see
-// workload.GenSpec.
-type GenSpec = workload.GenSpec
-
-// Cohort is one tenant class of a generated workload; see
-// workload.Cohort.
-type Cohort = workload.Cohort
-
-// Pattern shapes a generated arrival process's rate over time; see
-// workload.Pattern.
-type Pattern = workload.Pattern
-
-// Arrival-pattern kinds accepted by Pattern.Kind.
-const (
-	// PatternUniform is a homogeneous Poisson process.
-	PatternUniform = workload.PatternUniform
-	// PatternDiurnal modulates the rate sinusoidally.
-	PatternDiurnal = workload.PatternDiurnal
-)
-
-// Generate produces a multi-tenant trace — pattern-shaped arrivals,
-// weighted cohorts, Zipf tenant popularity, bulk clumps; see
-// workload.Generate.
-func Generate(spec GenSpec) (Trace, error) {
-	return workload.Generate(spec)
-}
-
-// TraceFileVersion is the trace file format version WriteTrace emits;
-// see workload.TraceVersion.
-const TraceFileVersion = workload.TraceVersion
-
-// WriteTrace writes the versioned JSON-lines trace format; see
-// workload.WriteTrace.
-func WriteTrace(w io.Writer, t Trace) error {
-	return workload.WriteTrace(w, t)
-}
-
-// ReadTrace parses and fully validates a trace file; see
-// workload.ReadTrace.
-func ReadTrace(r io.Reader) (Trace, error) {
-	return workload.ReadTrace(r)
-}
-
-// SaveTrace atomically writes a trace file to path; see
-// workload.SaveTrace.
-func SaveTrace(path string, t Trace) error {
-	return workload.SaveTrace(path, t)
-}
-
-// LoadTrace reads and fully validates the trace file at path; see
-// workload.LoadTrace.
-func LoadTrace(path string) (Trace, error) {
-	return workload.LoadTrace(path)
-}
+// PatternDiurnal is the sinusoidally modulated arrival pattern; see
+// workload.PatternDiurnal.
+const PatternDiurnal = workload.PatternDiurnal

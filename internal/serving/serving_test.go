@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
 	"seqpoint/internal/profiler"
+	"seqpoint/internal/workload"
 )
 
 // stubSource is a hermetic profile source: one batch at sequence
@@ -32,7 +34,7 @@ func (s *stubSource) EvalProfiles(hw gpusim.Config, cl gpusim.ClusterConfig, m m
 
 func replay(t *testing.T, arrivals []float64, sls []int) Trace {
 	t.Helper()
-	tr, err := ReplayTrace("test", arrivals, sls)
+	tr, err := workload.ReplayTrace("test", arrivals, sls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +102,16 @@ func TestPoissonTraceErrors(t *testing.T) {
 }
 
 func TestReplayTraceValidation(t *testing.T) {
-	if _, err := ReplayTrace("bad", []float64{0, 1}, []int{5}); err == nil {
+	if _, err := workload.ReplayTrace("bad", []float64{0, 1}, []int{5}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := ReplayTrace("bad", []float64{10, 5}, []int{5, 5}); err == nil {
+	if _, err := workload.ReplayTrace("bad", []float64{10, 5}, []int{5, 5}); err == nil {
 		t.Error("decreasing arrivals should error")
 	}
-	if _, err := ReplayTrace("bad", []float64{0}, []int{0}); err == nil {
+	if _, err := workload.ReplayTrace("bad", []float64{0}, []int{0}); err == nil {
 		t.Error("non-positive SL should error")
 	}
-	if _, err := ReplayTrace("bad", nil, nil); err == nil {
+	if _, err := workload.ReplayTrace("bad", nil, nil); err == nil {
 		t.Error("empty trace should error")
 	}
 }
@@ -257,7 +259,7 @@ func TestLargeFixedBatchFillsFromArrivals(t *testing.T) {
 // exactly once, and never starves the oldest request.
 func TestLengthAwareDeepBacklogBounded(t *testing.T) {
 	c := dataset.IWSLT15(1)
-	trc, err := BurstTrace(c, 4096, 13)
+	trc, err := workload.BurstTrace(c, 4096, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,5 +425,89 @@ func TestSimulateThroughEngineDeterministic(t *testing.T) {
 		if string(buf) != string(ref) {
 			t.Errorf("summary at parallelism %d differs:\n%s\nvs\n%s", par, buf, ref)
 		}
+	}
+}
+
+// TestTakeBatchScratch pins the scratch-based takeBatch against the
+// validation contract: out-of-range, duplicate, oversized and empty
+// picks fail; valid picks extract in queue order and preserve the
+// remaining queue's order.
+func TestTakeBatchScratch(t *testing.T) {
+	mkQueue := func() []Request {
+		q := make([]Request, 6)
+		for i := range q {
+			q[i] = Request{ID: i, SeqLen: 10 + i}
+		}
+		return q
+	}
+	var scratch []int
+	var dst []Request
+
+	queue := mkQueue()
+	batch, scratch, err := takeBatch(dst[:0], &queue, []int{4, 0, 2}, scratch, 8, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(batch[0].ID, batch[1].ID, batch[2].ID) != "0 2 4" {
+		t.Fatalf("batch order %v, want IDs 0 2 4", batch)
+	}
+	if fmt.Sprint(queue[0].ID, queue[1].ID, queue[2].ID) != "1 3 5" || len(queue) != 3 {
+		t.Fatalf("remaining queue %v, want IDs 1 3 5", queue)
+	}
+
+	for name, pick := range map[string][]int{
+		"empty":      {},
+		"dup":        {1, 1},
+		"oob":        {0, 9},
+		"neg":        {-1},
+		"oversized":  {0, 1, 2},
+		"dup_spread": {2, 0, 2},
+	} {
+		queue := mkQueue()
+		max := 8
+		if name == "oversized" {
+			max = 2
+		}
+		if _, _, err := takeBatch(batch[:0], &queue, pick, scratch, max, "test"); err == nil {
+			t.Fatalf("%s pick accepted", name)
+		}
+	}
+}
+
+// TestSimulateAllocsFlatInBatches pins that a run's allocation count
+// does not grow with its batch count: every dispatch once formatted the
+// policy name with fmt.Sprintf, which made allocations per run linear
+// in batches. Both traces share one SL set, so the price table fills
+// the same slots.
+func TestSimulateAllocsFlatInBatches(t *testing.T) {
+	policy, err := NewDynamicBatch(4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(batches int) float64 {
+		// Clumps of three arrivals, far enough apart that each clump
+		// waits out the timeout and dispatches alone.
+		var arrivals []float64
+		var sls []int
+		for b := 0; b < batches; b++ {
+			for k := 0; k < 3; k++ {
+				arrivals = append(arrivals, float64(b)*10_000)
+				sls = append(sls, 4+4*k)
+			}
+		}
+		spec := Spec{Model: models.NewGNMT(), Trace: replay(t, arrivals, sls), Policy: policy, Profiles: &stubSource{}}
+		return testing.AllocsPerRun(5, func() {
+			res, err := Simulate(spec, gpusim.VegaFE())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Batches != batches {
+				t.Fatalf("%d batches, want %d", res.Batches, batches)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	if large-small > 8 {
+		t.Fatalf("allocations grew with batch count: %v at 100 batches, %v at 1000", small, large)
 	}
 }

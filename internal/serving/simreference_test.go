@@ -1,0 +1,189 @@
+package serving
+
+import (
+	"fmt"
+	"math"
+
+	"seqpoint/internal/gpusim"
+	"seqpoint/internal/trainer"
+)
+
+// referenceSimulate is a standalone single-queue event loop — one
+// server, one queue, no heap, router or dirty set — that tests hold
+// the fleet loop against: the single-replica equivalence test and the
+// fuzz generalization block compare a 1-replica SimulateFleet with it,
+// so the fleet is not only compared with Simulate, which wraps it. It
+// shares the price table, the KV planner and takeBatch with the fleet,
+// but none of the fleet's scheduling.
+func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := hw.Validate(); err != nil {
+		return nil, err
+	}
+	src := spec.Profiles
+	if src == nil {
+		src = trainer.DefaultProfileSource()
+	}
+	maxBatch := spec.Policy.MaxBatch()
+
+	// The KV model needs decode-step prices; a nil kv leaves the table
+	// and the whole event loop on the pre-KV path, byte for byte.
+	var kv *kvState
+	if spec.KV != nil {
+		kv = newKVState(spec.KV, spec.Model)
+		// A request whose own cache exceeds the capacity can never be
+		// served; a fleet rejects it at admission, the single-queue
+		// server has no admission controller and must refuse the trace.
+		for _, r := range spec.Trace.Requests {
+			if need := kv.peakBytes(r); need > kv.capacity {
+				return nil, fmt.Errorf("serving: request %d needs %v KV bytes, above the %v-byte capacity",
+					r.ID, need, kv.capacity)
+			}
+		}
+	}
+
+	// The price table prefetches the trace's unique SLs at the max
+	// batch size (every full batch's padded SL is one of the trace's
+	// SLs) and prices each dispatch by integer offset; partial-batch
+	// sizes fill their slots on first use.
+	prices, err := newPriceTable(src, hw, spec.Model, maxBatch,
+		[]gpusim.ClusterConfig{gpusim.SingleGPU()}, spec.Trace.UniqueSLs(), kv != nil)
+	if err != nil {
+		return nil, err
+	}
+
+	trace := spec.Trace.Requests
+	res := &Result{
+		Config:   hw,
+		Policy:   spec.Policy.Name(),
+		Requests: make([]RequestMetric, len(trace)),
+	}
+	if kv != nil {
+		res.KV = &KVRunStats{BytesPerToken: kv.bpt, CapacityBytes: kv.capacity}
+	}
+
+	var (
+		clock float64   // server-free time
+		next  int       // next trace index to admit
+		queue []Request // admitted, unserved requests, oldest first
+		done  int       // completed requests
+
+		batchBuf    []Request   // reused takeBatch destination
+		pickScratch []int       // reused takeBatch index scratch
+		kvTimes     []kvReqTime // reused KV-plan timing scratch
+	)
+	admit := func() {
+		for next < len(trace) && trace[next].ArrivalUS <= clock {
+			queue = append(queue, trace[next])
+			next++
+		}
+	}
+
+	for done < len(trace) {
+		if len(queue) == 0 {
+			// Idle server: jump to the next arrival.
+			if clock < trace[next].ArrivalUS {
+				clock = trace[next].ArrivalUS
+			}
+			admit()
+		}
+		consults := 0
+		for {
+			nextArrival := math.Inf(1)
+			if next < len(trace) {
+				nextArrival = trace[next].ArrivalUS
+			}
+			d := spec.Policy.Decide(queue, clock, nextArrival)
+			if d.Dispatch {
+				batch, scratch, err := takeBatch(batchBuf[:0], &queue, d.Pick, pickScratch, maxBatch, spec.Policy.Name())
+				batchBuf, pickScratch = batch, scratch
+				if err != nil {
+					return nil, err
+				}
+				start := clock
+				if kv == nil {
+					paddedSL := 0
+					for _, r := range batch {
+						if r.SeqLen > paddedSL {
+							paddedSL = r.SeqLen
+						}
+					}
+					lat, err := prices.latency(0, len(batch), paddedSL)
+					if err != nil {
+						return nil, err
+					}
+					clock += lat
+					res.Batches++
+					res.BusyUS += lat
+					res.MakespanUS = clock
+					for _, r := range batch {
+						res.Requests[r.ID] = RequestMetric{
+							ID:        r.ID,
+							SeqLen:    r.SeqLen,
+							ArrivalUS: r.ArrivalUS,
+							StartUS:   start,
+							DoneUS:    clock,
+							BatchSize: len(batch),
+							PaddedSL:  paddedSL,
+							Tenant:    r.Tenant,
+						}
+						done++
+					}
+				} else {
+					plan, times, err := kv.plan(prices, 0, batch, kvTimes)
+					kvTimes = times
+					if err != nil {
+						return nil, err
+					}
+					if plan.keep < len(batch) {
+						// Eviction: the displaced suffix rejoins the queue
+						// front so recomputation does not also mean
+						// starvation.
+						queue = prependRequests(queue, batch[plan.keep:])
+					}
+					clock += plan.totalLat
+					res.Batches += plan.waves
+					res.BusyUS += plan.totalLat
+					res.MakespanUS = clock
+					res.KV.Preemptions += plan.preempts
+					if plan.peak > res.KV.PeakBytes {
+						res.KV.PeakBytes = plan.peak
+					}
+					for i, r := range batch[:plan.keep] {
+						t := times[i]
+						res.Requests[r.ID] = RequestMetric{
+							ID:        r.ID,
+							SeqLen:    r.SeqLen,
+							ArrivalUS: r.ArrivalUS,
+							StartUS:   start + t.startOff,
+							FirstUS:   start + t.firstOff,
+							DoneUS:    start + t.doneOff,
+							BatchSize: t.batch,
+							PaddedSL:  t.paddedSL,
+							Tenant:    r.Tenant,
+						}
+						done++
+					}
+				}
+				admit()
+				break
+			}
+			// The policy wants to wait: advance to the earlier of its
+			// wake-up time and the next arrival.
+			wake := math.Min(d.WaitUntilUS, nextArrival)
+			if math.IsInf(wake, 1) || wake <= clock {
+				return nil, fmt.Errorf("serving: policy %q refused to dispatch with no future event (queue %d, clock %v)",
+					spec.Policy.Name(), len(queue), clock)
+			}
+			clock = wake
+			admit()
+			if consults++; consults > maxBatch+policyConsultSlack {
+				return nil, fmt.Errorf("serving: policy %q consulted %d times without dispatching",
+					spec.Policy.Name(), consults)
+			}
+		}
+	}
+	return res, nil
+}

@@ -42,7 +42,7 @@ func (p wfqBatch) MaxBatch() int { return p.size }
 
 // wfqScratch is the pooled pick-assembly state, so a dispatch costs no
 // steady-state allocation while the policy value itself stays
-// stateless (Decide runs from concurrently advancing replicas).
+// stateless (one policy value may serve concurrent simulations).
 type wfqScratch struct {
 	byTenant map[string][]int // queue indices per tenant, FIFO order
 	order    []string         // tenants by first occurrence in the queue
@@ -96,8 +96,8 @@ func (p wfqBatch) Decide(queue []Request, nowUS, nextArrivalUS float64) Decision
 	// takes each tenant's (r+1)-th oldest request until the batch is
 	// full. takeBatch launches picks in queue order, so only the
 	// membership matters — fairness is who gets a slot, not position.
-	// The pick is freshly allocated: concurrently advancing replicas
-	// may still hold their Decision while this scratch is reused.
+	// The pick is freshly allocated: a caller may still hold its
+	// Decision while another Decide reuses this scratch.
 	pick := make([]int, 0, n)
 	for round := 0; len(pick) < n; round++ {
 		took := false

@@ -7,7 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+
+	"seqpoint/internal/atomicfile"
 )
 
 // Versioned JSON-lines trace file format, following the engine
@@ -151,29 +152,10 @@ func strictUnmarshal(data []byte, v any) error {
 }
 
 // SaveTrace writes the trace to path atomically: serialize to a
-// sibling temp file, then rename into place, so a crash mid-write
-// never leaves a torn trace where a valid one was expected.
+// sibling temp file, fsync it, then rename into place, so a crash
+// mid-write never leaves a torn trace where a valid one was expected.
 func SaveTrace(path string, t Trace) error {
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, t); err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("workload: saving trace: %w", err)
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("workload: saving trace: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("workload: saving trace: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(path, func(w io.Writer) error { return WriteTrace(w, t) }); err != nil {
 		return fmt.Errorf("workload: saving trace: %w", err)
 	}
 	return nil

@@ -297,6 +297,12 @@ func TestTraceHelpers(t *testing.T) {
 	if got := tr.ImpliedRatePerSec(); math.Abs(got-4) > 1e-9 {
 		t.Errorf("ImpliedRatePerSec() = %v, want 4", got)
 	}
+	// SLs past the dense range dedupe through the map fallback, in the
+	// same first-arrival order.
+	long := Trace{Requests: []Request{{SeqLen: 1 << 20}, {SeqLen: 3}, {SeqLen: 1 << 20}, {SeqLen: 3}}}
+	if got, want := long.UniqueSLs(), []int{1 << 20, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("UniqueSLs() with an outlier SL = %v, want %v", got, want)
+	}
 }
 
 func TestScaleToRate(t *testing.T) {

@@ -3,23 +3,25 @@ package seqpoint
 import (
 	"seqpoint/internal/serving"
 	"seqpoint/internal/stats"
+	"seqpoint/internal/workload"
 )
 
 // Online serving simulation (internal/serving): a deterministic
 // discrete-event simulator of load-dependent inference serving on top
 // of the same analytical cost model. Requests arrive over time
 // (Poisson, burst, or a replayed trace), a batching policy groups
-// them, a single-queue server prices each batch through the engine's
-// profile cache, and per-request metrics roll up to throughput,
-// utilization and p50/p95/p99 latency. This is the regime where the
+// them, a single-queue server — the fleet simulator below with one
+// replica — prices each batch through the engine's profile cache, and
+// per-request metrics roll up to throughput, utilization and
+// p50/p95/p99 latency. This is the regime where the
 // paper's sequence-length observation bites hardest: with pad-to-max
 // batching, the longest request in a batch sets the whole batch's
 // cost, so the arrival stream's SL skew shapes the latency tail.
 type (
 	// ServingRequest is one inference request of an arrival trace.
-	ServingRequest = serving.Request
+	ServingRequest = workload.Request
 	// ServingTrace is an arrival-ordered request sequence.
-	ServingTrace = serving.Trace
+	ServingTrace = workload.Trace
 	// ServingSpec describes one online-serving simulation.
 	ServingSpec = serving.Spec
 	// ServingResult is a serving simulation's full outcome.
@@ -43,13 +45,13 @@ type (
 // join-shortest-queue, power-of-two-choices), bounded per-replica
 // queues reject overload as typed drops, and an optional reactive
 // autoscaler grows and shrinks the live fleet on queue depth, with
-// replica-seconds as the cost proxy. A 1-replica round-robin fleet
-// reproduces SimulateServing byte-for-byte (FleetResult.AsServing).
+// replica-seconds as the cost proxy. SimulateServing is this simulator
+// with one round-robin replica and an unbounded queue, so
+// FleetResult.AsServing of such a run equals SimulateServing's result.
 type (
-	// FleetSpec describes one multi-replica serving simulation.
-	// Parallelism > 1 advances independent replicas concurrently
-	// between routing barriers — purely a speed knob; the result is
-	// byte-identical to the serial default.
+	// FleetSpec describes one multi-replica serving simulation. Its
+	// Parallelism field is deprecated and ignored: fleets advance
+	// serially.
 	FleetSpec = serving.FleetSpec
 	// FleetResult is a fleet simulation's full outcome.
 	FleetResult = serving.FleetResult
@@ -113,22 +115,21 @@ const (
 	RoutingKV = serving.RoutingKV
 )
 
-// Workload generation and trace replay (internal/workload, via the
-// serving wrappers): a production-shaped multi-tenant arrival
-// generator — diurnal rate modulation, weighted cohort mixes,
-// Zipf-skewed tenant popularity, bulk-submission clumps — plus a
-// versioned JSON-lines trace file format, so the same recorded
-// arrivals replay byte-identically through serving, fleet and planner
-// runs. Tenanted traces roll up per-tenant latency tails (TenantStats)
+// Workload generation and trace replay (internal/workload): a
+// production-shaped multi-tenant arrival generator — diurnal rate
+// modulation, weighted cohort mixes, Zipf-skewed tenant popularity,
+// bulk-submission clumps — plus a versioned JSON-lines trace file
+// format, so the same recorded arrivals replay byte-identically
+// through serving, fleet and planner runs. Tenanted traces roll up per-tenant latency tails (TenantStats)
 // and can be batched tenant-aware (NewWFQBatch) so a clumping bulk
 // tenant cannot starve sparse interactive ones.
 type (
 	// WorkloadGenSpec describes one generated multi-tenant workload.
-	WorkloadGenSpec = serving.GenSpec
+	WorkloadGenSpec = workload.GenSpec
 	// WorkloadCohort is one tenant class of a generated workload.
-	WorkloadCohort = serving.Cohort
+	WorkloadCohort = workload.Cohort
 	// WorkloadPattern shapes the generated arrival rate over time.
-	WorkloadPattern = serving.Pattern
+	WorkloadPattern = workload.Pattern
 	// TenantStats is one tenant's slice of a serving or fleet roll-up.
 	TenantStats = serving.TenantStats
 )
@@ -136,31 +137,31 @@ type (
 // Arrival-pattern spellings for WorkloadPattern.Kind.
 const (
 	// PatternUniform is a homogeneous Poisson process.
-	PatternUniform = serving.PatternUniform
+	PatternUniform = workload.PatternUniform
 	// PatternDiurnal modulates the arrival rate sinusoidally.
-	PatternDiurnal = serving.PatternDiurnal
+	PatternDiurnal = workload.PatternDiurnal
 	// TraceFileVersion is the trace file format version WriteTrace
 	// emits and ReadTrace accepts.
-	TraceFileVersion = serving.TraceFileVersion
+	TraceFileVersion = workload.TraceVersion
 )
 
 var (
 	// GenerateTrace produces a multi-tenant trace from a
 	// WorkloadGenSpec, deterministic at any parallelism.
-	GenerateTrace = serving.Generate
+	GenerateTrace = workload.Generate
 	// WriteTrace and ReadTrace stream the versioned JSON-lines trace
 	// format; SaveTrace and LoadTrace are their file-path forms
-	// (SaveTrace writes atomically via temp-and-rename).
-	WriteTrace = serving.WriteTrace
-	ReadTrace  = serving.ReadTrace
-	SaveTrace  = serving.SaveTrace
-	LoadTrace  = serving.LoadTrace
+	// (SaveTrace writes atomically via an fsynced temp file and rename).
+	WriteTrace = workload.WriteTrace
+	ReadTrace  = workload.ReadTrace
+	SaveTrace  = workload.SaveTrace
+	LoadTrace  = workload.LoadTrace
 	// NewWFQBatch builds the tenant-aware weighted-fair batching
 	// policy: dynamic-style gating with a per-tenant round-robin pick.
 	NewWFQBatch = serving.NewWFQBatch
 	// ErrBadTrace is the typed cause every trace-validation failure
 	// wraps; match with errors.Is.
-	ErrBadTrace = serving.ErrBadTrace
+	ErrBadTrace = workload.ErrBadTrace
 )
 
 var (
@@ -168,13 +169,13 @@ var (
 	SimulateServing = serving.Simulate
 	// PoissonTrace generates a seeded Poisson arrival trace with
 	// request lengths drawn from a corpus.
-	PoissonTrace = serving.PoissonTrace
+	PoissonTrace = workload.PoissonTrace
 	// BurstTrace generates a fully backlogged trace (every request at
 	// time zero) — the capacity probe.
-	BurstTrace = serving.BurstTrace
+	BurstTrace = workload.BurstTrace
 	// ReplayTrace builds a trace from explicit arrival offsets and
 	// sequence lengths.
-	ReplayTrace = serving.ReplayTrace
+	ReplayTrace = workload.ReplayTrace
 	// NewFixedBatch, NewDynamicBatch and NewLengthAware build the three
 	// bundled batching policies: fixed-size FIFO, timeout-bounded
 	// dynamic batching, and greedy length-aware grouping.

@@ -19,9 +19,13 @@ import (
 	"testing"
 
 	"seqpoint/internal/core"
+	"seqpoint/internal/dataset"
 	"seqpoint/internal/engine"
 	"seqpoint/internal/experiments"
 	"seqpoint/internal/gpusim"
+	"seqpoint/internal/models"
+	"seqpoint/internal/profiler"
+	"seqpoint/internal/trainer"
 )
 
 var (
@@ -400,6 +404,60 @@ func BenchmarkSimulateIteration(b *testing.B) {
 		_, total := sim.PriceAll(ops)
 		if total <= 0 {
 			b.Fatal("zero-time iteration")
+		}
+	}
+}
+
+// BenchmarkProfileIteration measures one cold profiled iteration: GNMT
+// at batch 64 and SL 40 through profiler.ProfileIteration, the unit of
+// work behind every engine cache miss.
+func BenchmarkProfileIteration(b *testing.B) {
+	sim, err := gpusim.New(gpusim.TableII()[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := models.NewGNMT()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := profiler.ProfileIteration(sim, m, 64, 40)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p.TimeUS <= 0 {
+			b.Fatal("zero-time iteration")
+		}
+	}
+}
+
+// BenchmarkSimulateWarm measures engine.Simulate of a 64-sample
+// explicit corpus on a primed engine: every profile is a cache hit, so
+// this is the hit path plus autotune and run aggregation.
+func BenchmarkSimulateWarm(b *testing.B) {
+	lengths := make([]int, 64)
+	for i := range lengths {
+		lengths[i] = 8 + 8*(i%6)
+	}
+	corpus, err := dataset.Synthetic("warm", lengths, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := trainer.Spec{
+		Model: models.NewGNMT(), Train: corpus, Eval: corpus, Batch: 4, Epochs: 1,
+		Schedule: dataset.GNMTSchedule(), Seed: 1,
+	}
+	hw := gpusim.TableII()[0]
+	eng := engine.New()
+	if _, err := eng.Simulate(spec, hw); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run, err := eng.Simulate(spec, hw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if run.AutotuneUS <= 0 {
+			b.Fatal("warm run charged no autotune")
 		}
 	}
 }

@@ -69,11 +69,18 @@ const (
 	gnmtMaxLen       = 220
 	gnmtGammaShape   = 1.6
 	gnmtGammaScale   = 22.0
-	ds2Vocab         = 29    // English characters + blank
-	gnmtVocab        = 36549 // IWSLT'15 vocabulary (paper Table I)
 	wmtVocab         = 32000 // WMT16 BPE vocabulary
 	evalSeedOffset   = 0x5eed
 	defaultBatchSize = 64
+)
+
+// Corpus vocabularies, known without generating a corpus.
+const (
+	// LibriSpeechVocab is the LibriSpeech corpora's vocabulary: English
+	// characters plus the CTC blank.
+	LibriSpeechVocab = 29
+	// IWSLTVocab is the IWSLT'15 corpora's vocabulary (paper Table I).
+	IWSLTVocab = 36549
 )
 
 // LibriSpeech100h generates the DS2 training corpus: sequence lengths
@@ -108,7 +115,7 @@ func libriSpeech(name string, n int, seed int64) *Corpus {
 		}
 		lengths[i] = l
 	}
-	return &Corpus{Name: name, Lengths: lengths, Vocab: ds2Vocab}
+	return &Corpus{Name: name, Lengths: lengths, Vocab: LibriSpeechVocab}
 }
 
 // LibriSpeech500h generates the larger DS2 corpus the paper's
@@ -156,7 +163,7 @@ func iwslt(name string, n int, seed int64) *Corpus {
 		}
 		lengths[i] = l
 	}
-	return &Corpus{Name: name, Lengths: lengths, Vocab: gnmtVocab}
+	return &Corpus{Name: name, Lengths: lengths, Vocab: IWSLTVocab}
 }
 
 // gammaSample draws from Gamma(shape k, scale theta) using the

@@ -17,8 +17,10 @@ import (
 // anything that feeds a cached profile changes — the Key layout, the
 // IterationProfile layout, or the cost model itself — and every older
 // snapshot is invalidated wholesale on load instead of silently serving
-// stale prices.
-const SnapshotVersion = 1
+// stale prices. Format 2 adds each training profile's tuned shapes,
+// which the trainer charges autotune from; a format-1 file lacks them,
+// so it is refused and the daemon cold-starts once.
+const SnapshotVersion = 2
 
 // snapshotMagic distinguishes a seqpoint cache file from arbitrary JSON.
 const snapshotMagic = "seqpoint-profile-cache"
@@ -132,14 +134,21 @@ func (e *Engine) ReadSnapshot(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("engine: cache snapshot version %d does not match supported version %d; ignoring stale cache",
 			snap.Version, SnapshotVersion)
 	}
-	for i, se := range snap.Entries {
+	return e.install(snap.Entries)
+}
+
+// install validates every entry, then adds those whose keys the cache
+// does not hold yet and returns how many it added. One invalid entry
+// rejects them all, leaving the cache as it was.
+func (e *Engine) install(entries []snapshotEntry) (int, error) {
+	for i, se := range entries {
 		if err := validateEntry(se); err != nil {
 			return 0, fmt.Errorf("engine: cache snapshot entry %d invalid: %w", i, err)
 		}
 	}
 
 	installed := 0
-	for _, se := range snap.Entries {
+	for _, se := range entries {
 		done := make(chan struct{})
 		close(done)
 		s := e.shardFor(se.Key)
@@ -179,6 +188,20 @@ func validateEntry(se snapshotEntry) error {
 		return fmt.Errorf("profile comm time %v must be finite and non-negative", se.Profile.CommUS)
 	case se.Profile.NumKernels < 0:
 		return fmt.Errorf("kernel count %d must be non-negative", se.Profile.NumKernels)
+	case se.Key.Phase == PhaseEval && len(se.Profile.TunedShapes) > 0:
+		return fmt.Errorf("eval profile records %d tuned shapes, want none", len(se.Profile.TunedShapes))
+	}
+	sigs := make(map[string]bool, len(se.Profile.TunedShapes))
+	for _, ts := range se.Profile.TunedShapes {
+		switch {
+		case ts.Signature == "":
+			return fmt.Errorf("tuned shape with an empty signature")
+		case sigs[ts.Signature]:
+			return fmt.Errorf("tuned shape %q listed twice", ts.Signature)
+		case !(ts.TimeUS >= 0) || math.IsInf(ts.TimeUS, 0):
+			return fmt.Errorf("tuned shape %q time %v must be finite and non-negative", ts.Signature, ts.TimeUS)
+		}
+		sigs[ts.Signature] = true
 	}
 	return nil
 }

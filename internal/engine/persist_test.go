@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
+	"seqpoint/internal/profiler"
 )
 
 // warmEngine returns an engine whose cache holds a handful of real
@@ -191,6 +194,65 @@ func TestLoadSnapshotRejectsTamperedEntries(t *testing.T) {
 	if got := e.Stats().Entries; got != 0 {
 		t.Fatalf("tampered snapshot installed %d entries, want 0", got)
 	}
+
+	// Tampered tuned shapes. Each case edits the decoded snapshot and
+	// loads it back; JSON cannot carry NaN or infinity, so those two
+	// cases go straight to the validating install step.
+	train, eval := -1, -1
+	var snap snapshotFile
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for i, se := range snap.Entries {
+		switch {
+		case se.Key.Phase == PhaseTrain && len(se.Profile.TunedShapes) > 1 && train < 0:
+			train = i
+		case se.Key.Phase == PhaseEval && eval < 0:
+			eval = i
+		}
+	}
+	if train < 0 || eval < 0 {
+		t.Fatal("warm snapshot lacks a train entry with tuned shapes or an eval entry")
+	}
+	cases := []struct {
+		name   string
+		tamper func(entries []snapshotEntry)
+	}{
+		{"empty tuned signature", func(es []snapshotEntry) { es[train].Profile.TunedShapes[0].Signature = "" }},
+		{"duplicate tuned signature", func(es []snapshotEntry) {
+			ts := es[train].Profile.TunedShapes
+			ts[1].Signature = ts[0].Signature
+		}},
+		{"negative tuned time", func(es []snapshotEntry) { es[train].Profile.TunedShapes[0].TimeUS = -1 }},
+		{"NaN tuned time", func(es []snapshotEntry) { es[train].Profile.TunedShapes[0].TimeUS = math.NaN() }},
+		{"infinite tuned time", func(es []snapshotEntry) { es[train].Profile.TunedShapes[0].TimeUS = math.Inf(1) }},
+		{"tuned shapes on an eval entry", func(es []snapshotEntry) {
+			es[eval].Profile.TunedShapes = []profiler.TunedShape{{Signature: "gemm:1x1x1", TimeUS: 1}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var snap snapshotFile
+			if err := json.Unmarshal(data, &snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(snap.Entries)
+			e := New()
+			var n int
+			b, err := json.Marshal(snap)
+			if err == nil {
+				n, err = e.ReadSnapshot(bytes.NewReader(b))
+			} else {
+				n, err = e.install(snap.Entries)
+			}
+			if err == nil || !strings.Contains(err.Error(), "invalid") {
+				t.Fatalf("tampered snapshot: got (%d, %v), want entry-validation error", n, err)
+			}
+			if got := e.Stats().Entries; got != 0 {
+				t.Fatalf("tampered snapshot installed %d entries, want 0", got)
+			}
+		})
+	}
 }
 
 func TestLoadSnapshotVersionMismatchInvalidates(t *testing.T) {
@@ -204,7 +266,7 @@ func TestLoadSnapshotVersionMismatchInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := bytes.Replace(data,
-		[]byte(`"version": 1`), []byte(`"version": 9999`), 1)
+		[]byte(fmt.Sprintf(`"version": %d`, SnapshotVersion)), []byte(`"version": 9999`), 1)
 	if bytes.Equal(stale, data) {
 		t.Fatal("test could not rewrite the snapshot version field")
 	}

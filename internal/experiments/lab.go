@@ -53,64 +53,88 @@ const (
 	DefaultSeed   = 1
 )
 
-// DS2Workload is DeepSpeech2 on LibriSpeech-100h with SortaGrad.
-func DS2Workload(seed int64) Workload {
+// ServedModel is the registry entry of a model served online: its
+// model, batching schedule and named corpora. The corpora are generated
+// only when a resolution asks for them, so a request that brings its
+// own sequence lengths never pays for a corpus it would throw away.
+type ServedModel struct {
+	// Name is the model's CLI/HTTP name.
+	Name string
+	// Model is the network. Every resolution of a name gets this one
+	// value: models are immutable, and a stable value keeps the
+	// engine's per-value fingerprint memo hitting.
+	Model models.Model
+	// Schedule is the per-epoch batching policy.
+	Schedule dataset.Schedule
+	// Vocab is the named training corpus's vocabulary.
+	Vocab int
+	// corpora generates the named training and evaluation corpora.
+	corpora func(seed int64) (train, eval *dataset.Corpus)
+}
+
+// Workload resolves the entry with its named corpora, generated from
+// seed, and the default batch and epoch count.
+func (s ServedModel) Workload(seed int64) Workload {
+	train, eval := s.corpora(seed)
+	return s.WorkloadWith(train, eval, seed)
+}
+
+// WorkloadWith resolves the entry with the caller's corpora in place of
+// the named ones, which are never generated.
+func (s ServedModel) WorkloadWith(train, eval *dataset.Corpus, seed int64) Workload {
 	return Workload{
-		Name:     "ds2",
-		Model:    models.NewDS2(),
-		Train:    dataset.LibriSpeech100h(seed),
-		Eval:     dataset.LibriSpeechDev(seed),
-		Schedule: dataset.DS2Schedule(),
+		Name:     s.Name,
+		Model:    s.Model,
+		Train:    train,
+		Eval:     eval,
+		Schedule: s.Schedule,
 		Batch:    DefaultBatch,
 		Epochs:   DefaultEpochs,
 		Seed:     seed,
 	}
 }
+
+// CustomCorpus builds the synthetic corpus a request's explicit
+// sequence lengths stand for: "custom-<model>", one sample per length.
+func (s ServedModel) CustomCorpus(seqLens []int, vocab int) (*dataset.Corpus, error) {
+	return dataset.Synthetic("custom-"+s.Name, seqLens, vocab)
+}
+
+func libriSpeechCorpora(seed int64) (train, eval *dataset.Corpus) {
+	return dataset.LibriSpeech100h(seed), dataset.LibriSpeechDev(seed)
+}
+
+func iwsltCorpora(seed int64) (train, eval *dataset.Corpus) {
+	return dataset.IWSLT15(seed), dataset.IWSLTTest(seed)
+}
+
+// served is the registry of models served online, in wire order.
+var served = []ServedModel{
+	// DeepSpeech2 on LibriSpeech-100h with SortaGrad.
+	{Name: "ds2", Model: models.NewDS2(), Schedule: dataset.DS2Schedule(), Vocab: dataset.LibriSpeechVocab, corpora: libriSpeechCorpora},
+	// GNMT on IWSLT'15 with bucket-pool batching.
+	{Name: "gnmt", Model: models.NewGNMT(), Schedule: dataset.GNMTSchedule(), Vocab: dataset.IWSLTVocab, corpora: iwsltCorpora},
+	// The base Transformer on IWSLT'15-shaped data, used by the Section
+	// VII-B extension experiments: attention makes its per-iteration
+	// cost super-linear in SL.
+	{Name: "transformer", Model: models.NewTransformer(), Schedule: dataset.GNMTSchedule(), Vocab: dataset.IWSLTVocab, corpora: iwsltCorpora},
+	// The attention-free LSTM encoder-decoder on IWSLT'15-shaped data:
+	// per-iteration cost strictly linear in SL.
+	{Name: "seq2seq", Model: models.NewSeq2Seq(), Schedule: dataset.GNMTSchedule(), Vocab: dataset.IWSLTVocab, corpora: iwsltCorpora},
+}
+
+// DS2Workload is DeepSpeech2 on LibriSpeech-100h with SortaGrad.
+func DS2Workload(seed int64) Workload { return served[0].Workload(seed) }
 
 // GNMTWorkload is GNMT on IWSLT'15 with bucket-pool batching.
-func GNMTWorkload(seed int64) Workload {
-	return Workload{
-		Name:     "gnmt",
-		Model:    models.NewGNMT(),
-		Train:    dataset.IWSLT15(seed),
-		Eval:     dataset.IWSLTTest(seed),
-		Schedule: dataset.GNMTSchedule(),
-		Batch:    DefaultBatch,
-		Epochs:   DefaultEpochs,
-		Seed:     seed,
-	}
-}
+func GNMTWorkload(seed int64) Workload { return served[1].Workload(seed) }
 
-// TransformerWorkload is the base Transformer on IWSLT'15-shaped data,
-// used by the Section VII-B extension experiments: attention makes its
-// per-iteration cost super-linear in SL.
-func TransformerWorkload(seed int64) Workload {
-	return Workload{
-		Name:     "transformer",
-		Model:    models.NewTransformer(),
-		Train:    dataset.IWSLT15(seed),
-		Eval:     dataset.IWSLTTest(seed),
-		Schedule: dataset.GNMTSchedule(),
-		Batch:    DefaultBatch,
-		Epochs:   DefaultEpochs,
-		Seed:     seed,
-	}
-}
+// TransformerWorkload is the base Transformer on IWSLT'15-shaped data.
+func TransformerWorkload(seed int64) Workload { return served[2].Workload(seed) }
 
 // Seq2SeqWorkload is the attention-free LSTM encoder-decoder on
-// IWSLT'15-shaped data: per-iteration cost strictly linear in SL.
-func Seq2SeqWorkload(seed int64) Workload {
-	return Workload{
-		Name:     "seq2seq",
-		Model:    models.NewSeq2Seq(),
-		Train:    dataset.IWSLT15(seed),
-		Eval:     dataset.IWSLTTest(seed),
-		Schedule: dataset.GNMTSchedule(),
-		Batch:    DefaultBatch,
-		Epochs:   DefaultEpochs,
-		Seed:     seed,
-	}
-}
+// IWSLT'15-shaped data.
+func Seq2SeqWorkload(seed int64) Workload { return served[3].Workload(seed) }
 
 // CNNWorkload is the fixed-input CNN used for the homogeneous-iteration
 // side of the Fig. 3 contrast. The corpus lengths are immaterial (the
@@ -139,31 +163,40 @@ func CNNWorkload(seed int64) Workload {
 // "gnmt", "transformer", "seq2seq" or "cnn". The single registry both
 // cmd/trainsim and the HTTP service resolve models through.
 func WorkloadByName(name string, seed int64) (Workload, error) {
-	switch name {
-	case "ds2":
-		return DS2Workload(seed), nil
-	case "gnmt":
-		return GNMTWorkload(seed), nil
-	case "transformer":
-		return TransformerWorkload(seed), nil
-	case "seq2seq":
-		return Seq2SeqWorkload(seed), nil
-	case "cnn":
+	if name == "cnn" {
 		return CNNWorkload(seed), nil
-	default:
-		return Workload{}, fmt.Errorf("experiments: unknown model %q (want ds2, gnmt, transformer, seq2seq or cnn)", name)
 	}
+	s, err := LookupServed(name)
+	if err != nil {
+		return Workload{}, err
+	}
+	return s.Workload(seed), nil
 }
 
-// ServedWorkloadByName resolves a model served online (trainsim
-// -serve and POST /v1/serve): WorkloadByName minus the fixed-input
-// CNN, which exists for the Fig. 3 homogeneity contrast only and has
-// no sequence-length variation to serve.
-func ServedWorkloadByName(name string, seed int64) (Workload, error) {
-	if name == "cnn" {
-		return Workload{}, fmt.Errorf("experiments: model cnn is training/characterization only (serving wants ds2, gnmt, transformer or seq2seq)")
+// LookupServed returns the registry entry of a model served online
+// (trainsim -serve and the seqpointd endpoints) without generating its
+// corpora. The fixed-input CNN is not served: it exists for the Fig. 3
+// homogeneity contrast only and has no sequence-length variation.
+func LookupServed(name string) (ServedModel, error) {
+	for _, s := range served {
+		if s.Name == name {
+			return s, nil
+		}
 	}
-	return WorkloadByName(name, seed)
+	if name == "cnn" {
+		return ServedModel{}, fmt.Errorf("experiments: model cnn is training/characterization only (serving wants ds2, gnmt, transformer or seq2seq)")
+	}
+	return ServedModel{}, fmt.Errorf("experiments: unknown model %q (want ds2, gnmt, transformer, seq2seq or cnn)", name)
+}
+
+// ServedWorkloadByName resolves a model served online with its named
+// corpora: WorkloadByName minus the fixed-input CNN.
+func ServedWorkloadByName(name string, seed int64) (Workload, error) {
+	s, err := LookupServed(name)
+	if err != nil {
+		return Workload{}, err
+	}
+	return s.Workload(seed), nil
 }
 
 // Spec converts the workload to a trainer spec.

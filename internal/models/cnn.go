@@ -59,8 +59,7 @@ func (m *CNN) input(batch int) nn.Activation {
 // IterationOps returns one training iteration's ops. The sequence length
 // argument is accepted for interface uniformity and ignored.
 func (m *CNN) IterationOps(batch, _ int) []tensor.Op {
-	ops := stackIteration(m.layers, m.input(batch))
-	return append(ops, optimizerOps(cnnParamCount, "cnn")...)
+	return stackIteration(m.layers, m.input(batch), optimizerOps(cnnParamCount, "cnn"))
 }
 
 // EvalOps returns one forward-only pass.

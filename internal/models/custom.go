@@ -62,8 +62,7 @@ func (m *Custom) ParamCount() int { return m.paramCount }
 // IterationOps returns one training iteration's ops.
 func (m *Custom) IterationOps(batch, seqLen int) []tensor.Op {
 	layers := m.build(seqLen)
-	ops := stackIteration(layers, m.input(batch, seqLen))
-	return append(ops, optimizerOps(m.paramCount, m.name)...)
+	return stackIteration(layers, m.input(batch, seqLen), optimizerOps(m.paramCount, m.name))
 }
 
 // EvalOps returns one forward-only pass.

@@ -63,8 +63,7 @@ func (m *DeepSpeech2) input(batch, seqLen int) nn.Activation {
 
 // IterationOps returns one training iteration's ops.
 func (m *DeepSpeech2) IterationOps(batch, seqLen int) []tensor.Op {
-	ops := stackIteration(m.layers, m.input(batch, seqLen))
-	return append(ops, optimizerOps(ds2ParamCount, "ds2")...)
+	return stackIteration(m.layers, m.input(batch, seqLen), optimizerOps(ds2ParamCount, "ds2"))
 }
 
 // EvalOps returns one forward-only pass.

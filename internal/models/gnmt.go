@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"seqpoint/internal/nn"
 	"seqpoint/internal/tensor"
@@ -84,11 +85,8 @@ func (m *GNMT) IterationOps(batch, seqLen int) []tensor.Op {
 
 	encFwd, encInputs, _ := runForward(enc, encIn)
 	decFwd, decInputs, _ := runForward(dec, decIn)
-	bwd := append(runBackward(dec, decInputs), runBackward(enc, encInputs)...)
-
-	ops := append(encFwd, decFwd...)
-	ops = append(ops, bwd...)
-	return append(ops, optimizerOps(gnmtParamCount, "gnmt")...)
+	return slices.Concat(encFwd, decFwd, runBackward(dec, decInputs), runBackward(enc, encInputs),
+		optimizerOps(gnmtParamCount, "gnmt"))
 }
 
 // EvalOps returns one forward-only pass.

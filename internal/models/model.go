@@ -9,6 +9,8 @@
 package models
 
 import (
+	"slices"
+
 	"seqpoint/internal/nn"
 	"seqpoint/internal/tensor"
 )
@@ -41,34 +43,31 @@ func GradientBytes(m Model) float64 {
 // runForward applies the layer stack to in, returning all forward ops
 // and the per-layer input shapes (needed to replay the backward pass).
 func runForward(layers []nn.Layer, in nn.Activation) ([]tensor.Op, []nn.Activation, nn.Activation) {
-	var ops []tensor.Op
+	parts := make([][]tensor.Op, len(layers))
 	inputs := make([]nn.Activation, len(layers))
 	cur := in
 	for i, l := range layers {
 		inputs[i] = cur
-		var o []tensor.Op
-		o, cur = l.Forward(cur)
-		ops = append(ops, o...)
+		parts[i], cur = l.Forward(cur)
 	}
-	return ops, inputs, cur
+	return slices.Concat(parts...), inputs, cur
 }
 
 // runBackward replays the stack in reverse, emitting each layer's
 // backward ops against the input shape it saw in the forward pass.
 func runBackward(layers []nn.Layer, inputs []nn.Activation) []tensor.Op {
-	var ops []tensor.Op
+	parts := make([][]tensor.Op, len(layers))
 	for i := len(layers) - 1; i >= 0; i-- {
-		ops = append(ops, layers[i].Backward(inputs[i])...)
+		parts[len(layers)-1-i] = layers[i].Backward(inputs[i])
 	}
-	return ops
+	return slices.Concat(parts...)
 }
 
-// stackIteration is the common forward+backward assembly for models that
-// are a single layer stack.
-func stackIteration(layers []nn.Layer, in nn.Activation) []tensor.Op {
+// stackIteration is the common forward+backward+optimizer assembly for
+// models that are a single layer stack.
+func stackIteration(layers []nn.Layer, in nn.Activation, optimizer []tensor.Op) []tensor.Op {
 	fwd, inputs, _ := runForward(layers, in)
-	bwd := runBackward(layers, inputs)
-	return append(fwd, bwd...)
+	return slices.Concat(fwd, runBackward(layers, inputs), optimizer)
 }
 
 // optimizerOps models the weight-update pass (SGD with momentum): one

@@ -62,8 +62,7 @@ func (m *Seq2Seq) input(batch, seqLen int) nn.Activation {
 
 // IterationOps returns one training iteration's ops.
 func (m *Seq2Seq) IterationOps(batch, seqLen int) []tensor.Op {
-	ops := stackIteration(m.layers(), m.input(batch, seqLen))
-	return append(ops, optimizerOps(seq2seqParams, m.Name())...)
+	return stackIteration(m.layers(), m.input(batch, seqLen), optimizerOps(seq2seqParams, m.Name()))
 }
 
 // EvalOps returns one forward-only pass.

@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"seqpoint/internal/nn"
 	"seqpoint/internal/tensor"
@@ -92,11 +93,8 @@ func (m *Transformer) IterationOps(batch, seqLen int) []tensor.Op {
 
 	encFwd, encInputs, _ := runForward(enc, in)
 	decFwd, decInputs, _ := runForward(dec, in)
-	bwd := append(runBackward(dec, decInputs), runBackward(enc, encInputs)...)
-
-	ops := append(encFwd, decFwd...)
-	ops = append(ops, bwd...)
-	return append(ops, optimizerOps(transformerParams, m.Name())...)
+	return slices.Concat(encFwd, decFwd, runBackward(dec, decInputs), runBackward(enc, encInputs),
+		optimizerOps(transformerParams, m.Name()))
 }
 
 // EvalOps returns one forward-only pass.

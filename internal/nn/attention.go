@@ -38,23 +38,27 @@ func (a Attention) Name() string { return a.LayerName }
 // out of the step loop (computed once per iteration), as real
 // implementations do.
 func (a Attention) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
+	ops := make(seqOps, 0, 1+5*in.Time)
 	h := a.Hidden
 	b := in.Batch
 
 	// Hoisted key projection: W1 x encoder outputs, all steps at once.
 	ops.add(tensor.NewGEMM(h, b*a.EncTime, h, a.LayerName+"_keys"))
 
-	for t := 0; t < in.Time; t++ {
+	// Every decoder step launches the same five ops, built once here.
+	step := []tensor.Op{
 		// Query projection for this decoder step.
-		ops.add(tensor.NewGEMM(h, b, h, a.LayerName+"_query"))
+		tensor.NewGEMM(h, b, h, a.LayerName+"_query"),
 		// Additive combine + tanh over every encoder position.
-		ops.add(tensor.NewElementwise(b*a.EncTime*h, opsPerGateElem, a.LayerName+"_score"))
+		tensor.NewElementwise(b*a.EncTime*h, opsPerGateElem, a.LayerName+"_score"),
 		// v^T reduction to scalar scores, then softmax over positions.
-		ops.add(tensor.NewReduction(b*a.EncTime*h, b*a.EncTime, a.LayerName+"_vdot"))
-		ops.add(tensor.NewElementwise(b*a.EncTime, opsPerSoftmaxElem, a.LayerName+"_softmax"))
+		tensor.NewReduction(b*a.EncTime*h, b*a.EncTime, a.LayerName+"_vdot"),
+		tensor.NewElementwise(b*a.EncTime, opsPerSoftmaxElem, a.LayerName+"_softmax"),
 		// Context vector: weighted sum of encoder outputs.
-		ops.add(tensor.NewGEMM(h, b, a.EncTime, a.LayerName+"_context"))
+		tensor.NewGEMM(h, b, a.EncTime, a.LayerName+"_context"),
+	}
+	for t := 0; t < in.Time; t++ {
+		ops.add(step...)
 	}
 
 	out := in
@@ -64,16 +68,19 @@ func (a Attention) Forward(in Activation) ([]tensor.Op, Activation) {
 
 // Backward emits gradients mirroring the forward structure.
 func (a Attention) Backward(in Activation) []tensor.Op {
-	var ops seqOps
+	ops := make(seqOps, 0, 2+4*in.Time)
 	h := a.Hidden
 	b := in.Batch
 	ops.add(tensor.NewGEMM(h, b*a.EncTime, h, a.LayerName+"_keys_dgrad"))
 	ops.add(tensor.NewGEMM(h, h, b*a.EncTime, a.LayerName+"_keys_wgrad"))
+	step := []tensor.Op{
+		tensor.NewGEMM(h, b, h, a.LayerName+"_query_dgrad"),
+		tensor.NewGEMM(h, h, b, a.LayerName+"_query_wgrad"),
+		tensor.NewElementwise(b*a.EncTime*h, opsPerGateElem, a.LayerName+"_score_bwd"),
+		tensor.NewGEMM(h, b, a.EncTime, a.LayerName+"_context_bwd"),
+	}
 	for t := 0; t < in.Time; t++ {
-		ops.add(tensor.NewGEMM(h, b, h, a.LayerName+"_query_dgrad"))
-		ops.add(tensor.NewGEMM(h, h, b, a.LayerName+"_query_wgrad"))
-		ops.add(tensor.NewElementwise(b*a.EncTime*h, opsPerGateElem, a.LayerName+"_score_bwd"))
-		ops.add(tensor.NewGEMM(h, b, a.EncTime, a.LayerName+"_context_bwd"))
+		ops.add(step...)
 	}
 	return ops
 }

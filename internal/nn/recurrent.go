@@ -74,7 +74,7 @@ func (r Recurrent) OutFeat() int { return r.Hidden * r.directions() }
 
 // Forward emits the forward-pass ops and the output shape.
 func (r Recurrent) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
+	ops := make(seqOps, 0, r.directions()*(1+2*in.Time)+1)
 	g := r.Kind.gates()
 	for d := 0; d < r.directions(); d++ {
 		dir := ""
@@ -85,12 +85,14 @@ func (r Recurrent) Forward(in Activation) ([]tensor.Op, Activation) {
 		// [g*H, B*T] = W_x [g*H, F] x X [F, B*T].
 		ops.add(tensor.NewGEMM(g*r.Hidden, in.Batch*in.Time, in.Feat,
 			r.LayerName+dir+"_xproj"))
-		// Per-timestep recurrent projection and gate math.
+		// Per-timestep recurrent projection and gate math: the same two
+		// ops every step, built once and launched in.Time times.
+		hproj := tensor.Op(tensor.NewGEMM(g*r.Hidden, in.Batch, r.Hidden,
+			r.LayerName+dir+"_hproj"))
+		gates := tensor.Op(tensor.NewElementwise(g*r.Hidden*in.Batch, opsPerGateElem,
+			r.LayerName+dir+"_gates"))
 		for t := 0; t < in.Time; t++ {
-			ops.add(tensor.NewGEMM(g*r.Hidden, in.Batch, r.Hidden,
-				r.LayerName+dir+"_hproj"))
-			ops.add(tensor.NewElementwise(g*r.Hidden*in.Batch, opsPerGateElem,
-				r.LayerName+dir+"_gates"))
+			ops.add(hproj, gates)
 		}
 	}
 	if r.Bidirectional {
@@ -108,7 +110,7 @@ func (r Recurrent) Forward(in Activation) ([]tensor.Op, Activation) {
 // data-gradient GEMM and a weight-gradient GEMM (standard BPTT), plus
 // the pointwise gate gradients.
 func (r Recurrent) Backward(in Activation) []tensor.Op {
-	var ops seqOps
+	ops := make(seqOps, 0, r.directions()*(2+3*in.Time))
 	g := r.Kind.gates()
 	for d := 0; d < r.directions(); d++ {
 		dir := ""
@@ -122,13 +124,14 @@ func (r Recurrent) Backward(in Activation) []tensor.Op {
 		// dW_x [g*H, F] = dGates [g*H, B*T] x X^T [B*T, F]
 		ops.add(tensor.NewGEMM(g*r.Hidden, in.Feat, in.Batch*in.Time,
 			r.LayerName+dir+"_xproj_wgrad"))
+		dgrad := tensor.Op(tensor.NewGEMM(r.Hidden, in.Batch, g*r.Hidden,
+			r.LayerName+dir+"_hproj_dgrad"))
+		wgrad := tensor.Op(tensor.NewGEMM(g*r.Hidden, r.Hidden, in.Batch,
+			r.LayerName+dir+"_hproj_wgrad"))
+		gates := tensor.Op(tensor.NewElementwise(g*r.Hidden*in.Batch, opsPerGateElem,
+			r.LayerName+dir+"_gates_bwd"))
 		for t := 0; t < in.Time; t++ {
-			ops.add(tensor.NewGEMM(r.Hidden, in.Batch, g*r.Hidden,
-				r.LayerName+dir+"_hproj_dgrad"))
-			ops.add(tensor.NewGEMM(g*r.Hidden, r.Hidden, in.Batch,
-				r.LayerName+dir+"_hproj_wgrad"))
-			ops.add(tensor.NewElementwise(g*r.Hidden*in.Batch, opsPerGateElem,
-				r.LayerName+dir+"_gates_bwd"))
+			ops.add(dgrad, wgrad, gates)
 		}
 	}
 	return ops

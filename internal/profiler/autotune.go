@@ -1,11 +1,5 @@
 package profiler
 
-import (
-	"seqpoint/internal/gpusim"
-	"seqpoint/internal/models"
-	"seqpoint/internal/tensor"
-)
-
 // Autotune models the kernel-selection phase high-level frameworks run
 // the first time they meet a new GEMM/convolution shape (Section IV-C2
 // of the paper): the library times several candidate kernels and caches
@@ -22,24 +16,21 @@ const (
 	autotuneSetupUS = 400.0
 )
 
-// AutotuneUS returns the autotune cost incurred by one iteration of m at
-// the given sequence length, charging only for shape signatures not yet
-// in seen, and records the newly seen signatures. Only GEMM and
-// convolution shapes are tuned (rocBLAS/MIOpen behaviour); pointwise
-// kernels dispatch statically.
-func AutotuneUS(sim *gpusim.Simulator, m models.Model, batch, seqLen int, seen map[string]bool) float64 {
+// AutotuneUS returns the autotune cost incurred by the training
+// iteration profiled in p, charging only for the shape signatures of
+// p.TunedShapes not yet in seen, and records the newly seen ones. Only
+// GEMM and convolution shapes are tuned (rocBLAS/MIOpen behaviour);
+// pointwise kernels dispatch statically. The profile already holds
+// each shape's first-launch time, so the charge needs neither the op
+// stream nor a simulator.
+func AutotuneUS(p IterationProfile, seen map[string]bool) float64 {
 	var us float64
-	for _, op := range m.IterationOps(batch, seqLen) {
-		if op.Kind() != tensor.KindGEMM && op.Kind() != tensor.KindConv2D {
+	for _, s := range p.TunedShapes {
+		if seen[s.Signature] {
 			continue
 		}
-		sig := op.Signature()
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		inv := sim.Price(op)
-		us += autotuneSetupUS + autotuneTrials*inv.TimeUS
+		seen[s.Signature] = true
+		us += autotuneSetupUS + autotuneTrials*s.TimeUS
 	}
 	return us
 }

@@ -57,16 +57,32 @@ type IterationProfile struct {
 	// grouping behind the paper's Fig. 6/Fig. 8 "GEMM-1"/"GEMM-2"
 	// distributions.
 	LabelTimeUS map[string]float64
+	// TunedShapes lists the distinct GEMM/convolution shape signatures a
+	// training iteration launches, in first-launch order, each with the
+	// time of its first launch: the input AutotuneUS charges from. Eval
+	// profiles record none (evaluation reuses the training run's
+	// tuning). A cached profile shares this slice with every reader, so
+	// it must never be modified.
+	TunedShapes []TunedShape
+}
+
+// TunedShape is one GEMM/convolution shape a training iteration
+// launches, priced at its first launch.
+type TunedShape struct {
+	// Signature is the op's shape signature (see tensor.Op).
+	Signature string
+	// TimeUS is the modeled runtime of the shape's first launch.
+	TimeUS float64
 }
 
 // ProfileIteration runs one training iteration of m under sim and
-// aggregates the trace.
+// aggregates the trace, recording the iteration's tuned shapes.
 func ProfileIteration(sim *gpusim.Simulator, m models.Model, batch, seqLen int) (IterationProfile, error) {
 	if batch <= 0 || seqLen <= 0 {
 		return IterationProfile{}, fmt.Errorf("profiler: invalid iteration batch=%d seqLen=%d", batch, seqLen)
 	}
 	ops := m.IterationOps(batch, seqLen)
-	return profileOps(sim, ops, batch, seqLen)
+	return profileOps(sim, ops, batch, seqLen, true)
 }
 
 // ProfileEval runs one forward-only evaluation pass.
@@ -75,32 +91,114 @@ func ProfileEval(sim *gpusim.Simulator, m models.Model, batch, seqLen int) (Iter
 		return IterationProfile{}, fmt.Errorf("profiler: invalid eval batch=%d seqLen=%d", batch, seqLen)
 	}
 	ops := m.EvalOps(batch, seqLen)
-	return profileOps(sim, ops, batch, seqLen)
+	return profileOps(sim, ops, batch, seqLen, false)
 }
 
-func profileOps(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int) (IterationProfile, error) {
+// pricedOp is one distinct op value's pricing: its invocation and the
+// kernel stat and label total that every launch of it adds into.
+type pricedOp struct {
+	inv   gpusim.Invocation
+	ks    *KernelStat
+	label *float64 // nil for an unlabeled op
+}
+
+// opMemo maps each distinct op value to its pricing, one map per op
+// type of package tensor: hashing a concrete struct is far cheaper than
+// hashing an interface. Any other op type may hold a slice or map, and
+// hashing it would panic, so such ops are priced at every launch.
+type opMemo struct {
+	gemm map[tensor.GEMM]*pricedOp
+	conv map[tensor.Conv2D]*pricedOp
+	ew   map[tensor.Elementwise]*pricedOp
+	red  map[tensor.Reduction]*pricedOp
+	emb  map[tensor.Embedding]*pricedOp
+}
+
+// get returns op's pricing, calling price on the first launch of each
+// distinct value.
+func (m *opMemo) get(op tensor.Op, price func(tensor.Op) *pricedOp) *pricedOp {
+	switch o := op.(type) {
+	case tensor.GEMM:
+		return memoized(&m.gemm, o, price)
+	case tensor.Conv2D:
+		return memoized(&m.conv, o, price)
+	case tensor.Elementwise:
+		return memoized(&m.ew, o, price)
+	case tensor.Reduction:
+		return memoized(&m.red, o, price)
+	case tensor.Embedding:
+		return memoized(&m.emb, o, price)
+	}
+	return price(op)
+}
+
+// memoized looks op up in *memo, making the map on first use and
+// pricing op on a miss.
+func memoized[K interface {
+	comparable
+	tensor.Op
+}](memo *map[K]*pricedOp, op K, price func(tensor.Op) *pricedOp) *pricedOp {
+	if *memo == nil {
+		*memo = make(map[K]*pricedOp)
+	}
+	po, ok := (*memo)[op]
+	if !ok {
+		po = price(op)
+		(*memo)[op] = po
+	}
+	return po
+}
+
+// profileOps aggregates ops in op order. A model launches few distinct
+// op values many times (a recurrent layer repeats its per-timestep ops
+// every step), so each distinct value is priced once and its pricing
+// reused; the sums still add once per op, in op order, so every float
+// rounds exactly as if each op were priced anew. With tune set, the
+// profile records its tuned shapes.
+func profileOps(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int, tune bool) (IterationProfile, error) {
 	p := IterationProfile{
 		SeqLen:      seqLen,
 		Batch:       batch,
 		LabelTimeUS: make(map[string]float64),
 	}
 	byKernel := make(map[string]*KernelStat)
-	for _, op := range ops {
+	labels := make(map[string]*float64)
+	tuned := make(map[string]bool)
+	price := func(op tensor.Op) *pricedOp {
 		inv := sim.Price(op)
+		po := &pricedOp{inv: inv, ks: byKernel[inv.Kernel]}
+		if po.ks == nil {
+			po.ks = &KernelStat{Kernel: inv.Kernel, Kind: inv.Kind}
+			byKernel[inv.Kernel] = po.ks
+		}
+		if inv.Label != "" {
+			if po.label = labels[inv.Label]; po.label == nil {
+				po.label = new(float64)
+				labels[inv.Label] = po.label
+			}
+		}
+		if tune && (inv.Kind == tensor.KindGEMM || inv.Kind == tensor.KindConv2D) && !tuned[inv.Signature] {
+			tuned[inv.Signature] = true
+			p.TunedShapes = append(p.TunedShapes, TunedShape{Signature: inv.Signature, TimeUS: inv.TimeUS})
+		}
+		return po
+	}
+	var memo opMemo
+	for _, op := range ops {
+		po := memo.get(op, price)
+		inv := &po.inv
 		p.TimeUS += inv.TimeUS
 		p.NumKernels++
 		p.Counters.Add(inv.Counters)
-		ks, ok := byKernel[inv.Kernel]
-		if !ok {
-			ks = &KernelStat{Kernel: inv.Kernel, Kind: inv.Kind}
-			byKernel[inv.Kernel] = ks
+		po.ks.Count++
+		po.ks.TimeUS += inv.TimeUS
+		po.ks.Counters.Add(inv.Counters)
+		if po.label != nil {
+			*po.label += inv.TimeUS
 		}
-		ks.Count++
-		ks.TimeUS += inv.TimeUS
-		ks.Counters.Add(inv.Counters)
-		if inv.Label != "" {
-			p.LabelTimeUS[inv.Label] += inv.TimeUS
-		}
+	}
+	for label, us := range labels {
+		p.LabelTimeUS[label] = *us
 	}
 	p.Kernels = make([]KernelStat, 0, len(byKernel))
 	for _, ks := range byKernel {

@@ -195,25 +195,36 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
+// trainProfile is ProfileIteration that fails the test on error.
+func trainProfile(t *testing.T, s *gpusim.Simulator, m models.Model, batch, seqLen int) IterationProfile {
+	t.Helper()
+	p, err := ProfileIteration(s, m, batch, seqLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestAutotuneChargesNewShapesOnce(t *testing.T) {
 	s := sim(t)
 	m := models.NewDS2()
+	p100, p120 := trainProfile(t, s, m, 16, 100), trainProfile(t, s, m, 16, 120)
 	seen := make(map[string]bool)
-	first := AutotuneUS(s, m, 16, 100, seen)
+	first := AutotuneUS(p100, seen)
 	if first <= 0 {
 		t.Fatal("first iteration at a new SL must pay autotune")
 	}
 	// Same SL again: every shape already tuned.
-	if again := AutotuneUS(s, m, 16, 100, seen); again != 0 {
+	if again := AutotuneUS(p100, seen); again != 0 {
 		t.Errorf("re-tuning already-seen shapes: %v us", again)
 	}
 	// A new SL introduces new SL-dependent shapes but shares the
 	// fixed-shape kernels (per-timestep projections) already tuned.
-	second := AutotuneUS(s, m, 16, 120, seen)
+	second := AutotuneUS(p120, seen)
 	if second <= 0 {
 		t.Error("new SL should introduce new GEMM shapes")
 	}
-	scratch := AutotuneUS(s, m, 16, 120, make(map[string]bool))
+	scratch := AutotuneUS(p120, make(map[string]bool))
 	if second >= scratch {
 		t.Errorf("incremental tuning (%v us) should cost less than from scratch (%v us)", second, scratch)
 	}
@@ -223,7 +234,7 @@ func TestAutotuneOnlyTunesGEMMAndConv(t *testing.T) {
 	s := sim(t)
 	m := models.NewGNMT()
 	seen := make(map[string]bool)
-	AutotuneUS(s, m, 8, 20, seen)
+	AutotuneUS(trainProfile(t, s, m, 8, 20), seen)
 	for sig := range seen {
 		if len(sig) < 4 || (sig[:4] != "gemm" && sig[:4] != "conv") {
 			t.Errorf("tuned non-GEMM/conv shape %q", sig)

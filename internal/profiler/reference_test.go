@@ -1,0 +1,229 @@
+package profiler
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"seqpoint/internal/gpusim"
+	"seqpoint/internal/models"
+	"seqpoint/internal/nn"
+	"seqpoint/internal/tensor"
+)
+
+// referenceAutotuneUS is the autotune charge as it was computed before
+// profiles recorded their tuned shapes: it rebuilds the iteration's op
+// stream and prices the first launch of every new GEMM/conv signature.
+func referenceAutotuneUS(sim *gpusim.Simulator, m models.Model, batch, seqLen int, seen map[string]bool) float64 {
+	var us float64
+	for _, op := range m.IterationOps(batch, seqLen) {
+		if op.Kind() != tensor.KindGEMM && op.Kind() != tensor.KindConv2D {
+			continue
+		}
+		sig := op.Signature()
+		if seen[sig] {
+			continue
+		}
+		seen[sig] = true
+		inv := sim.Price(op)
+		us += autotuneSetupUS + autotuneTrials*inv.TimeUS
+	}
+	return us
+}
+
+// referenceProfile aggregates ops with no pricing memo: every op is
+// priced at every launch. With tune set it records the tuned shapes
+// from those per-launch prices.
+func referenceProfile(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int, tune bool) IterationProfile {
+	p := IterationProfile{
+		SeqLen:      seqLen,
+		Batch:       batch,
+		LabelTimeUS: make(map[string]float64),
+	}
+	byKernel := make(map[string]*KernelStat)
+	tuned := make(map[string]bool)
+	for _, op := range ops {
+		inv := sim.Price(op)
+		p.TimeUS += inv.TimeUS
+		p.NumKernels++
+		p.Counters.Add(inv.Counters)
+		ks, ok := byKernel[inv.Kernel]
+		if !ok {
+			ks = &KernelStat{Kernel: inv.Kernel, Kind: inv.Kind}
+			byKernel[inv.Kernel] = ks
+		}
+		ks.Count++
+		ks.TimeUS += inv.TimeUS
+		ks.Counters.Add(inv.Counters)
+		if inv.Label != "" {
+			p.LabelTimeUS[inv.Label] += inv.TimeUS
+		}
+		if tune && (op.Kind() == tensor.KindGEMM || op.Kind() == tensor.KindConv2D) && !tuned[op.Signature()] {
+			tuned[op.Signature()] = true
+			p.TunedShapes = append(p.TunedShapes, TunedShape{Signature: op.Signature(), TimeUS: inv.TimeUS})
+		}
+	}
+	p.Kernels = make([]KernelStat, 0, len(byKernel))
+	for _, ks := range byKernel {
+		p.Kernels = append(p.Kernels, *ks)
+	}
+	sort.Slice(p.Kernels, func(i, j int) bool {
+		if p.Kernels[i].TimeUS != p.Kernels[j].TimeUS {
+			return p.Kernels[i].TimeUS > p.Kernels[j].TimeUS
+		}
+		return p.Kernels[i].Kernel < p.Kernels[j].Kernel
+	})
+	return p
+}
+
+// referenceStep is ProfileStep over referenceProfile.
+func referenceStep(sim *gpusim.Simulator, cl gpusim.ClusterConfig, m models.Model, shardBatch, seqLen int) IterationProfile {
+	p := referenceProfile(sim, m.IterationOps(shardBatch, seqLen), shardBatch, seqLen, true)
+	if cl.GPUs > 1 {
+		p.CommUS = cl.ExposedCommUS(cl.AllReduceUS(models.GradientBytes(m)), p.TimeUS)
+		p.TimeUS += p.CommUS
+	}
+	return p
+}
+
+// customModel is a user-assembled SQNN mixing every per-timestep layer
+// kind: a bidirectional GRU, attention over the input and a classifier.
+func customModel(t *testing.T) models.Model {
+	t.Helper()
+	m, err := models.NewCustom("custom-mix", 2_000_000, true,
+		func(batch, seqLen int) nn.Activation {
+			return nn.Activation{Batch: batch, Time: seqLen, Feat: 96}
+		},
+		func(seqLen int) []nn.Layer {
+			return []nn.Layer{
+				nn.NewRecurrent("bigru", nn.CellGRU, 128, true),
+				nn.NewAttention("attn", 256, seqLen),
+				nn.NewDense("classifier", 40, false),
+				nn.NewSoftmax("softmax"),
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestMemoizedProfileMatchesReference checks the pricing memo and the
+// tuned-shape autotune charge against the unmemoized reference over
+// every model family, several shard batches, SLs across each model's
+// range (listed in an unsorted, plan-like order) and 1 and 4 GPUs.
+// Profiles must deep-equal; autotune summed over the SLs with one
+// shared seen map must be bit-equal.
+func TestMemoizedProfileMatchesReference(t *testing.T) {
+	s := sim(t)
+	cases := []struct {
+		m   models.Model
+		sls []int
+	}{
+		{models.NewDS2(), []int{163, 50, 500, 281}},
+		{models.NewGNMT(), []int{17, 1, 220, 64}},
+		{models.NewTransformer(), []int{33, 2, 150, 9}},
+		{models.NewSeq2Seq(), []int{40, 3, 199, 12}},
+		{models.NewCNN(), []int{1, 7}},
+		{customModel(t), []int{21, 4, 90, 13}},
+	}
+	for _, tc := range cases {
+		for _, shard := range []int{1, 3, 16, 64} {
+			for _, gpus := range []int{1, 4} {
+				cl := gpusim.DefaultCluster(gpus)
+				t.Run(fmt.Sprintf("%s/shard%d/gpus%d", tc.m.Name(), shard, gpus), func(t *testing.T) {
+					seen, refSeen := make(map[string]bool), make(map[string]bool)
+					var got, want float64
+					for _, sl := range tc.sls {
+						p, err := ProfileStep(s, cl, tc.m, shard*gpus, sl)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ref := referenceStep(s, cl, tc.m, shard, sl); !reflect.DeepEqual(p, ref) {
+							t.Fatalf("SL %d: memoized profile differs from the reference", sl)
+						}
+						got += AutotuneUS(p, seen)
+						want += referenceAutotuneUS(s, tc.m, shard, sl, refSeen)
+					}
+					if got != want {
+						t.Fatalf("autotune over SLs %v: %v us, reference %v us", tc.sls, got, want)
+					}
+					if !reflect.DeepEqual(seen, refSeen) {
+						t.Fatalf("tuned %d signatures, reference %d", len(seen), len(refSeen))
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestEvalProfileMatchesReferenceAndTunesNothing(t *testing.T) {
+	s := sim(t)
+	for _, m := range []models.Model{models.NewDS2(), models.NewGNMT(), models.NewTransformer(), customModel(t)} {
+		p, err := ProfileEval(s, m, 8, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceProfile(s, m.EvalOps(8, 60), 8, 60, false); !reflect.DeepEqual(p, want) {
+			t.Errorf("%s: memoized eval profile differs from the reference", m.Name())
+		}
+		if p.TunedShapes != nil {
+			t.Errorf("%s: eval profile records %d tuned shapes, want none", m.Name(), len(p.TunedShapes))
+		}
+	}
+}
+
+// sliceOp is a tensor.Op implemented outside package tensor whose
+// dynamic type is not comparable: using it as a map key would panic.
+type sliceOp struct {
+	dims  []int
+	label string
+}
+
+func (o sliceOp) Kind() tensor.Kind { return tensor.KindGEMM }
+func (o sliceOp) FLOPs() float64 {
+	return 2 * float64(o.dims[0]) * float64(o.dims[1]) * float64(o.dims[2])
+}
+func (o sliceOp) BytesRead() float64 {
+	return float64(o.dims[0]*o.dims[2]+o.dims[2]*o.dims[1]) * tensor.ElemSize
+}
+func (o sliceOp) BytesWritten() float64 { return float64(o.dims[0]*o.dims[1]) * tensor.ElemSize }
+func (o sliceOp) WorkingSet() float64   { return o.BytesRead() }
+func (o sliceOp) Signature() string {
+	return fmt.Sprintf("gemm:%dx%dx%d:%s", o.dims[0], o.dims[1], o.dims[2], o.label)
+}
+
+// sliceOpModel is GNMT with one non-comparable op launched once per
+// timestep, the same value every time.
+type sliceOpModel struct{ models.Model }
+
+func (m sliceOpModel) IterationOps(batch, seqLen int) []tensor.Op {
+	ops := m.Model.IterationOps(batch, seqLen)
+	step := sliceOp{dims: []int{64, batch, 32}, label: "custom_step"}
+	for t := 0; t < seqLen; t++ {
+		ops = append(ops, step)
+	}
+	return append(ops, sliceOp{dims: []int{128, batch * seqLen, 64}, label: "custom_all"})
+}
+
+// TestNonComparableOpPricedNotHashed proves an op type that cannot key
+// a map is priced at every launch instead of panicking, with the same
+// profile and autotune charge as the reference.
+func TestNonComparableOpPricedNotHashed(t *testing.T) {
+	s := sim(t)
+	m := sliceOpModel{models.NewGNMT()}
+	seen, refSeen := make(map[string]bool), make(map[string]bool)
+	for _, sl := range []int{5, 12} {
+		p := trainProfile(t, s, m, 4, sl)
+		if want := referenceProfile(s, m.IterationOps(4, sl), 4, sl, true); !reflect.DeepEqual(p, want) {
+			t.Fatalf("SL %d: profile with a non-comparable op differs from the reference", sl)
+		}
+		if got, want := AutotuneUS(p, seen), referenceAutotuneUS(s, m, 4, sl, refSeen); got != want {
+			t.Fatalf("SL %d: autotune %v us, reference %v us", sl, got, want)
+		}
+		if !refSeen["gemm:64x4x32:custom_step"] || !seen["gemm:64x4x32:custom_step"] {
+			t.Fatal("the non-comparable op's shape was not tuned")
+		}
+	}
+}

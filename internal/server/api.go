@@ -79,24 +79,29 @@ func (r SimulateRequest) normalize() SimulateRequest {
 	return r
 }
 
-// workloadByName resolves a wire model name to its workload. The wire
-// model set (no CNN, on any endpoint) is experiments'
-// ServedWorkloadByName; every failure maps to the wire-facing model
-// list (the registry's own error mentions cnn, which this API never
-// accepts — /v1/serve adds its own explanation for cnn specifically).
-func workloadByName(model string, seed int64) (experiments.Workload, error) {
-	w, err := experiments.ServedWorkloadByName(model, seed)
+// customSimVocab is the vocabulary of the synthetic corpus a training
+// request's seqlens stand for.
+const customSimVocab = 1000
+
+// servedModel resolves a wire model name to its registry entry. The
+// wire model set (no CNN, on any endpoint) is experiments'
+// LookupServed; every failure maps to the wire-facing model list (the
+// registry's own error mentions cnn, which this API never accepts —
+// /v1/serve adds its own explanation for cnn specifically).
+func servedModel(model string) (experiments.ServedModel, error) {
+	s, err := experiments.LookupServed(model)
 	if err != nil {
-		return experiments.Workload{}, fmt.Errorf("unknown model %q (want ds2, gnmt, transformer or seq2seq)", model)
+		return s, fmt.Errorf("unknown model %q (want ds2, gnmt, transformer or seq2seq)", model)
 	}
-	return w, nil
+	return s, nil
 }
 
 // buildSpec resolves a normalized request into a runnable trainer.Spec
 // and hardware configuration. All resolution failures are client errors.
+// With seqlens set, the model's named corpora are never generated.
 func buildSpec(r SimulateRequest) (trainer.Spec, gpusim.Config, error) {
 	var zero trainer.Spec
-	w, err := workloadByName(r.Model, r.Seed)
+	sm, err := servedModel(r.Model)
 	if err != nil {
 		return zero, gpusim.Config{}, err
 	}
@@ -111,28 +116,31 @@ func buildSpec(r SimulateRequest) (trainer.Spec, gpusim.Config, error) {
 		return zero, gpusim.Config{}, err
 	}
 
-	train, eval := w.Train, w.Eval
+	var w experiments.Workload
 	if len(r.SeqLens) > 0 {
 		if len(r.SeqLens) < r.Batch {
 			return zero, gpusim.Config{}, fmt.Errorf("seqlens provides %d samples, fewer than one batch (%d)",
 				len(r.SeqLens), r.Batch)
 		}
-		syn, err := dataset.Synthetic(fmt.Sprintf("custom-%s", r.Model), r.SeqLens, 1000)
+		syn, err := sm.CustomCorpus(r.SeqLens, customSimVocab)
 		if err != nil {
 			return zero, gpusim.Config{}, fmt.Errorf("invalid seqlens: %w", err)
 		}
-		train, eval = syn, syn
-	} else if r.Subsample > 0 {
-		train = dataset.Subsample(train, r.Subsample, r.Seed)
+		w = sm.WorkloadWith(syn, syn, r.Seed)
+	} else {
+		w = sm.Workload(r.Seed)
+		if r.Subsample > 0 {
+			w.Train = dataset.Subsample(w.Train, r.Subsample, r.Seed)
+		}
 	}
 	if !r.Eval {
-		eval = nil
+		w.Eval = nil
 	}
 
 	return trainer.Spec{
 		Model:    w.Model,
-		Train:    train,
-		Eval:     eval,
+		Train:    w.Train,
+		Eval:     w.Eval,
 		Batch:    r.Batch,
 		Epochs:   r.Epochs,
 		Schedule: w.Schedule,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"seqpoint/internal/dataset"
 	"seqpoint/internal/experiments"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/serving"
@@ -259,16 +258,17 @@ func (r WorkloadSpec) validateTraceSource() error {
 }
 
 // buildWorkloadSetup resolves a normalized workload envelope into its
-// workload (with the request's synthetic corpus substituted, when
-// given), hardware, batching policy and arrival trace. Every failure
-// is a client error (HTTP 400).
+// workload (with the request's synthetic corpus in place of the named
+// corpora, which are then never generated, when seqlens are given),
+// hardware, batching policy and arrival trace. Every failure is a
+// client error (HTTP 400).
 func buildWorkloadSetup(req WorkloadSpec) (experiments.Workload, gpusim.Config, serving.Policy, serving.Trace, error) {
 	var (
 		zeroW  experiments.Workload
 		zeroHW gpusim.Config
 		zeroT  serving.Trace
 	)
-	w, err := experiments.ServedWorkloadByName(req.Model, req.Seed)
+	sm, err := experiments.LookupServed(req.Model)
 	if err != nil {
 		// Keep the registry's explanatory message for cnn (a model that
 		// exists but is not servable); everything else gets the
@@ -286,12 +286,15 @@ func buildWorkloadSetup(req WorkloadSpec) (experiments.Workload, gpusim.Config, 
 	if err != nil {
 		return zeroW, zeroHW, nil, zeroT, err
 	}
+	var w experiments.Workload
 	if len(req.SeqLens) > 0 {
-		corpus, err := dataset.Synthetic(fmt.Sprintf("custom-%s", req.Model), req.SeqLens, w.Train.Vocab)
+		corpus, err := sm.CustomCorpus(req.SeqLens, sm.Vocab)
 		if err != nil {
 			return zeroW, zeroHW, nil, zeroT, fmt.Errorf("invalid seqlens: %w", err)
 		}
-		w.Train = corpus
+		w = sm.WorkloadWith(corpus, corpus, req.Seed)
+	} else {
+		w = sm.Workload(req.Seed)
 	}
 	trace, err := buildTrace(req, w)
 	if err != nil {

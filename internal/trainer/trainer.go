@@ -11,6 +11,11 @@
 // iteration with the same padded sequence length performs identical
 // work, so profiles are memoized per unique SL. This is a property of
 // the modeled system, not an approximation.
+//
+// A run never builds an op stream or prices a kernel itself: iteration
+// time comes from the profile source, and the first-epoch autotune
+// overhead is charged from the tuned shapes each training profile
+// records (see profiler.AutotuneUS), in plan order.
 package trainer
 
 import (
@@ -34,7 +39,9 @@ import (
 type ProfileSource interface {
 	// TrainProfiles returns one training-step profile per requested
 	// sequence length (per-GPU forward + backward + optimizer, plus the
-	// exposed gradient all-reduce on multi-GPU clusters).
+	// exposed gradient all-reduce on multi-GPU clusters), each carrying
+	// the tuned shapes of its shard-batch iteration, which autotune is
+	// charged from.
 	TrainProfiles(hw gpusim.Config, cl gpusim.ClusterConfig, m models.Model, batch int, seqLens []int) (map[int]profiler.IterationProfile, error)
 	// EvalProfiles returns one forward-only evaluation profile per
 	// requested sequence length, computed on the per-GPU shard batch.
@@ -200,11 +207,10 @@ func Simulate(spec Spec, hw gpusim.Config) (*Run, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	// The simulator here prices only the autotune trials; iteration
-	// profiles come from the source. Building it also validates hw
-	// before any profiling work starts.
-	sim, err := gpusim.New(hw)
-	if err != nil {
+	// Iteration profiles, and the tuned shapes autotune charges from,
+	// come from the source; hw is still validated before any profiling
+	// work starts.
+	if err := hw.Validate(); err != nil {
 		return nil, err
 	}
 	src := spec.Profiles
@@ -241,8 +247,9 @@ func Simulate(spec Spec, hw gpusim.Config) (*Run, error) {
 		Batch:      spec.Batch,
 	}
 	// Autotune runs once per replica, concurrently on every GPU against
-	// the shard-batch shapes, so the cluster pays it once at shard size.
-	shardBatch := cl.ShardBatch(spec.Batch)
+	// the shard-batch shapes, so the cluster pays it once at shard size:
+	// the shapes each step profile records, which are priced on the
+	// shard batch.
 	tunedShapes := make(map[string]bool)
 
 	for _, plan := range plans {
@@ -254,7 +261,7 @@ func Simulate(spec Spec, hw gpusim.Config) (*Run, error) {
 					return nil, fmt.Errorf("trainer: profile source returned no profile for SL %d", sl)
 				}
 				run.BySL[sl] = p
-				run.AutotuneUS += profiler.AutotuneUS(sim, spec.Model, shardBatch, sl, tunedShapes)
+				run.AutotuneUS += profiler.AutotuneUS(p, tunedShapes)
 			}
 			run.TrainUS += p.TimeUS
 			run.CommUS += p.CommUS

@@ -25,6 +25,7 @@ import (
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
 	"seqpoint/internal/profiler"
+	"seqpoint/internal/tensor"
 	"seqpoint/internal/trainer"
 )
 
@@ -400,7 +401,7 @@ func BenchmarkSimulateIteration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ops := s.GNMT.Model.IterationOps(s.GNMT.Batch, 40)
+		ops := tensor.Flatten(s.GNMT.Model.IterationBlocks(s.GNMT.Batch, 40))
 		_, total := sim.PriceAll(ops)
 		if total <= 0 {
 			b.Fatal("zero-time iteration")
@@ -408,24 +409,37 @@ func BenchmarkSimulateIteration(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileIteration measures one cold profiled iteration: GNMT
-// at batch 64 and SL 40 through profiler.ProfileIteration, the unit of
-// work behind every engine cache miss.
+// BenchmarkProfileIteration measures one cold profiled iteration per
+// SQNN through profiler.ProfileIteration, the unit of work behind every
+// engine cache miss: gnmt, transformer and seq2seq at batch 64 and SL
+// 40, ds2 at batch 64 and SL 200 (inside its range). The models repeat
+// their per-timestep blocks to different degrees, so each gets its own
+// rung.
 func BenchmarkProfileIteration(b *testing.B) {
 	sim, err := gpusim.New(gpusim.TableII()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := models.NewGNMT()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := profiler.ProfileIteration(sim, m, 64, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.TimeUS <= 0 {
-			b.Fatal("zero-time iteration")
-		}
+	for _, bc := range []struct {
+		m      models.Model
+		seqLen int
+	}{
+		{models.NewGNMT(), 40},
+		{models.NewTransformer(), 40},
+		{models.NewSeq2Seq(), 40},
+		{models.NewDS2(), 200},
+	} {
+		b.Run(bc.m.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p, err := profiler.ProfileIteration(sim, bc.m, 64, bc.seqLen)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if p.TimeUS <= 0 {
+					b.Fatal("zero-time iteration")
+				}
+			}
+		})
 	}
 }
 

@@ -14,18 +14,9 @@ import (
 	"fmt"
 	"os"
 
-	"seqpoint/internal/core"
-	"seqpoint/internal/dataset"
 	"seqpoint/internal/engine"
 	"seqpoint/internal/experiments"
 )
-
-// claim is one verifiable assertion from the paper.
-type claim struct {
-	id   string
-	text string
-	eval func(s *experiments.Suite) (bool, string, error)
-}
 
 func main() {
 	seed := flag.Int64("seed", experiments.DefaultSeed, "dataset/shuffle seed")
@@ -35,16 +26,16 @@ func main() {
 	engine.Shared().SetParallelism(*par)
 	s := experiments.NewSuite(*seed)
 	failed := 0
-	for _, c := range claims() {
-		ok, detail, err := c.eval(s)
+	for _, c := range experiments.Claims() {
+		ok, detail, err := c.Eval(s)
 		switch {
 		case err != nil:
-			fmt.Printf("ERROR %-12s %s: %v\n", c.id, c.text, err)
+			fmt.Printf("ERROR %-12s %s: %v\n", c.ID, c.Text, err)
 			failed++
 		case ok:
-			fmt.Printf("PASS  %-12s %s (%s)\n", c.id, c.text, detail)
+			fmt.Printf("PASS  %-12s %s (%s)\n", c.ID, c.Text, detail)
 		default:
-			fmt.Printf("FAIL  %-12s %s (%s)\n", c.id, c.text, detail)
+			fmt.Printf("FAIL  %-12s %s (%s)\n", c.ID, c.Text, detail)
 			failed++
 		}
 	}
@@ -53,270 +44,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("\nall claims hold")
-}
-
-func claims() []claim {
-	return []claim{
-		{
-			id:   "fig3",
-			text: "CNN iterations homogeneous, SQNN iterations heterogeneous",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.Fig3(s.Lab, s.GNMT, 12, s.Calib())
-				if err != nil {
-					return false, "", err
-				}
-				return r.CNNSpreadPct < 0.1 && r.RNNSpreadPct > 20,
-					fmt.Sprintf("cnn %.1f%%, sqnn %.1f%%", r.CNNSpreadPct, r.RNNSpreadPct), nil
-			},
-		},
-		{
-			id:   "fig4",
-			text: "architectural counters vary across iterations by tens of percent",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.Fig4(s.Lab, s.Workloads(), 4, s.Calib())
-				if err != nil {
-					return false, "", err
-				}
-				var max float64
-				for _, row := range r.Rows {
-					for _, sp := range row.SpreadPct {
-						if sp > max {
-							max = sp
-						}
-					}
-				}
-				return max > 20, fmt.Sprintf("max spread %.0f%%", max), nil
-			},
-		},
-		{
-			id:   "table1",
-			text: "classifier GEMM has fixed M,K and N proportional to SL",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.TableI(s.GNMT.Model, s.GNMT.Batch, 94, 9)
-				if err != nil {
-					return false, "", err
-				}
-				a := r.Rows[0]
-				return a.M == 36549 && a.K == 1024 && a.N1 == 6016 && a.N2 == 576,
-					fmt.Sprintf("%dx%d, N %d/%d", a.M, a.K, a.N1, a.N2), nil
-			},
-		},
-		{
-			id:   "fig5",
-			text: "distant-SL iterations run up to ~20% exclusive kernels; nearby SLs few",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				far, err := experiments.Fig5(s.Lab, s.DS2, s.Calib(), [][2]int{{150, 350}})
-				if err != nil {
-					return false, "", err
-				}
-				near, err := experiments.Fig5(s.Lab, s.DS2, s.Calib(), [][2]int{{300, 320}})
-				if err != nil {
-					return false, "", err
-				}
-				f, n := far.Pairs[0].ExclusivePct(), near.Pairs[0].ExclusivePct()
-				return f >= 10 && f <= 40 && n < f,
-					fmt.Sprintf("far %.0f%%, near %.0f%%", f, n), nil
-			},
-		},
-		{
-			id:   "fig7",
-			text: "DS2 SL histogram unimodal-skewed; GNMT long-tailed; many unique SLs",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				ds2, err := experiments.Fig7(s.Lab, s.DS2, s.Calib(), 10)
-				if err != nil {
-					return false, "", err
-				}
-				gnmt, err := experiments.Fig7(s.Lab, s.GNMT, s.Calib(), 10)
-				if err != nil {
-					return false, "", err
-				}
-				ok := float64(ds2.UniqueSLs) > 0.3*float64(ds2.Iterations) &&
-					gnmt.MeanSL > gnmt.MedianSL
-				return ok, fmt.Sprintf("ds2 %d/%d unique, gnmt mean %.0f > median %.0f",
-					ds2.UniqueSLs, ds2.Iterations, gnmt.MeanSL, gnmt.MedianSL), nil
-			},
-		},
-		{
-			id:   "fig8",
-			text: "nearby SLs have near-identical kernel distributions",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.Fig6(s.Lab, s.GNMT, s.Calib(), []int{87, 89, 192, 197})
-				if err != nil {
-					return false, "", err
-				}
-				if len(r.Columns) < 3 {
-					return false, "too few distinct SLs", nil
-				}
-				near := r.PairShiftPct(0, 1)
-				far := r.PairShiftPct(0, len(r.Columns)-1)
-				return near < 1 && near < far,
-					fmt.Sprintf("near %.2f pp, far %.2f pp", near, far), nil
-			},
-		},
-		{
-			id:   "fig9",
-			text: "iteration runtime near-linear in SL (both networks)",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				g, err := experiments.Fig9(s.Lab, s.GNMT, s.Calib())
-				if err != nil {
-					return false, "", err
-				}
-				d, err := experiments.Fig9(s.Lab, s.DS2, s.Calib())
-				if err != nil {
-					return false, "", err
-				}
-				return g.Fit.R2 > 0.99 && d.Fit.R2 > 0.99,
-					fmt.Sprintf("R² %.4f / %.4f", g.Fit.R2, d.Fit.R2), nil
-			},
-		},
-		{
-			id:   "fig11-12",
-			text: "SeqPoint projects total training time under ~1% and beats every baseline",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				for _, w := range s.Workloads() {
-					r, err := experiments.TimeProjection(s.Lab, w, s.Configs, s.Opts)
-					if err != nil {
-						return false, "", err
-					}
-					sp := r.GeomeanPct[core.MethodSeqPoint]
-					if sp > 1 {
-						return false, fmt.Sprintf("%s seqpoint %.2f%%", w.Name, sp), nil
-					}
-					for _, m := range core.AllMethods() {
-						if m != core.MethodSeqPoint && r.GeomeanPct[m] < sp {
-							return false, fmt.Sprintf("%s %s beats seqpoint", w.Name, m), nil
-						}
-					}
-				}
-				return true, "both networks, all baselines", nil
-			},
-		},
-		{
-			id:   "fig13-14",
-			text: "per-SL speedups vary across configs (narrow-band sampling is risky)",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.Sensitivity(s.Lab, s.GNMT, s.Configs, 12)
-				if err != nil {
-					return false, "", err
-				}
-				var max float64
-				for _, c := range r.Curves {
-					if sp := c.SpreadPP(); sp > max {
-						max = sp
-					}
-				}
-				return max > 10, fmt.Sprintf("max spread %.0f pp", max), nil
-			},
-		},
-		{
-			id:   "fig15-16",
-			text: "SeqPoint projects speedups within ~1pp geomean on both networks",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				var detail string
-				for _, w := range s.Workloads() {
-					r, err := experiments.SpeedupProjection(s.Lab, w, s.Configs, s.Opts)
-					if err != nil {
-						return false, "", err
-					}
-					sp := r.GeomeanPP[core.MethodSeqPoint]
-					detail += fmt.Sprintf("%s %.2fpp ", w.Name, sp)
-					if sp > 1.5 {
-						return false, detail, nil
-					}
-				}
-				return true, detail, nil
-			},
-		},
-		{
-			id:   "sec6f",
-			text: "profiling cost drops by orders of magnitude; fewer iterations than prior",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				for _, w := range s.Workloads() {
-					r, err := experiments.Cost(s.Lab, w, s.Calib(), s.Opts)
-					if err != nil {
-						return false, "", err
-					}
-					if r.SerialSpeedup < 20 || r.ParallelSpeedup < 100 || r.IterRatioVsPrior < 2 {
-						return false, fmt.Sprintf("%s serial %.0fx parallel %.0fx vs-prior %.1fx",
-							w.Name, r.SerialSpeedup, r.ParallelSpeedup, r.IterRatioVsPrior), nil
-					}
-				}
-				return true, "both networks", nil
-			},
-		},
-		{
-			id:   "sec7c",
-			text: "simple binning performs as well as k-means (scalar and profile-vector)",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				for _, w := range s.Workloads() {
-					r, err := experiments.ProfileAblation(s.Lab, w, s.Configs, s.Opts, w.Seed)
-					if err != nil {
-						return false, "", err
-					}
-					if r.BinningErrPct > 1 || r.RuntimeKMeansErrPct > 1 || r.ProfileKMeansErrPct > 1 {
-						return false, fmt.Sprintf("%s errors %.2f/%.2f/%.2f%%", w.Name,
-							r.BinningErrPct, r.RuntimeKMeansErrPct, r.ProfileKMeansErrPct), nil
-					}
-				}
-				return true, "all schemes sub-percent", nil
-			},
-		},
-		{
-			id:   "sec5c",
-			text: "any SL-varying statistic drives an accurate selection",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.StatChoice(s.Lab, s.GNMT, s.Configs, s.Opts)
-				if err != nil {
-					return false, "", err
-				}
-				var detail string
-				for stat, e := range r.ErrPctByStat {
-					detail += fmt.Sprintf("%s %.2f%% ", stat, e)
-					if e > 2 {
-						return false, detail, nil
-					}
-				}
-				return true, detail, nil
-			},
-		},
-		{
-			id:   "sec5a",
-			text: "smaller batch sizes produce more unique sequence lengths",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.BatchSize(s.Lab, s.GNMT, s.Calib(), []int{16, 64}, s.Opts)
-				if err != nil {
-					return false, "", err
-				}
-				small, large := r.Rows[0], r.Rows[1]
-				return small.UniqueSLs > large.UniqueSLs,
-					fmt.Sprintf("batch 16: %d SLs, batch 64: %d SLs", small.UniqueSLs, large.UniqueSLs), nil
-			},
-		},
-		{
-			id:   "sec6f-scale",
-			text: "larger datasets with similar SL ranges yield larger profiling speedups",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.DatasetScale(s.Lab, s.DS2, dataset.LibriSpeech500h(s.DS2.Seed),
-					s.Calib(), s.Opts)
-				if err != nil {
-					return false, "", err
-				}
-				small, large := r.Rows[0], r.Rows[1]
-				return large.SerialSpeedup > small.SerialSpeedup,
-					fmt.Sprintf("100h %.0fx -> 500h %.0fx serial", small.SerialSpeedup, large.SerialSpeedup), nil
-			},
-		},
-		{
-			id:   "sec7e",
-			text: "the methodology characterizes inference runs too",
-			eval: func(s *experiments.Suite) (bool, string, error) {
-				r, err := experiments.Inference(s.DS2, s.Configs[0], s.Configs[1], s.DS2.Batch, s.Opts)
-				if err != nil {
-					return false, "", err
-				}
-				return r.CrossErrPct < 2 && r.Points < r.UniqueSLs,
-					fmt.Sprintf("%d of %d SLs, cross error %.2f%%", r.Points, r.UniqueSLs, r.CrossErrPct), nil
-			},
-		},
-	}
 }

@@ -36,6 +36,7 @@ import (
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
 	"seqpoint/internal/profiler"
+	"seqpoint/internal/tensor"
 	"seqpoint/internal/trainer"
 )
 
@@ -89,6 +90,12 @@ type Key struct {
 // quantities) are interchangeable for profiling and may share cache
 // entries; models differing anywhere — including two custom models
 // that share a Name() — never collide.
+//
+// The hash covers every launch in launch order (tensor.Flatten of the
+// model's blocks), the same bytes a flat op stream was hashed from
+// before models emitted blocks; so fingerprints, cache keys and
+// snapshot entries are unchanged by the block representation. The
+// flattening runs once per model value (see Engine.fingerprint).
 func Fingerprint(m models.Model) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, m.Name())
@@ -100,20 +107,18 @@ func Fingerprint(m models.Model) uint64 {
 		}
 		h.Write(buf[:])
 	}
+	hashOps := func(blocks []tensor.Block) {
+		for _, op := range tensor.Flatten(blocks) {
+			io.WriteString(h, op.Signature())
+			hashF(op.FLOPs())
+			hashF(op.BytesRead())
+			hashF(op.BytesWritten())
+		}
+	}
 	for _, probe := range [][2]int{{2, 3}, {2, 7}} {
-		for _, op := range m.IterationOps(probe[0], probe[1]) {
-			io.WriteString(h, op.Signature())
-			hashF(op.FLOPs())
-			hashF(op.BytesRead())
-			hashF(op.BytesWritten())
-		}
+		hashOps(m.IterationBlocks(probe[0], probe[1]))
 		io.WriteString(h, "|eval|")
-		for _, op := range m.EvalOps(probe[0], probe[1]) {
-			io.WriteString(h, op.Signature())
-			hashF(op.FLOPs())
-			hashF(op.BytesRead())
-			hashF(op.BytesWritten())
-		}
+		hashOps(m.EvalBlocks(probe[0], probe[1]))
 		io.WriteString(h, "|probe|")
 	}
 	return h.Sum64()

@@ -5,6 +5,7 @@ import (
 
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/report"
+	"seqpoint/internal/tensor"
 )
 
 // BoundSharesRow is one iteration's roofline decomposition: the share
@@ -40,7 +41,7 @@ func BoundShares(lab *Lab, w Workload, cfg gpusim.Config, n int) (BoundSharesRes
 	}
 	res := BoundSharesResult{Network: w.Name, Config: cfg.Name}
 	for _, sl := range spreadSLs(run.UniqueSLs(), n) {
-		ops := w.Model.IterationOps(w.Batch, sl)
+		ops := tensor.Flatten(w.Model.IterationBlocks(w.Batch, sl))
 		res.Rows = append(res.Rows, BoundSharesRow{
 			SeqLen: sl,
 			Share:  sim.BoundShares(ops),

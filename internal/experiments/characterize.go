@@ -260,7 +260,7 @@ func TableI(m models.Model, batch, sl1, sl2 int) (TableIResult, error) {
 // findGEMM locates the first GEMM with the given label in an iteration's
 // op stream.
 func findGEMM(m models.Model, batch, seqLen int, label string) (tensor.GEMM, error) {
-	for _, op := range m.IterationOps(batch, seqLen) {
+	for _, op := range tensor.Flatten(m.IterationBlocks(batch, seqLen)) {
 		if g, ok := op.(tensor.GEMM); ok && g.Label == label {
 			return g, nil
 		}

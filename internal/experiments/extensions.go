@@ -186,6 +186,21 @@ func StatChoice(lab *Lab, w Workload, cfgs []gpusim.Config, opts core.Options) (
 	return res, nil
 }
 
+// allWithin reports whether every statistic's selection projects
+// within maxErrPct. The detail lists each statistic's error in
+// statExtractors order, through the first one that misses.
+func (r StatChoiceResult) allWithin(maxErrPct float64) (bool, string) {
+	var detail string
+	for _, ext := range statExtractors {
+		e := r.ErrPctByStat[ext.name]
+		detail += fmt.Sprintf("%s %.2f%% ", ext.name, e)
+		if e > maxErrPct {
+			return false, detail
+		}
+	}
+	return true, detail
+}
+
 // Render formats the statistic-choice ablation.
 func (r StatChoiceResult) Render() string {
 	t := report.NewTable(

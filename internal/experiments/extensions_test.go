@@ -157,3 +157,22 @@ func TestTransformerAndSeq2SeqWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestStatChoiceClaimFollowsExtractorOrder pins the Section V-C claim's
+// detail to statExtractors order. Ranging over ErrPctByStat instead
+// printed the statistics in map order, which varies from run to run.
+func TestStatChoiceClaimFollowsExtractorOrder(t *testing.T) {
+	r := StatChoiceResult{ErrPctByStat: map[string]float64{
+		"dram-reads": 1.52, "valu-insts": 0.27, "runtime": 0.26,
+	}}
+	for i := 0; i < 50; i++ {
+		ok, detail := r.allWithin(2)
+		if want := "runtime 0.26% valu-insts 0.27% dram-reads 1.52% "; !ok || detail != want {
+			t.Fatalf("allWithin(2) = %v, %q; want true, %q", ok, detail, want)
+		}
+	}
+	r.ErrPctByStat["valu-insts"] = 3
+	if ok, detail := r.allWithin(2); ok || detail != "runtime 0.26% valu-insts 3.00% " {
+		t.Fatalf("allWithin(2) = %v, %q; want false, stopping at valu-insts", ok, detail)
+	}
+}

@@ -1,7 +1,7 @@
 package gpusim
 
 import (
-	"fmt"
+	"strconv"
 
 	"seqpoint/internal/tensor"
 )
@@ -147,21 +147,22 @@ func KernelName(op tensor.Op) string {
 	switch o := op.(type) {
 	case tensor.GEMM:
 		t := selectGEMMTile(o.M, o.N)
-		name := fmt.Sprintf("Cijk_gemm_MT%dx%d_DU%d", t.tm, t.tn, depthU(o.K))
+		name := "Cijk_gemm_MT" + strconv.Itoa(t.tm) + "x" + strconv.Itoa(t.tn) + "_DU" + strconv.Itoa(depthU(o.K))
 		if o.M < 32 || o.N < 32 {
 			name += "_skinny"
 		}
 		if gsu := globalSplitK(o, t); gsu > 1 {
-			name += fmt.Sprintf("_GSU%d", gsu)
+			name += "_GSU" + strconv.Itoa(gsu)
 		}
 		return name
 	case tensor.Conv2D:
 		// MIOpen picks winograd for small 3x3-ish filters, implicit GEMM
 		// otherwise; stride >1 rules winograd out.
 		if o.KH <= 3 && o.KW <= 3 && o.SH == 1 && o.SW == 1 {
-			return fmt.Sprintf("miopen_winograd_k%dx%d", o.KH, o.KW)
+			return "miopen_winograd_k" + strconv.Itoa(o.KH) + "x" + strconv.Itoa(o.KW)
 		}
-		return fmt.Sprintf("miopen_igemm_k%dx%d_s%dx%d", o.KH, o.KW, o.SH, o.SW)
+		return "miopen_igemm_k" + strconv.Itoa(o.KH) + "x" + strconv.Itoa(o.KW) +
+			"_s" + strconv.Itoa(o.SH) + "x" + strconv.Itoa(o.SW)
 	case tensor.Elementwise:
 		// Pointwise kernels specialize on vector width (whether the
 		// element count allows float4 accesses) and launch-size class.
@@ -170,9 +171,9 @@ func KernelName(op tensor.Op) string {
 			vec = 4
 		}
 		flavor := kernelFlavor(o.Label)
-		name := fmt.Sprintf("ew_%s_v%d", flavor, vec)
+		name := "ew_" + flavor + "_v" + strconv.Itoa(vec)
 		if class, ok := launchSizeClass(flavor, o.Elems); ok {
-			name += fmt.Sprintf("_g%d", class)
+			name += "_g" + strconv.Itoa(class)
 		}
 		return name
 	case tensor.Reduction:
@@ -183,15 +184,15 @@ func KernelName(op tensor.Op) string {
 			fan = 64
 		}
 		flavor := kernelFlavor(o.Label)
-		name := fmt.Sprintf("reduce_%s_f%d", flavor, fan)
+		name := "reduce_" + flavor + "_f" + strconv.Itoa(fan)
 		if class, ok := launchSizeClass(flavor, o.Elems); ok {
-			name += fmt.Sprintf("_g%d", class)
+			name += "_g" + strconv.Itoa(class)
 		}
 		return name
 	case tensor.Embedding:
-		return fmt.Sprintf("gather_%s", kernelFlavor(o.Label))
+		return "gather_" + kernelFlavor(o.Label)
 	default:
-		return fmt.Sprintf("kernel_%s", op.Kind())
+		return "kernel_" + op.Kind().String()
 	}
 }
 

@@ -56,14 +56,14 @@ func (m *CNN) input(batch int) nn.Activation {
 	return nn.Activation{Batch: batch, Time: CNNImageSize, Freq: CNNImageSize, Channels: 3}
 }
 
-// IterationOps returns one training iteration's ops. The sequence length
+// IterationBlocks returns one training iteration's blocks. The sequence length
 // argument is accepted for interface uniformity and ignored.
-func (m *CNN) IterationOps(batch, _ int) []tensor.Op {
-	return stackIteration(m.layers, m.input(batch), optimizerOps(cnnParamCount, "cnn"))
+func (m *CNN) IterationBlocks(batch, _ int) []tensor.Block {
+	return stackIteration(m.layers, m.input(batch), optimizerBlocks(cnnParamCount, "cnn"))
 }
 
-// EvalOps returns one forward-only pass.
-func (m *CNN) EvalOps(batch, _ int) []tensor.Op {
+// EvalBlocks returns one forward-only pass.
+func (m *CNN) EvalBlocks(batch, _ int) []tensor.Block {
 	ops, _, _ := runForward(m.layers, m.input(batch))
 	return ops
 }

@@ -59,14 +59,14 @@ func (m *Custom) SeqLenDependent() bool { return m.seqDep }
 // ParamCount returns the declared trainable-parameter count.
 func (m *Custom) ParamCount() int { return m.paramCount }
 
-// IterationOps returns one training iteration's ops.
-func (m *Custom) IterationOps(batch, seqLen int) []tensor.Op {
+// IterationBlocks returns one training iteration's blocks.
+func (m *Custom) IterationBlocks(batch, seqLen int) []tensor.Block {
 	layers := m.build(seqLen)
-	return stackIteration(layers, m.input(batch, seqLen), optimizerOps(m.paramCount, m.name))
+	return stackIteration(layers, m.input(batch, seqLen), optimizerBlocks(m.paramCount, m.name))
 }
 
-// EvalOps returns one forward-only pass.
-func (m *Custom) EvalOps(batch, seqLen int) []tensor.Op {
+// EvalBlocks returns one forward-only pass.
+func (m *Custom) EvalBlocks(batch, seqLen int) []tensor.Block {
 	ops, _, _ := runForward(m.build(seqLen), m.input(batch, seqLen))
 	return ops
 }

@@ -61,13 +61,13 @@ func (m *DeepSpeech2) input(batch, seqLen int) nn.Activation {
 	return nn.Activation{Batch: batch, Time: seqLen, Freq: DS2Freq, Channels: 1}
 }
 
-// IterationOps returns one training iteration's ops.
-func (m *DeepSpeech2) IterationOps(batch, seqLen int) []tensor.Op {
-	return stackIteration(m.layers, m.input(batch, seqLen), optimizerOps(ds2ParamCount, "ds2"))
+// IterationBlocks returns one training iteration's blocks.
+func (m *DeepSpeech2) IterationBlocks(batch, seqLen int) []tensor.Block {
+	return stackIteration(m.layers, m.input(batch, seqLen), optimizerBlocks(ds2ParamCount, "ds2"))
 }
 
-// EvalOps returns one forward-only pass.
-func (m *DeepSpeech2) EvalOps(batch, seqLen int) []tensor.Op {
+// EvalBlocks returns one forward-only pass.
+func (m *DeepSpeech2) EvalBlocks(batch, seqLen int) []tensor.Block {
 	ops, _, _ := runForward(m.layers, m.input(batch, seqLen))
 	return ops
 }

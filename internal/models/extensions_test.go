@@ -15,9 +15,9 @@ func TestTransformerSuperLinearInSL(t *testing.T) {
 	if !m.SeqLenDependent() {
 		t.Fatal("transformer is an SQNN")
 	}
-	f50 := totalFLOPs(m.IterationOps(16, 50))
-	f100 := totalFLOPs(m.IterationOps(16, 100))
-	f200 := totalFLOPs(m.IterationOps(16, 200))
+	f50 := totalFLOPs(iterationOps(m, 16, 50))
+	f100 := totalFLOPs(iterationOps(m, 16, 100))
+	f200 := totalFLOPs(iterationOps(m, 16, 200))
 	r1 := f100 / f50
 	r2 := f200 / f100
 	if r2 <= r1 {
@@ -29,7 +29,7 @@ func TestTransformerSuperLinearInSL(t *testing.T) {
 }
 
 func TestTransformerClassifierVocab(t *testing.T) {
-	ops := NewTransformer().IterationOps(8, 20)
+	ops := iterationOps(NewTransformer(), 8, 20)
 	found := false
 	for _, op := range ops {
 		if g, ok := op.(tensor.GEMM); ok && g.Label == "classifier" {
@@ -46,7 +46,7 @@ func TestTransformerClassifierVocab(t *testing.T) {
 
 func TestTransformerEvalForwardOnly(t *testing.T) {
 	m := NewTransformer()
-	if totalFLOPs(m.EvalOps(8, 40)) >= totalFLOPs(m.IterationOps(8, 40)) {
+	if totalFLOPs(evalOps(m, 8, 40)) >= totalFLOPs(iterationOps(m, 8, 40)) {
 		t.Error("eval must be cheaper than a training iteration")
 	}
 }
@@ -56,8 +56,8 @@ func TestSeq2SeqLinearInSL(t *testing.T) {
 	if !m.SeqLenDependent() {
 		t.Fatal("seq2seq is an SQNN")
 	}
-	f50 := totalFLOPs(m.IterationOps(16, 50))
-	f100 := totalFLOPs(m.IterationOps(16, 100))
+	f50 := totalFLOPs(iterationOps(m, 16, 50))
+	f100 := totalFLOPs(iterationOps(m, 16, 100))
 	ratio := f100 / f50
 	// No attention: strictly linear growth.
 	if ratio < 1.8 || ratio > 2.2 {
@@ -66,7 +66,7 @@ func TestSeq2SeqLinearInSL(t *testing.T) {
 }
 
 func TestSeq2SeqNoAttention(t *testing.T) {
-	for _, op := range NewSeq2Seq().IterationOps(8, 20) {
+	for _, op := range iterationOps(NewSeq2Seq(), 8, 20) {
 		if g, ok := op.(tensor.GEMM); ok {
 			if g.Label == "attention_context" || g.Label == "attention_keys" {
 				t.Fatalf("seq2seq should have no attention kernels, found %s", g.Label)
@@ -101,7 +101,7 @@ func TestCustomModelLifecycle(t *testing.T) {
 	if m.Name() != "toy" || !m.SeqLenDependent() {
 		t.Error("identity")
 	}
-	ops := m.IterationOps(4, 10)
+	ops := iterationOps(m, 4, 10)
 	if len(ops) == 0 {
 		t.Fatal("no ops")
 	}
@@ -109,10 +109,10 @@ func TestCustomModelLifecycle(t *testing.T) {
 	if ew, ok := ops[len(ops)-1].(tensor.Elementwise); !ok || ew.Label != "toy_sgd" {
 		t.Error("missing optimizer pass")
 	}
-	if totalFLOPs(m.IterationOps(4, 20)) <= totalFLOPs(ops) {
+	if totalFLOPs(iterationOps(m, 4, 20)) <= totalFLOPs(ops) {
 		t.Error("custom SQNN work should grow with SL")
 	}
-	if len(m.EvalOps(4, 10)) >= len(ops) {
+	if len(evalOps(m, 4, 10)) >= len(ops) {
 		t.Error("eval should be forward-only")
 	}
 }
@@ -142,8 +142,8 @@ func TestSLSensitivityBracket(t *testing.T) {
 	// regimes) — SeqPoint must handle both.
 	tr := NewTransformer()
 	s2s := NewSeq2Seq()
-	trRatio := totalFLOPs(tr.IterationOps(8, 160)) / totalFLOPs(tr.IterationOps(8, 80))
-	s2sRatio := totalFLOPs(s2s.IterationOps(8, 160)) / totalFLOPs(s2s.IterationOps(8, 80))
+	trRatio := totalFLOPs(iterationOps(tr, 8, 160)) / totalFLOPs(iterationOps(tr, 8, 80))
+	s2sRatio := totalFLOPs(iterationOps(s2s, 8, 160)) / totalFLOPs(iterationOps(s2s, 8, 80))
 	if trRatio <= s2sRatio {
 		t.Errorf("transformer ratio %v should exceed seq2seq ratio %v", trRatio, s2sRatio)
 	}

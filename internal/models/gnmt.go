@@ -75,8 +75,8 @@ func (m *GNMT) decoderLayers(encTime int) []nn.Layer {
 	return layers
 }
 
-// IterationOps returns one training iteration's ops.
-func (m *GNMT) IterationOps(batch, seqLen int) []tensor.Op {
+// IterationBlocks returns one training iteration's blocks.
+func (m *GNMT) IterationBlocks(batch, seqLen int) []tensor.Block {
 	encIn := nn.Activation{Batch: batch, Time: seqLen, Feat: GNMTHidden}
 	decIn := nn.Activation{Batch: batch, Time: seqLen, Feat: GNMTHidden}
 
@@ -86,11 +86,11 @@ func (m *GNMT) IterationOps(batch, seqLen int) []tensor.Op {
 	encFwd, encInputs, _ := runForward(enc, encIn)
 	decFwd, decInputs, _ := runForward(dec, decIn)
 	return slices.Concat(encFwd, decFwd, runBackward(dec, decInputs), runBackward(enc, encInputs),
-		optimizerOps(gnmtParamCount, "gnmt"))
+		optimizerBlocks(gnmtParamCount, "gnmt"))
 }
 
-// EvalOps returns one forward-only pass.
-func (m *GNMT) EvalOps(batch, seqLen int) []tensor.Op {
+// EvalBlocks returns one forward-only pass.
+func (m *GNMT) EvalBlocks(batch, seqLen int) []tensor.Block {
 	encIn := nn.Activation{Batch: batch, Time: seqLen, Feat: GNMTHidden}
 	decIn := nn.Activation{Batch: batch, Time: seqLen, Feat: GNMTHidden}
 	encFwd, _, _ := runForward(m.encoderLayers(), encIn)

@@ -3,9 +3,9 @@
 // the evaluation) plus a fixed-input CNN used for the homogeneous-vs-
 // heterogeneous iteration contrast of Fig. 3. A model, given a batch
 // size and the padded sequence length of an iteration's input batch,
-// returns the complete list of logical operations one training
-// iteration launches — forward and backward — ready for pricing by the
-// GPU model.
+// returns the logical operations one training iteration launches —
+// forward and backward — as blocks of repeated ops, ready for pricing
+// by the GPU model.
 package models
 
 import (
@@ -15,15 +15,21 @@ import (
 	"seqpoint/internal/tensor"
 )
 
-// Model describes a trainable network at profiling granularity.
+// Model describes a trainable network at profiling granularity. An
+// iteration is a list of blocks in launch order (see tensor.Block):
+// per-timestep ops arrive as one block repeated once per step, so the
+// block count is fixed by the architecture while the launch count grows
+// with seqLen. Callers that need the individual launches, in order,
+// call tensor.Flatten.
 type Model interface {
 	// Name identifies the model ("ds2", "gnmt", "cnn").
 	Name() string
-	// IterationOps returns the ops of one training iteration (forward +
-	// loss + backward) for a batch padded to seqLen.
-	IterationOps(batch, seqLen int) []tensor.Op
-	// EvalOps returns the ops of one evaluation (forward-only) pass.
-	EvalOps(batch, seqLen int) []tensor.Op
+	// IterationBlocks returns the blocks of one training iteration
+	// (forward + loss + backward) for a batch padded to seqLen.
+	IterationBlocks(batch, seqLen int) []tensor.Block
+	// EvalBlocks returns the blocks of one evaluation (forward-only)
+	// pass.
+	EvalBlocks(batch, seqLen int) []tensor.Block
 	// SeqLenDependent reports whether iteration work varies with the
 	// input sequence length (true for SQNNs, false for CNNs).
 	SeqLenDependent() bool
@@ -40,10 +46,11 @@ func GradientBytes(m Model) float64 {
 	return float64(m.ParamCount()) * tensor.ElemSize
 }
 
-// runForward applies the layer stack to in, returning all forward ops
-// and the per-layer input shapes (needed to replay the backward pass).
-func runForward(layers []nn.Layer, in nn.Activation) ([]tensor.Op, []nn.Activation, nn.Activation) {
-	parts := make([][]tensor.Op, len(layers))
+// runForward applies the layer stack to in, returning all forward
+// blocks and the per-layer input shapes (needed to replay the backward
+// pass).
+func runForward(layers []nn.Layer, in nn.Activation) ([]tensor.Block, []nn.Activation, nn.Activation) {
+	parts := make([][]tensor.Block, len(layers))
 	inputs := make([]nn.Activation, len(layers))
 	cur := in
 	for i, l := range layers {
@@ -54,9 +61,9 @@ func runForward(layers []nn.Layer, in nn.Activation) ([]tensor.Op, []nn.Activati
 }
 
 // runBackward replays the stack in reverse, emitting each layer's
-// backward ops against the input shape it saw in the forward pass.
-func runBackward(layers []nn.Layer, inputs []nn.Activation) []tensor.Op {
-	parts := make([][]tensor.Op, len(layers))
+// backward blocks against the input shape it saw in the forward pass.
+func runBackward(layers []nn.Layer, inputs []nn.Activation) []tensor.Block {
+	parts := make([][]tensor.Block, len(layers))
 	for i := len(layers) - 1; i >= 0; i-- {
 		parts[len(layers)-1-i] = layers[i].Backward(inputs[i])
 	}
@@ -65,13 +72,13 @@ func runBackward(layers []nn.Layer, inputs []nn.Activation) []tensor.Op {
 
 // stackIteration is the common forward+backward+optimizer assembly for
 // models that are a single layer stack.
-func stackIteration(layers []nn.Layer, in nn.Activation, optimizer []tensor.Op) []tensor.Op {
+func stackIteration(layers []nn.Layer, in nn.Activation, optimizer []tensor.Block) []tensor.Block {
 	fwd, inputs, _ := runForward(layers, in)
 	return slices.Concat(fwd, runBackward(layers, inputs), optimizer)
 }
 
-// optimizerOps models the weight-update pass (SGD with momentum): one
-// streaming pointwise op over every parameter.
-func optimizerOps(paramCount int, label string) []tensor.Op {
-	return []tensor.Op{tensor.NewElementwise(paramCount, 4, label+"_sgd")}
+// optimizerBlocks models the weight-update pass (SGD with momentum):
+// one streaming pointwise op over every parameter.
+func optimizerBlocks(paramCount int, label string) []tensor.Block {
+	return []tensor.Block{{Ops: []tensor.Op{tensor.NewElementwise(paramCount, 4, label+"_sgd")}, Repeat: 1}}
 }

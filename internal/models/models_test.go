@@ -7,6 +7,16 @@ import (
 	"seqpoint/internal/tensor"
 )
 
+// iterationOps and evalOps flatten a model's blocks into its launches,
+// in order.
+func iterationOps(m Model, batch, seqLen int) []tensor.Op {
+	return tensor.Flatten(m.IterationBlocks(batch, seqLen))
+}
+
+func evalOps(m Model, batch, seqLen int) []tensor.Op {
+	return tensor.Flatten(m.EvalBlocks(batch, seqLen))
+}
+
 func totalFLOPs(ops []tensor.Op) float64 {
 	var f float64
 	for _, op := range ops {
@@ -42,8 +52,8 @@ func TestSeqLenDependence(t *testing.T) {
 func TestCNNIterationsHomogeneous(t *testing.T) {
 	// The Fig. 3 premise: CNN work is identical regardless of "SL".
 	m := NewCNN()
-	f1 := totalFLOPs(m.IterationOps(32, 10))
-	f2 := totalFLOPs(m.IterationOps(32, 500))
+	f1 := totalFLOPs(iterationOps(m, 32, 10))
+	f2 := totalFLOPs(iterationOps(m, 32, 500))
 	if f1 != f2 {
 		t.Errorf("CNN FLOPs vary with seqLen: %v vs %v", f1, f2)
 	}
@@ -51,8 +61,8 @@ func TestCNNIterationsHomogeneous(t *testing.T) {
 
 func TestSQNNIterationsHeterogeneous(t *testing.T) {
 	for _, m := range []Model{NewDS2(), NewGNMT()} {
-		f1 := totalFLOPs(m.IterationOps(64, 60))
-		f2 := totalFLOPs(m.IterationOps(64, 120))
+		f1 := totalFLOPs(iterationOps(m, 64, 60))
+		f2 := totalFLOPs(iterationOps(m, 64, 120))
 		if f2 <= f1 {
 			t.Errorf("%s: FLOPs should grow with SL (%v vs %v)", m.Name(), f1, f2)
 		}
@@ -67,7 +77,7 @@ func TestDS2ClassifierGEMMTableI(t *testing.T) {
 	// The classifier GEMM must have the paper's Table I fixed
 	// dimensions: M=29 (alphabet), K=1600 (2x800 bidirectional GRU).
 	m := NewDS2()
-	ops := m.IterationOps(64, 200)
+	ops := iterationOps(m, 64, 200)
 	g, ok := findGEMMByLabel(ops, "classifier")
 	if !ok {
 		t.Fatal("no classifier GEMM")
@@ -85,7 +95,7 @@ func TestGNMTClassifierGEMMTableI(t *testing.T) {
 	// GNMT's vocabulary projection: M=36549, K=1024 (paper Table I);
 	// N = batch*T, so SL 94 at batch 64 gives the paper's N=6016.
 	m := NewGNMT()
-	g, ok := findGEMMByLabel(m.IterationOps(64, 94), "classifier")
+	g, ok := findGEMMByLabel(iterationOps(m, 64, 94), "classifier")
 	if !ok {
 		t.Fatal("no classifier GEMM")
 	}
@@ -101,7 +111,7 @@ func TestDS2ConvFrontEndShrinksTime(t *testing.T) {
 	// DS2's strided conv halves the time axis before the GRU stack, so
 	// the recurrent GEMMs see T/2.
 	m := NewDS2()
-	g, ok := findGEMMByLabel(m.IterationOps(64, 200), "classifier")
+	g, ok := findGEMMByLabel(iterationOps(m, 64, 200), "classifier")
 	if !ok {
 		t.Fatal("no classifier GEMM")
 	}
@@ -113,8 +123,8 @@ func TestDS2ConvFrontEndShrinksTime(t *testing.T) {
 
 func TestEvalOpsAreForwardOnly(t *testing.T) {
 	for _, m := range []Model{NewDS2(), NewGNMT(), NewCNN()} {
-		iter := totalFLOPs(m.IterationOps(32, 80))
-		eval := totalFLOPs(m.EvalOps(32, 80))
+		iter := totalFLOPs(iterationOps(m, 32, 80))
+		eval := totalFLOPs(evalOps(m, 32, 80))
 		if eval >= iter {
 			t.Errorf("%s: eval FLOPs %v should be well below iteration FLOPs %v", m.Name(), eval, iter)
 		}
@@ -130,8 +140,8 @@ func TestIterationOpsDeterministic(t *testing.T) {
 	// the trainer memoizes profiles per SL on this property (key
 	// observation 4/5).
 	for _, m := range []Model{NewDS2(), NewGNMT()} {
-		a := m.IterationOps(64, 77)
-		b := m.IterationOps(64, 77)
+		a := iterationOps(m, 64, 77)
+		b := iterationOps(m, 64, 77)
 		if len(a) != len(b) {
 			t.Fatalf("%s: op counts differ: %d vs %d", m.Name(), len(a), len(b))
 		}
@@ -144,7 +154,7 @@ func TestIterationOpsDeterministic(t *testing.T) {
 }
 
 func TestGNMTAttentionPresent(t *testing.T) {
-	ops := NewGNMT().IterationOps(64, 30)
+	ops := iterationOps(NewGNMT(), 64, 30)
 	if _, ok := findGEMMByLabel(ops, "attention_context"); !ok {
 		t.Error("GNMT iteration should include attention context GEMMs")
 	}
@@ -156,7 +166,7 @@ func TestGNMTAttentionPresent(t *testing.T) {
 func TestGNMTEmbeddingKeepsFullVocab(t *testing.T) {
 	// Key observation 6: sampling iterations must preserve vocabulary
 	// size; the model must always emit full-vocabulary gathers.
-	for _, op := range NewGNMT().IterationOps(64, 10) {
+	for _, op := range iterationOps(NewGNMT(), 64, 10) {
 		if e, ok := op.(tensor.Embedding); ok {
 			if e.Rows != GNMTVocab {
 				t.Errorf("embedding rows = %d, want %d", e.Rows, GNMTVocab)
@@ -168,7 +178,7 @@ func TestGNMTEmbeddingKeepsFullVocab(t *testing.T) {
 func TestOptimizerOpsIncluded(t *testing.T) {
 	// Training iterations end with the weight-update pass.
 	for _, m := range []Model{NewDS2(), NewGNMT(), NewCNN()} {
-		ops := m.IterationOps(8, 60)
+		ops := iterationOps(m, 8, 60)
 		last := ops[len(ops)-1]
 		ew, ok := last.(tensor.Elementwise)
 		if !ok {
@@ -186,7 +196,7 @@ func TestQuickDS2FLOPsMonotonicInSL(t *testing.T) {
 	f := func(a, b uint8) bool {
 		sl1 := int(a)%400 + 50
 		sl2 := sl1 + int(b)%100 + 20
-		return totalFLOPs(m.IterationOps(16, sl2)) > totalFLOPs(m.IterationOps(16, sl1))
+		return totalFLOPs(iterationOps(m, 16, sl2)) > totalFLOPs(iterationOps(m, 16, sl1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -198,7 +208,7 @@ func TestQuickGNMTFLOPsMonotonicInSL(t *testing.T) {
 	f := func(a, b uint8) bool {
 		sl1 := int(a)%100 + 1
 		sl2 := sl1 + int(b)%50 + 1
-		return totalFLOPs(m.IterationOps(16, sl2)) > totalFLOPs(m.IterationOps(16, sl1))
+		return totalFLOPs(iterationOps(m, 16, sl2)) > totalFLOPs(iterationOps(m, 16, sl1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -210,7 +220,7 @@ func TestQuickBatchScalesWork(t *testing.T) {
 	f := func(b8 uint8) bool {
 		b := int(b8)%32 + 1
 		for _, m := range []Model{NewDS2(), NewGNMT(), NewCNN()} {
-			if totalFLOPs(m.IterationOps(b+8, 64)) <= totalFLOPs(m.IterationOps(b, 64)) {
+			if totalFLOPs(iterationOps(m, b+8, 64)) <= totalFLOPs(iterationOps(m, b, 64)) {
 				return false
 			}
 		}
@@ -218,5 +228,25 @@ func TestQuickBatchScalesWork(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBlockCountFixedAcrossSeqLens: an SQNN's per-timestep ops arrive
+// as repeated blocks, so its block count is set by the architecture
+// alone while the launches it flattens to grow with the sequence length.
+func TestBlockCountFixedAcrossSeqLens(t *testing.T) {
+	for _, m := range []Model{NewDS2(), NewGNMT(), NewTransformer(), NewSeq2Seq()} {
+		for _, phase := range []struct {
+			name   string
+			blocks func(batch, seqLen int) []tensor.Block
+		}{{"train", m.IterationBlocks}, {"eval", m.EvalBlocks}} {
+			short, long := phase.blocks(16, 10), phase.blocks(16, 500)
+			if len(short) != len(long) {
+				t.Errorf("%s %s: %d blocks at SL 10, %d at SL 500", m.Name(), phase.name, len(short), len(long))
+			}
+			if n10, n500 := len(tensor.Flatten(short)), len(tensor.Flatten(long)); n500 <= n10 {
+				t.Errorf("%s %s: %d launches at SL 500, not more than %d at SL 10", m.Name(), phase.name, n500, n10)
+			}
+		}
 	}
 }

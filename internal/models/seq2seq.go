@@ -60,13 +60,13 @@ func (m *Seq2Seq) input(batch, seqLen int) nn.Activation {
 	return nn.Activation{Batch: batch, Time: seqLen, Feat: Seq2SeqHidden}
 }
 
-// IterationOps returns one training iteration's ops.
-func (m *Seq2Seq) IterationOps(batch, seqLen int) []tensor.Op {
-	return stackIteration(m.layers(), m.input(batch, seqLen), optimizerOps(seq2seqParams, m.Name()))
+// IterationBlocks returns one training iteration's blocks.
+func (m *Seq2Seq) IterationBlocks(batch, seqLen int) []tensor.Block {
+	return stackIteration(m.layers(), m.input(batch, seqLen), optimizerBlocks(seq2seqParams, m.Name()))
 }
 
-// EvalOps returns one forward-only pass.
-func (m *Seq2Seq) EvalOps(batch, seqLen int) []tensor.Op {
+// EvalBlocks returns one forward-only pass.
+func (m *Seq2Seq) EvalBlocks(batch, seqLen int) []tensor.Block {
 	ops, _, _ := runForward(m.layers(), m.input(batch, seqLen))
 	return ops
 }

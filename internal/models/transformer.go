@@ -85,8 +85,8 @@ func (m *Transformer) input(batch, seqLen int) nn.Activation {
 	return nn.Activation{Batch: batch, Time: seqLen, Feat: TransformerHidden}
 }
 
-// IterationOps returns one training iteration's ops.
-func (m *Transformer) IterationOps(batch, seqLen int) []tensor.Op {
+// IterationBlocks returns one training iteration's blocks.
+func (m *Transformer) IterationBlocks(batch, seqLen int) []tensor.Block {
 	in := m.input(batch, seqLen)
 	enc := m.encoder(seqLen)
 	dec := m.decoder(seqLen)
@@ -94,11 +94,11 @@ func (m *Transformer) IterationOps(batch, seqLen int) []tensor.Op {
 	encFwd, encInputs, _ := runForward(enc, in)
 	decFwd, decInputs, _ := runForward(dec, in)
 	return slices.Concat(encFwd, decFwd, runBackward(dec, decInputs), runBackward(enc, encInputs),
-		optimizerOps(transformerParams, m.Name()))
+		optimizerBlocks(transformerParams, m.Name()))
 }
 
-// EvalOps returns one forward-only pass.
-func (m *Transformer) EvalOps(batch, seqLen int) []tensor.Op {
+// EvalBlocks returns one forward-only pass.
+func (m *Transformer) EvalBlocks(batch, seqLen int) []tensor.Block {
 	in := m.input(batch, seqLen)
 	encFwd, _, _ := runForward(m.encoder(seqLen), in)
 	decFwd, _, _ := runForward(m.decoder(seqLen), in)

@@ -34,53 +34,46 @@ func (a Attention) Name() string { return a.LayerName }
 
 // Forward emits, per decoder step: the query projection, the additive
 // score evaluation over all encoder steps, the softmax over scores, and
-// the context-vector GEMM. The encoder-side key projection is hoisted
-// out of the step loop (computed once per iteration), as real
-// implementations do.
-func (a Attention) Forward(in Activation) ([]tensor.Op, Activation) {
-	ops := make(seqOps, 0, 1+5*in.Time)
+// the context-vector GEMM — one block repeated every decoder step. The
+// encoder-side key projection is hoisted out of the step loop (computed
+// once per iteration), as real implementations do.
+func (a Attention) Forward(in Activation) ([]tensor.Block, Activation) {
 	h := a.Hidden
 	b := in.Batch
-
-	// Hoisted key projection: W1 x encoder outputs, all steps at once.
-	ops.add(tensor.NewGEMM(h, b*a.EncTime, h, a.LayerName+"_keys"))
-
-	// Every decoder step launches the same five ops, built once here.
-	step := []tensor.Op{
-		// Query projection for this decoder step.
-		tensor.NewGEMM(h, b, h, a.LayerName+"_query"),
-		// Additive combine + tanh over every encoder position.
-		tensor.NewElementwise(b*a.EncTime*h, opsPerGateElem, a.LayerName+"_score"),
-		// v^T reduction to scalar scores, then softmax over positions.
-		tensor.NewReduction(b*a.EncTime*h, b*a.EncTime, a.LayerName+"_vdot"),
-		tensor.NewElementwise(b*a.EncTime, opsPerSoftmaxElem, a.LayerName+"_softmax"),
-		// Context vector: weighted sum of encoder outputs.
-		tensor.NewGEMM(h, b, a.EncTime, a.LayerName+"_context"),
+	blocks := []tensor.Block{
+		// Hoisted key projection: W1 x encoder outputs, all steps at once.
+		{Ops: []tensor.Op{tensor.NewGEMM(h, b*a.EncTime, h, a.LayerName+"_keys")}, Repeat: 1},
+		{Ops: []tensor.Op{
+			// Query projection for this decoder step.
+			tensor.NewGEMM(h, b, h, a.LayerName+"_query"),
+			// Additive combine + tanh over every encoder position.
+			tensor.NewElementwise(b*a.EncTime*h, opsPerGateElem, a.LayerName+"_score"),
+			// v^T reduction to scalar scores, then softmax over positions.
+			tensor.NewReduction(b*a.EncTime*h, b*a.EncTime, a.LayerName+"_vdot"),
+			tensor.NewElementwise(b*a.EncTime, opsPerSoftmaxElem, a.LayerName+"_softmax"),
+			// Context vector: weighted sum of encoder outputs.
+			tensor.NewGEMM(h, b, a.EncTime, a.LayerName+"_context"),
+		}, Repeat: in.Time},
 	}
-	for t := 0; t < in.Time; t++ {
-		ops.add(step...)
-	}
-
 	out := in
 	out.Feat = in.Feat + h // decoder consumes [state; context]
-	return ops, out
+	return blocks, out
 }
 
 // Backward emits gradients mirroring the forward structure.
-func (a Attention) Backward(in Activation) []tensor.Op {
-	ops := make(seqOps, 0, 2+4*in.Time)
+func (a Attention) Backward(in Activation) []tensor.Block {
 	h := a.Hidden
 	b := in.Batch
-	ops.add(tensor.NewGEMM(h, b*a.EncTime, h, a.LayerName+"_keys_dgrad"))
-	ops.add(tensor.NewGEMM(h, h, b*a.EncTime, a.LayerName+"_keys_wgrad"))
-	step := []tensor.Op{
-		tensor.NewGEMM(h, b, h, a.LayerName+"_query_dgrad"),
-		tensor.NewGEMM(h, h, b, a.LayerName+"_query_wgrad"),
-		tensor.NewElementwise(b*a.EncTime*h, opsPerGateElem, a.LayerName+"_score_bwd"),
-		tensor.NewGEMM(h, b, a.EncTime, a.LayerName+"_context_bwd"),
+	return []tensor.Block{
+		{Ops: []tensor.Op{
+			tensor.NewGEMM(h, b*a.EncTime, h, a.LayerName+"_keys_dgrad"),
+			tensor.NewGEMM(h, h, b*a.EncTime, a.LayerName+"_keys_wgrad"),
+		}, Repeat: 1},
+		{Ops: []tensor.Op{
+			tensor.NewGEMM(h, b, h, a.LayerName+"_query_dgrad"),
+			tensor.NewGEMM(h, h, b, a.LayerName+"_query_wgrad"),
+			tensor.NewElementwise(b*a.EncTime*h, opsPerGateElem, a.LayerName+"_score_bwd"),
+			tensor.NewGEMM(h, b, a.EncTime, a.LayerName+"_context_bwd"),
+		}, Repeat: in.Time},
 	}
-	for t := 0; t < in.Time; t++ {
-		ops.add(step...)
-	}
-	return ops
 }

@@ -35,36 +35,33 @@ func (c Conv) op(in Activation, label string) tensor.Conv2D {
 
 // Forward emits the convolution (and optional activation) and computes
 // the strided output shape.
-func (c Conv) Forward(in Activation) ([]tensor.Op, Activation) {
+func (c Conv) Forward(in Activation) ([]tensor.Block, Activation) {
 	if in.Channels <= 0 {
 		panic(fmt.Sprintf("nn: conv layer %s needs a Freq/Channels activation, got %+v", c.LayerName, in))
 	}
-	var ops seqOps
 	cv := c.op(in, c.LayerName)
-	ops.add(cv)
+	ops := []tensor.Op{cv}
 	out := in
 	out.Channels = c.OutC
 	out.Freq = cv.OutH()
 	out.Time = cv.OutW()
 	if c.Activated {
-		ops.add(tensor.NewElementwise(out.Elems(), opsPerActElem, c.LayerName+"_act"))
+		ops = append(ops, tensor.NewElementwise(out.Elems(), opsPerActElem, c.LayerName+"_act"))
 	}
-	return ops, out
+	return once(ops...), out
 }
 
 // Backward emits the data-gradient and weight-gradient convolutions,
 // each costed as a convolution of the same geometry, matching how
 // MIOpen's backward passes launch distinct kernels of comparable work.
-func (c Conv) Backward(in Activation) []tensor.Op {
-	var ops seqOps
-	ops.add(c.op(in, c.LayerName+"_dgrad"))
-	ops.add(c.op(in, c.LayerName+"_wgrad"))
+func (c Conv) Backward(in Activation) []tensor.Block {
+	ops := []tensor.Op{c.op(in, c.LayerName+"_dgrad"), c.op(in, c.LayerName+"_wgrad")}
 	if c.Activated {
 		cv := c.op(in, "")
 		outElems := in.Batch * c.OutC * cv.OutH() * cv.OutW()
-		ops.add(tensor.NewElementwise(outElems, opsPerActElem, c.LayerName+"_act_bwd"))
+		ops = append(ops, tensor.NewElementwise(outElems, opsPerActElem, c.LayerName+"_act_bwd"))
 	}
-	return ops
+	return once(ops...)
 }
 
 // BatchNorm normalizes the current activation: a statistics reduction
@@ -91,19 +88,19 @@ func (b BatchNorm) groupCount(in Activation) int {
 
 // Forward emits the mean/variance reduction and the normalize-scale-shift
 // pointwise op.
-func (b BatchNorm) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
-	ops.add(tensor.NewReduction(in.Elems(), b.groupCount(in), b.LayerName+"_stats"))
-	ops.add(tensor.NewElementwise(in.Elems(), opsPerNormElem, b.LayerName+"_apply"))
-	return ops, in
+func (b BatchNorm) Forward(in Activation) ([]tensor.Block, Activation) {
+	return once(
+		tensor.NewReduction(in.Elems(), b.groupCount(in), b.LayerName+"_stats"),
+		tensor.NewElementwise(in.Elems(), opsPerNormElem, b.LayerName+"_apply"),
+	), in
 }
 
 // Backward emits the gradient reduction and pointwise gradient.
-func (b BatchNorm) Backward(in Activation) []tensor.Op {
-	var ops seqOps
-	ops.add(tensor.NewReduction(in.Elems(), b.groupCount(in), b.LayerName+"_stats_bwd"))
-	ops.add(tensor.NewElementwise(in.Elems(), opsPerNormElem, b.LayerName+"_apply_bwd"))
-	return ops
+func (b BatchNorm) Backward(in Activation) []tensor.Block {
+	return once(
+		tensor.NewReduction(in.Elems(), b.groupCount(in), b.LayerName+"_stats_bwd"),
+		tensor.NewElementwise(in.Elems(), opsPerNormElem, b.LayerName+"_apply_bwd"),
+	)
 }
 
 // LayerNorm normalizes each position's feature vector independently
@@ -122,21 +119,21 @@ func NewLayerNorm(name string) LayerNorm { return LayerNorm{LayerName: name} }
 func (l LayerNorm) Name() string { return l.LayerName }
 
 // Forward emits the per-row statistics reduction and the apply.
-func (l LayerNorm) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
+func (l LayerNorm) Forward(in Activation) ([]tensor.Block, Activation) {
 	rows := in.Batch * in.Time
-	ops.add(tensor.NewReduction(in.Elems(), rows, l.LayerName+"_stats"))
-	ops.add(tensor.NewElementwise(in.Elems(), opsPerNormElem, l.LayerName+"_apply"))
-	return ops, in
+	return once(
+		tensor.NewReduction(in.Elems(), rows, l.LayerName+"_stats"),
+		tensor.NewElementwise(in.Elems(), opsPerNormElem, l.LayerName+"_apply"),
+	), in
 }
 
 // Backward emits the gradient reduction and pointwise gradient.
-func (l LayerNorm) Backward(in Activation) []tensor.Op {
-	var ops seqOps
+func (l LayerNorm) Backward(in Activation) []tensor.Block {
 	rows := in.Batch * in.Time
-	ops.add(tensor.NewReduction(in.Elems(), rows, l.LayerName+"_stats_bwd"))
-	ops.add(tensor.NewElementwise(in.Elems(), opsPerNormElem, l.LayerName+"_apply_bwd"))
-	return ops
+	return once(
+		tensor.NewReduction(in.Elems(), rows, l.LayerName+"_stats_bwd"),
+		tensor.NewElementwise(in.Elems(), opsPerNormElem, l.LayerName+"_apply_bwd"),
+	)
 }
 
 // Flatten folds a Freq x Channels conv activation into a per-timestep
@@ -161,7 +158,7 @@ func NewFlattenAll(name string) Flatten {
 func (f Flatten) Name() string { return f.LayerName }
 
 // Forward reshapes without launching work.
-func (f Flatten) Forward(in Activation) ([]tensor.Op, Activation) {
+func (f Flatten) Forward(in Activation) ([]tensor.Block, Activation) {
 	out := in
 	if in.Channels > 0 {
 		out.Feat = in.Channels * in.Freq
@@ -175,7 +172,7 @@ func (f Flatten) Forward(in Activation) ([]tensor.Op, Activation) {
 }
 
 // Backward launches no work.
-func (f Flatten) Backward(Activation) []tensor.Op { return nil }
+func (f Flatten) Backward(Activation) []tensor.Block { return nil }
 
 // Pool is an average/max pooling stage for the CNN model: pointwise cost,
 // strided shape change.
@@ -196,9 +193,8 @@ func NewPool(name string, k, s int) Pool {
 func (p Pool) Name() string { return p.LayerName }
 
 // Forward emits the window reduction and computes the pooled shape.
-func (p Pool) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
-	ops.add(tensor.NewElementwise(in.Elems(), p.K*p.K, p.LayerName))
+func (p Pool) Forward(in Activation) ([]tensor.Block, Activation) {
+	ops := once(tensor.NewElementwise(in.Elems(), p.K*p.K, p.LayerName))
 	out := in
 	out.Freq = (in.Freq-p.K)/p.S + 1
 	out.Time = (in.Time-p.K)/p.S + 1
@@ -212,8 +208,6 @@ func (p Pool) Forward(in Activation) ([]tensor.Op, Activation) {
 }
 
 // Backward emits the scatter of pooled gradients.
-func (p Pool) Backward(in Activation) []tensor.Op {
-	var ops seqOps
-	ops.add(tensor.NewElementwise(in.Elems(), 2, p.LayerName+"_bwd"))
-	return ops
+func (p Pool) Backward(in Activation) []tensor.Block {
+	return once(tensor.NewElementwise(in.Elems(), 2, p.LayerName+"_bwd"))
 }

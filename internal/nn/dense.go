@@ -29,27 +29,27 @@ func NewDense(name string, out int, activated bool) Dense {
 func (d Dense) Name() string { return d.LayerName }
 
 // Forward emits the batched GEMM (and optional activation).
-func (d Dense) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
-	ops.add(tensor.NewGEMM(d.Out, in.Batch*in.Time, in.Feat, d.LayerName))
+func (d Dense) Forward(in Activation) ([]tensor.Block, Activation) {
+	ops := []tensor.Op{tensor.NewGEMM(d.Out, in.Batch*in.Time, in.Feat, d.LayerName)}
 	if d.Activated {
-		ops.add(tensor.NewElementwise(d.Out*in.Batch*in.Time, opsPerActElem, d.LayerName+"_act"))
+		ops = append(ops, tensor.NewElementwise(d.Out*in.Batch*in.Time, opsPerActElem, d.LayerName+"_act"))
 	}
 	out := in
 	out.Feat = d.Out
-	return ops, out
+	return once(ops...), out
 }
 
 // Backward emits the data- and weight-gradient GEMMs.
-func (d Dense) Backward(in Activation) []tensor.Op {
-	var ops seqOps
+func (d Dense) Backward(in Activation) []tensor.Block {
 	n := in.Batch * in.Time
-	ops.add(tensor.NewGEMM(in.Feat, n, d.Out, d.LayerName+"_dgrad"))
-	ops.add(tensor.NewGEMM(d.Out, in.Feat, n, d.LayerName+"_wgrad"))
-	if d.Activated {
-		ops.add(tensor.NewElementwise(d.Out*n, opsPerActElem, d.LayerName+"_act_bwd"))
+	ops := []tensor.Op{
+		tensor.NewGEMM(in.Feat, n, d.Out, d.LayerName+"_dgrad"),
+		tensor.NewGEMM(d.Out, in.Feat, n, d.LayerName+"_wgrad"),
 	}
-	return ops
+	if d.Activated {
+		ops = append(ops, tensor.NewElementwise(d.Out*n, opsPerActElem, d.LayerName+"_act_bwd"))
+	}
+	return once(ops...)
 }
 
 // EmbeddingLayer gathers one row per token from a vocabulary table.
@@ -74,20 +74,16 @@ func NewEmbedding(name string, vocab, dim int) EmbeddingLayer {
 func (e EmbeddingLayer) Name() string { return e.LayerName }
 
 // Forward emits the gather.
-func (e EmbeddingLayer) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
-	ops.add(tensor.NewEmbedding(e.Vocab, e.Dim, in.Batch*in.Time, e.LayerName))
+func (e EmbeddingLayer) Forward(in Activation) ([]tensor.Block, Activation) {
 	out := in
 	out.Feat = e.Dim
 	out.Freq, out.Channels = 0, 0
-	return ops, out
+	return once(tensor.NewEmbedding(e.Vocab, e.Dim, in.Batch*in.Time, e.LayerName)), out
 }
 
 // Backward emits the scatter-add of gradients into the table.
-func (e EmbeddingLayer) Backward(in Activation) []tensor.Op {
-	var ops seqOps
-	ops.add(tensor.NewEmbedding(e.Vocab, e.Dim, in.Batch*in.Time, e.LayerName+"_bwd"))
-	return ops
+func (e EmbeddingLayer) Backward(in Activation) []tensor.Block {
+	return once(tensor.NewEmbedding(e.Vocab, e.Dim, in.Batch*in.Time, e.LayerName+"_bwd"))
 }
 
 // Softmax is a per-step softmax plus loss evaluation: row-max and
@@ -104,21 +100,19 @@ func NewSoftmax(name string) Softmax { return Softmax{LayerName: name} }
 func (s Softmax) Name() string { return s.LayerName }
 
 // Forward emits the reductions and the exponentiation.
-func (s Softmax) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
+func (s Softmax) Forward(in Activation) ([]tensor.Block, Activation) {
 	rows := in.Batch * in.Time
-	ops.add(tensor.NewReduction(rows*in.Feat, rows, s.LayerName+"_max"))
-	ops.add(tensor.NewElementwise(rows*in.Feat, opsPerSoftmaxElem, s.LayerName+"_exp"))
-	ops.add(tensor.NewReduction(rows*in.Feat, rows, s.LayerName+"_sum"))
-	return ops, in
+	return once(
+		tensor.NewReduction(rows*in.Feat, rows, s.LayerName+"_max"),
+		tensor.NewElementwise(rows*in.Feat, opsPerSoftmaxElem, s.LayerName+"_exp"),
+		tensor.NewReduction(rows*in.Feat, rows, s.LayerName+"_sum"),
+	), in
 }
 
 // Backward emits the gradient pointwise pass.
-func (s Softmax) Backward(in Activation) []tensor.Op {
-	var ops seqOps
+func (s Softmax) Backward(in Activation) []tensor.Block {
 	rows := in.Batch * in.Time
-	ops.add(tensor.NewElementwise(rows*in.Feat, opsPerSoftmaxElem, s.LayerName+"_bwd"))
-	return ops
+	return once(tensor.NewElementwise(rows*in.Feat, opsPerSoftmaxElem, s.LayerName+"_bwd"))
 }
 
 // CTCLoss approximates the connectionist-temporal-classification loss
@@ -136,17 +130,17 @@ func NewCTCLoss(name string) CTCLoss { return CTCLoss{LayerName: name} }
 func (c CTCLoss) Name() string { return c.LayerName }
 
 // Forward emits the forward dynamic program.
-func (c CTCLoss) Forward(in Activation) ([]tensor.Op, Activation) {
-	var ops seqOps
-	ops.add(tensor.NewElementwise(in.Batch*in.Time*in.Feat, 6, c.LayerName+"_alpha"))
-	ops.add(tensor.NewReduction(in.Batch*in.Time, in.Batch, c.LayerName+"_norm"))
-	return ops, in
+func (c CTCLoss) Forward(in Activation) ([]tensor.Block, Activation) {
+	return once(
+		tensor.NewElementwise(in.Batch*in.Time*in.Feat, 6, c.LayerName+"_alpha"),
+		tensor.NewReduction(in.Batch*in.Time, in.Batch, c.LayerName+"_norm"),
+	), in
 }
 
 // Backward emits the beta pass and gradient assembly.
-func (c CTCLoss) Backward(in Activation) []tensor.Op {
-	var ops seqOps
-	ops.add(tensor.NewElementwise(in.Batch*in.Time*in.Feat, 6, c.LayerName+"_beta"))
-	ops.add(tensor.NewElementwise(in.Batch*in.Time*in.Feat, 2, c.LayerName+"_grad"))
-	return ops
+func (c CTCLoss) Backward(in Activation) []tensor.Block {
+	return once(
+		tensor.NewElementwise(in.Batch*in.Time*in.Feat, 6, c.LayerName+"_beta"),
+		tensor.NewElementwise(in.Batch*in.Time*in.Feat, 2, c.LayerName+"_grad"),
+	)
 }

@@ -59,15 +59,18 @@ func (a Activation) Validate() error {
 }
 
 // Layer is one network stage. Forward returns the ops a forward pass
-// launches and the output activation shape; Backward returns the ops of
-// the corresponding backward pass (gradient with respect to inputs and
-// weights). Layers are stateless descriptions: the same layer value can
-// be queried for any activation shape.
+// launches, as blocks in launch order, and the output activation shape;
+// Backward returns the blocks of the corresponding backward pass
+// (gradient with respect to inputs and weights). A layer that launches
+// the same ops at every timestep returns them as one block repeated
+// in.Time times rather than in.Time copies (see tensor.Block), so a
+// profile prices them once. Layers are stateless descriptions: the same
+// layer value can be queried for any activation shape.
 type Layer interface {
 	// Name identifies the layer in kernel labels ("enc_lstm_0", ...).
 	Name() string
-	Forward(in Activation) ([]tensor.Op, Activation)
-	Backward(in Activation) []tensor.Op
+	Forward(in Activation) ([]tensor.Block, Activation)
+	Backward(in Activation) []tensor.Block
 }
 
 // Ops per element for common pointwise stages. Gate math dominates
@@ -79,7 +82,7 @@ const (
 	opsPerSoftmaxElem = 8  // exp + divide
 )
 
-// seqOps is a small helper for accumulating op lists.
-type seqOps []tensor.Op
-
-func (s *seqOps) add(ops ...tensor.Op) { *s = append(*s, ops...) }
+// once returns ops as a single block launched one time.
+func once(ops ...tensor.Op) []tensor.Block {
+	return []tensor.Block{{Ops: ops, Repeat: 1}}
+}

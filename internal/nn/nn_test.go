@@ -11,6 +11,14 @@ func denseIn(batch, time, feat int) Activation {
 	return Activation{Batch: batch, Time: time, Feat: feat}
 }
 
+// fwd and bwd flatten a layer's blocks into its launches, in order.
+func fwd(l Layer, in Activation) ([]tensor.Op, Activation) {
+	blocks, out := l.Forward(in)
+	return tensor.Flatten(blocks), out
+}
+
+func bwd(l Layer, in Activation) []tensor.Op { return tensor.Flatten(l.Backward(in)) }
+
 func totalFLOPs(ops []tensor.Op) float64 {
 	var f float64
 	for _, op := range ops {
@@ -69,8 +77,8 @@ func TestRecurrentUnrollsWithSeqLen(t *testing.T) {
 	r := NewRecurrent("lstm", CellLSTM, 256, false)
 	in10 := denseIn(8, 10, 256)
 	in20 := denseIn(8, 20, 256)
-	ops10, _ := r.Forward(in10)
-	ops20, _ := r.Forward(in20)
+	ops10, _ := fwd(r, in10)
+	ops20, _ := fwd(r, in20)
 	// Per-timestep recurrent GEMM + gates: op count grows linearly in T.
 	if len(ops20) <= len(ops10) {
 		t.Errorf("op count: T=20 %d <= T=10 %d", len(ops20), len(ops10))
@@ -85,8 +93,8 @@ func TestRecurrentGateMultipliers(t *testing.T) {
 	lstm := NewRecurrent("l", CellLSTM, 128, false)
 	gru := NewRecurrent("g", CellGRU, 128, false)
 	in := denseIn(4, 5, 128)
-	lstmOps, _ := lstm.Forward(in)
-	gruOps, _ := gru.Forward(in)
+	lstmOps, _ := fwd(lstm, in)
+	gruOps, _ := fwd(gru, in)
 	// LSTM has 4 gates vs GRU's 3: strictly more arithmetic.
 	if totalFLOPs(lstmOps) <= totalFLOPs(gruOps) {
 		t.Error("LSTM forward should cost more than GRU at equal size")
@@ -103,8 +111,8 @@ func TestRecurrentBidirectionalDoubles(t *testing.T) {
 	uni := NewRecurrent("u", CellGRU, 64, false)
 	bi := NewRecurrent("b", CellGRU, 64, true)
 	in := denseIn(4, 6, 64)
-	uniOps, uniOut := uni.Forward(in)
-	biOps, biOut := bi.Forward(in)
+	uniOps, uniOut := fwd(uni, in)
+	biOps, biOut := fwd(bi, in)
 	if biOut.Feat != 2*uniOut.Feat {
 		t.Errorf("bidirectional out feat = %d, want %d", biOut.Feat, 2*uniOut.Feat)
 	}
@@ -117,10 +125,10 @@ func TestRecurrentBidirectionalDoubles(t *testing.T) {
 func TestRecurrentBackwardMirrorsForward(t *testing.T) {
 	r := NewRecurrent("l", CellLSTM, 128, true)
 	in := denseIn(8, 12, 128)
-	fwd, _ := r.Forward(in)
-	bwd := r.Backward(in)
+	fwdOps, _ := fwd(r, in)
+	bwdOps := bwd(r, in)
 	// BPTT roughly doubles GEMM work: dgrad + wgrad per forward GEMM.
-	ratio := totalFLOPs(bwd) / totalFLOPs(fwd)
+	ratio := totalFLOPs(bwdOps) / totalFLOPs(fwdOps)
 	if ratio < 1.2 || ratio > 2.5 {
 		t.Errorf("backward/forward FLOP ratio = %v, want in [1.2, 2.5]", ratio)
 	}
@@ -138,7 +146,7 @@ func TestRecurrentInvalidPanics(t *testing.T) {
 func TestDenseShapes(t *testing.T) {
 	d := NewDense("fc", 100, true)
 	in := denseIn(4, 7, 50)
-	ops, out := d.Forward(in)
+	ops, out := fwd(d, in)
 	if out.Feat != 100 {
 		t.Errorf("out feat = %d, want 100", out.Feat)
 	}
@@ -156,7 +164,7 @@ func TestDenseShapes(t *testing.T) {
 	if len(ops) != 2 {
 		t.Errorf("activated dense emits %d ops, want 2", len(ops))
 	}
-	if n := len(d.Backward(in)); n != 3 {
+	if n := len(bwd(d, in)); n != 3 {
 		t.Errorf("backward emits %d ops, want 3 (dgrad+wgrad+act)", n)
 	}
 }
@@ -164,8 +172,8 @@ func TestDenseShapes(t *testing.T) {
 func TestDenseNVariesWithSeqLen(t *testing.T) {
 	// The paper's Table I: the classifier GEMM's N dimension tracks SL.
 	d := NewDense("classifier", 29, false)
-	ops1, _ := d.Forward(denseIn(64, 100, 1600))
-	ops2, _ := d.Forward(denseIn(64, 200, 1600))
+	ops1, _ := fwd(d, denseIn(64, 100, 1600))
+	ops2, _ := fwd(d, denseIn(64, 200, 1600))
 	g1 := ops1[0].(tensor.GEMM)
 	g2 := ops2[0].(tensor.GEMM)
 	if g1.M != g2.M || g1.K != g2.K {
@@ -179,7 +187,7 @@ func TestDenseNVariesWithSeqLen(t *testing.T) {
 func TestEmbeddingLayer(t *testing.T) {
 	e := NewEmbedding("vocab", 36549, 1024)
 	in := denseIn(64, 20, 1)
-	ops, out := e.Forward(in)
+	ops, out := fwd(e, in)
 	if out.Feat != 1024 {
 		t.Errorf("out feat = %d, want 1024", out.Feat)
 	}
@@ -193,7 +201,7 @@ func TestEmbeddingLayer(t *testing.T) {
 	if emb.Rows != 36549 {
 		t.Errorf("rows = %d: key observation 6 requires the full vocabulary", emb.Rows)
 	}
-	if len(e.Backward(in)) == 0 {
+	if len(bwd(e, in)) == 0 {
 		t.Error("backward should emit the gradient scatter")
 	}
 }
@@ -201,7 +209,7 @@ func TestEmbeddingLayer(t *testing.T) {
 func TestSoftmaxOps(t *testing.T) {
 	s := NewSoftmax("sm")
 	in := denseIn(4, 5, 100)
-	ops, out := s.Forward(in)
+	ops, out := fwd(s, in)
 	if out != in {
 		t.Error("softmax preserves the shape")
 	}
@@ -215,21 +223,21 @@ func TestSoftmaxOps(t *testing.T) {
 
 func TestCTCLossScalesWithTime(t *testing.T) {
 	c := NewCTCLoss("ctc")
-	ops1, _ := c.Forward(denseIn(8, 50, 29))
-	ops2, _ := c.Forward(denseIn(8, 100, 29))
+	ops1, _ := fwd(c, denseIn(8, 50, 29))
+	ops2, _ := fwd(c, denseIn(8, 100, 29))
 	if totalFLOPs(ops2) <= totalFLOPs(ops1) {
 		t.Error("CTC work should grow with sequence length")
 	}
-	if len(c.Backward(denseIn(8, 50, 29))) == 0 {
+	if len(bwd(c, denseIn(8, 50, 29))) == 0 {
 		t.Error("backward should emit the beta pass")
 	}
 }
 
 func TestAttentionScalesWithBothLengths(t *testing.T) {
 	// Attention is O(T_dec * T_enc): doubling either side grows work.
-	base, _ := NewAttention("att", 256, 50).Forward(denseIn(4, 50, 256))
-	encX2, _ := NewAttention("att", 256, 100).Forward(denseIn(4, 50, 256))
-	decX2, _ := NewAttention("att", 256, 50).Forward(denseIn(4, 100, 256))
+	base, _ := fwd(NewAttention("att", 256, 50), denseIn(4, 50, 256))
+	encX2, _ := fwd(NewAttention("att", 256, 100), denseIn(4, 50, 256))
+	decX2, _ := fwd(NewAttention("att", 256, 50), denseIn(4, 100, 256))
 	if totalFLOPs(encX2) <= totalFLOPs(base) {
 		t.Error("longer encoder should grow attention work")
 	}
@@ -249,7 +257,7 @@ func TestAttentionOutputConcatsContext(t *testing.T) {
 func TestConvShapesAndStride(t *testing.T) {
 	c := NewConv("conv1", 32, 41, 11, 2, 2, 20, 5, true)
 	in := Activation{Batch: 64, Time: 400, Freq: 161, Channels: 1}
-	ops, out := c.Forward(in)
+	ops, out := fwd(c, in)
 	if out.Channels != 32 {
 		t.Errorf("out channels = %d, want 32", out.Channels)
 	}
@@ -259,7 +267,7 @@ func TestConvShapesAndStride(t *testing.T) {
 	if len(ops) != 2 {
 		t.Errorf("activated conv emits %d ops, want 2", len(ops))
 	}
-	if len(c.Backward(in)) != 3 {
+	if len(bwd(c, in)) != 3 {
 		t.Errorf("backward should emit dgrad+wgrad+act")
 	}
 }
@@ -283,7 +291,7 @@ func TestBatchNormGroups(t *testing.T) {
 	if got := b.groupCount(denseInA); got != 64 {
 		t.Errorf("dense groups = %d, want feat 64", got)
 	}
-	ops, out := b.Forward(convIn)
+	ops, out := fwd(b, convIn)
 	if out != convIn {
 		t.Error("batch norm preserves shape")
 	}
@@ -295,7 +303,7 @@ func TestBatchNormGroups(t *testing.T) {
 func TestLayerNormRowGroups(t *testing.T) {
 	l := NewLayerNorm("ln")
 	in := denseIn(4, 10, 64)
-	ops, out := l.Forward(in)
+	ops, out := fwd(l, in)
 	if out != in {
 		t.Error("layer norm preserves shape")
 	}
@@ -310,11 +318,11 @@ func TestLayerNormRowGroups(t *testing.T) {
 	if red.Groups != 4*10 {
 		t.Errorf("groups = %d, want 40", red.Groups)
 	}
-	longer, _ := l.Forward(denseIn(4, 20, 64))
+	longer, _ := fwd(l, denseIn(4, 20, 64))
 	if longer[0].(tensor.Reduction).Groups != 4*20 {
 		t.Error("group count must scale with sequence length")
 	}
-	if len(l.Backward(in)) != 2 {
+	if len(bwd(l, in)) != 2 {
 		t.Error("backward emits stats + apply gradients")
 	}
 }
@@ -343,11 +351,11 @@ func TestFlatten(t *testing.T) {
 func TestPoolShrinks(t *testing.T) {
 	p := NewPool("pool", 2, 2)
 	in := Activation{Batch: 4, Time: 16, Freq: 16, Channels: 8}
-	_, out := p.Forward(in)
+	_, out := fwd(p, in)
 	if out.Freq != 8 || out.Time != 8 {
 		t.Errorf("pool out = %+v, want 8x8", out)
 	}
-	if len(p.Backward(in)) == 0 {
+	if len(bwd(p, in)) == 0 {
 		t.Error("pool backward emits the gradient scatter")
 	}
 }
@@ -356,7 +364,7 @@ func TestQuickRecurrentOpCountLinearInT(t *testing.T) {
 	r := NewRecurrent("r", CellGRU, 32, false)
 	f := func(t8 uint8) bool {
 		T := int(t8)%64 + 1
-		ops, _ := r.Forward(denseIn(2, T, 32))
+		ops, _ := fwd(r, denseIn(2, T, 32))
 		// 1 xproj + T*(hproj + gates) = 1 + 2T ops.
 		return len(ops) == 1+2*T
 	}

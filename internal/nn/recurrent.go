@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"strconv"
 
 	"seqpoint/internal/tensor"
 )
@@ -72,67 +73,67 @@ func (r Recurrent) directions() int {
 // OutFeat is the output feature width (doubled when bidirectional).
 func (r Recurrent) OutFeat() int { return r.Hidden * r.directions() }
 
-// Forward emits the forward-pass ops and the output shape.
-func (r Recurrent) Forward(in Activation) ([]tensor.Op, Activation) {
-	ops := make(seqOps, 0, r.directions()*(1+2*in.Time)+1)
+// Forward emits the forward-pass blocks and the output shape: per
+// direction, the batched input projection once, then the recurrent
+// projection and gate math as one block repeated every timestep.
+func (r Recurrent) Forward(in Activation) ([]tensor.Block, Activation) {
+	blocks := make([]tensor.Block, 0, 2*r.directions()+1)
 	g := r.Kind.gates()
 	for d := 0; d < r.directions(); d++ {
 		dir := ""
 		if r.Bidirectional {
-			dir = fmt.Sprintf("_d%d", d)
+			dir = "_d" + strconv.Itoa(d)
 		}
-		// Batched input projection across all timesteps:
-		// [g*H, B*T] = W_x [g*H, F] x X [F, B*T].
-		ops.add(tensor.NewGEMM(g*r.Hidden, in.Batch*in.Time, in.Feat,
-			r.LayerName+dir+"_xproj"))
-		// Per-timestep recurrent projection and gate math: the same two
-		// ops every step, built once and launched in.Time times.
-		hproj := tensor.Op(tensor.NewGEMM(g*r.Hidden, in.Batch, r.Hidden,
-			r.LayerName+dir+"_hproj"))
-		gates := tensor.Op(tensor.NewElementwise(g*r.Hidden*in.Batch, opsPerGateElem,
-			r.LayerName+dir+"_gates"))
-		for t := 0; t < in.Time; t++ {
-			ops.add(hproj, gates)
-		}
+		blocks = append(blocks,
+			// Batched input projection across all timesteps:
+			// [g*H, B*T] = W_x [g*H, F] x X [F, B*T].
+			tensor.Block{Ops: []tensor.Op{tensor.NewGEMM(g*r.Hidden, in.Batch*in.Time, in.Feat,
+				r.LayerName+dir+"_xproj")}, Repeat: 1},
+			// Per-timestep recurrent projection and gate math: the same
+			// two ops every step.
+			tensor.Block{Ops: []tensor.Op{
+				tensor.NewGEMM(g*r.Hidden, in.Batch, r.Hidden, r.LayerName+dir+"_hproj"),
+				tensor.NewElementwise(g*r.Hidden*in.Batch, opsPerGateElem, r.LayerName+dir+"_gates"),
+			}, Repeat: in.Time},
+		)
 	}
 	if r.Bidirectional {
 		// Concatenate the two directions' outputs.
-		ops.add(tensor.NewElementwise(2*r.Hidden*in.Batch*in.Time, 1,
-			r.LayerName+"_concat"))
+		blocks = append(blocks, once(tensor.NewElementwise(2*r.Hidden*in.Batch*in.Time, 1,
+			r.LayerName+"_concat"))...)
 	}
 	out := in
 	out.Feat = r.OutFeat()
 	out.Freq, out.Channels = 0, 0
-	return ops, out
+	return blocks, out
 }
 
-// Backward emits the backward-pass ops: for each forward GEMM, a
+// Backward emits the backward-pass blocks: for each forward GEMM, a
 // data-gradient GEMM and a weight-gradient GEMM (standard BPTT), plus
-// the pointwise gate gradients.
-func (r Recurrent) Backward(in Activation) []tensor.Op {
-	ops := make(seqOps, 0, r.directions()*(2+3*in.Time))
+// the pointwise gate gradients. The per-timestep gradients form one
+// block repeated every timestep.
+func (r Recurrent) Backward(in Activation) []tensor.Block {
+	blocks := make([]tensor.Block, 0, 2*r.directions())
 	g := r.Kind.gates()
 	for d := 0; d < r.directions(); d++ {
 		dir := ""
 		if r.Bidirectional {
-			dir = fmt.Sprintf("_d%d", d)
+			dir = "_d" + strconv.Itoa(d)
 		}
-		// Input projection gradients, batched across timesteps:
-		// dX [F, B*T] = W_x^T [F, g*H] x dGates [g*H, B*T]
-		ops.add(tensor.NewGEMM(in.Feat, in.Batch*in.Time, g*r.Hidden,
-			r.LayerName+dir+"_xproj_dgrad"))
-		// dW_x [g*H, F] = dGates [g*H, B*T] x X^T [B*T, F]
-		ops.add(tensor.NewGEMM(g*r.Hidden, in.Feat, in.Batch*in.Time,
-			r.LayerName+dir+"_xproj_wgrad"))
-		dgrad := tensor.Op(tensor.NewGEMM(r.Hidden, in.Batch, g*r.Hidden,
-			r.LayerName+dir+"_hproj_dgrad"))
-		wgrad := tensor.Op(tensor.NewGEMM(g*r.Hidden, r.Hidden, in.Batch,
-			r.LayerName+dir+"_hproj_wgrad"))
-		gates := tensor.Op(tensor.NewElementwise(g*r.Hidden*in.Batch, opsPerGateElem,
-			r.LayerName+dir+"_gates_bwd"))
-		for t := 0; t < in.Time; t++ {
-			ops.add(dgrad, wgrad, gates)
-		}
+		blocks = append(blocks,
+			tensor.Block{Ops: []tensor.Op{
+				// Input projection gradients, batched across timesteps:
+				// dX [F, B*T] = W_x^T [F, g*H] x dGates [g*H, B*T]
+				tensor.NewGEMM(in.Feat, in.Batch*in.Time, g*r.Hidden, r.LayerName+dir+"_xproj_dgrad"),
+				// dW_x [g*H, F] = dGates [g*H, B*T] x X^T [B*T, F]
+				tensor.NewGEMM(g*r.Hidden, in.Feat, in.Batch*in.Time, r.LayerName+dir+"_xproj_wgrad"),
+			}, Repeat: 1},
+			tensor.Block{Ops: []tensor.Op{
+				tensor.NewGEMM(r.Hidden, in.Batch, g*r.Hidden, r.LayerName+dir+"_hproj_dgrad"),
+				tensor.NewGEMM(g*r.Hidden, r.Hidden, in.Batch, r.LayerName+dir+"_hproj_wgrad"),
+				tensor.NewElementwise(g*r.Hidden*in.Batch, opsPerGateElem, r.LayerName+dir+"_gates_bwd"),
+			}, Repeat: in.Time},
+		)
 	}
-	return ops
+	return blocks
 }

@@ -81,8 +81,7 @@ func ProfileIteration(sim *gpusim.Simulator, m models.Model, batch, seqLen int) 
 	if batch <= 0 || seqLen <= 0 {
 		return IterationProfile{}, fmt.Errorf("profiler: invalid iteration batch=%d seqLen=%d", batch, seqLen)
 	}
-	ops := m.IterationOps(batch, seqLen)
-	return profileOps(sim, ops, batch, seqLen, true)
+	return profileOps(sim, m.IterationBlocks(batch, seqLen), batch, seqLen, true), nil
 }
 
 // ProfileEval runs one forward-only evaluation pass.
@@ -90,113 +89,81 @@ func ProfileEval(sim *gpusim.Simulator, m models.Model, batch, seqLen int) (Iter
 	if batch <= 0 || seqLen <= 0 {
 		return IterationProfile{}, fmt.Errorf("profiler: invalid eval batch=%d seqLen=%d", batch, seqLen)
 	}
-	ops := m.EvalOps(batch, seqLen)
-	return profileOps(sim, ops, batch, seqLen, false)
+	return profileOps(sim, m.EvalBlocks(batch, seqLen), batch, seqLen, false), nil
 }
 
-// pricedOp is one distinct op value's pricing: its invocation and the
-// kernel stat and label total that every launch of it adds into.
+// pricedOp is one op of a block, priced: its invocation and the kernel
+// stat and label total that every launch of it adds into.
 type pricedOp struct {
 	inv   gpusim.Invocation
 	ks    *KernelStat
 	label *float64 // nil for an unlabeled op
 }
 
-// opMemo maps each distinct op value to its pricing, one map per op
-// type of package tensor: hashing a concrete struct is far cheaper than
-// hashing an interface. Any other op type may hold a slice or map, and
-// hashing it would panic, so such ops are priced at every launch.
-type opMemo struct {
-	gemm map[tensor.GEMM]*pricedOp
-	conv map[tensor.Conv2D]*pricedOp
-	ew   map[tensor.Elementwise]*pricedOp
-	red  map[tensor.Reduction]*pricedOp
-	emb  map[tensor.Embedding]*pricedOp
-}
-
-// get returns op's pricing, calling price on the first launch of each
-// distinct value.
-func (m *opMemo) get(op tensor.Op, price func(tensor.Op) *pricedOp) *pricedOp {
-	switch o := op.(type) {
-	case tensor.GEMM:
-		return memoized(&m.gemm, o, price)
-	case tensor.Conv2D:
-		return memoized(&m.conv, o, price)
-	case tensor.Elementwise:
-		return memoized(&m.ew, o, price)
-	case tensor.Reduction:
-		return memoized(&m.red, o, price)
-	case tensor.Embedding:
-		return memoized(&m.emb, o, price)
-	}
-	return price(op)
-}
-
-// memoized looks op up in *memo, making the map on first use and
-// pricing op on a miss.
-func memoized[K interface {
-	comparable
-	tensor.Op
-}](memo *map[K]*pricedOp, op K, price func(tensor.Op) *pricedOp) *pricedOp {
-	if *memo == nil {
-		*memo = make(map[K]*pricedOp)
-	}
-	po, ok := (*memo)[op]
-	if !ok {
-		po = price(op)
-		(*memo)[op] = po
-	}
-	return po
-}
-
-// profileOps aggregates ops in op order. A model launches few distinct
-// op values many times (a recurrent layer repeats its per-timestep ops
-// every step), so each distinct value is priced once and its pricing
-// reused; the sums still add once per op, in op order, so every float
-// rounds exactly as if each op were priced anew. With tune set, the
-// profile records its tuned shapes.
-func profileOps(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int, tune bool) (IterationProfile, error) {
-	p := IterationProfile{
-		SeqLen:      seqLen,
-		Batch:       batch,
-		LabelTimeUS: make(map[string]float64),
+// profileOps aggregates an iteration given as blocks. Each op of a
+// block is priced once, in op order, before the block's first launch:
+// that resolves its kernel stat, its label total and, with tune set,
+// its tuned shape, so tuned shapes keep first-launch order. The block
+// then adds every launch's time, kernel count and counters Repeat
+// times over, in launch order, so every float sums exactly as it would
+// over the flattened stream (tensor.Flatten) with each launch priced
+// anew. Blocks with Repeat <= 0 launch nothing and are skipped.
+func profileOps(sim *gpusim.Simulator, blocks []tensor.Block, batch, seqLen int, tune bool) IterationProfile {
+	p := IterationProfile{SeqLen: seqLen, Batch: batch}
+	// Nearly every op carries its own label, so the op count sizes the
+	// per-label and per-shape maps without regrowth.
+	n := 0
+	for _, b := range blocks {
+		n += len(b.Ops)
 	}
 	byKernel := make(map[string]*KernelStat)
-	labels := make(map[string]*float64)
-	tuned := make(map[string]bool)
-	price := func(op tensor.Op) *pricedOp {
-		inv := sim.Price(op)
-		po := &pricedOp{inv: inv, ks: byKernel[inv.Kernel]}
-		if po.ks == nil {
-			po.ks = &KernelStat{Kernel: inv.Kernel, Kind: inv.Kind}
-			byKernel[inv.Kernel] = po.ks
+	labels := make(map[string]*float64, n)
+	var tuned map[string]bool
+	if tune {
+		tuned = make(map[string]bool, n)
+	}
+	var priced []pricedOp
+	for _, b := range blocks {
+		if b.Repeat <= 0 {
+			continue
 		}
-		if inv.Label != "" {
-			if po.label = labels[inv.Label]; po.label == nil {
-				po.label = new(float64)
-				labels[inv.Label] = po.label
+		priced = priced[:0]
+		for _, op := range b.Ops {
+			inv := sim.Price(op)
+			po := pricedOp{inv: inv, ks: byKernel[inv.Kernel]}
+			if po.ks == nil {
+				po.ks = &KernelStat{Kernel: inv.Kernel, Kind: inv.Kind}
+				byKernel[inv.Kernel] = po.ks
+			}
+			if inv.Label != "" {
+				if po.label = labels[inv.Label]; po.label == nil {
+					po.label = new(float64)
+					labels[inv.Label] = po.label
+				}
+			}
+			if tune && (inv.Kind == tensor.KindGEMM || inv.Kind == tensor.KindConv2D) && !tuned[inv.Signature] {
+				tuned[inv.Signature] = true
+				p.TunedShapes = append(p.TunedShapes, TunedShape{Signature: inv.Signature, TimeUS: inv.TimeUS})
+			}
+			priced = append(priced, po)
+		}
+		for r := 0; r < b.Repeat; r++ {
+			for i := range priced {
+				po := &priced[i]
+				inv := &po.inv
+				p.TimeUS += inv.TimeUS
+				p.NumKernels++
+				p.Counters.Add(inv.Counters)
+				po.ks.Count++
+				po.ks.TimeUS += inv.TimeUS
+				po.ks.Counters.Add(inv.Counters)
+				if po.label != nil {
+					*po.label += inv.TimeUS
+				}
 			}
 		}
-		if tune && (inv.Kind == tensor.KindGEMM || inv.Kind == tensor.KindConv2D) && !tuned[inv.Signature] {
-			tuned[inv.Signature] = true
-			p.TunedShapes = append(p.TunedShapes, TunedShape{Signature: inv.Signature, TimeUS: inv.TimeUS})
-		}
-		return po
 	}
-	var memo opMemo
-	for _, op := range ops {
-		po := memo.get(op, price)
-		inv := &po.inv
-		p.TimeUS += inv.TimeUS
-		p.NumKernels++
-		p.Counters.Add(inv.Counters)
-		po.ks.Count++
-		po.ks.TimeUS += inv.TimeUS
-		po.ks.Counters.Add(inv.Counters)
-		if po.label != nil {
-			*po.label += inv.TimeUS
-		}
-	}
+	p.LabelTimeUS = make(map[string]float64, len(labels))
 	for label, us := range labels {
 		p.LabelTimeUS[label] = *us
 	}
@@ -210,7 +177,7 @@ func profileOps(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int, tune 
 		}
 		return p.Kernels[i].Kernel < p.Kernels[j].Kernel
 	})
-	return p, nil
+	return p
 }
 
 // UniqueKernels returns the set of distinct kernel symbols invoked.

@@ -31,7 +31,7 @@ func TestProfileIterationAggregates(t *testing.T) {
 	if p.TimeUS <= 0 {
 		t.Error("iteration time must be positive")
 	}
-	if p.NumKernels != len(m.IterationOps(16, 100)) {
+	if p.NumKernels != len(tensor.Flatten(m.IterationBlocks(16, 100))) {
 		t.Errorf("NumKernels = %d, want one per op", p.NumKernels)
 	}
 	// Kernel breakdown must sum back to the totals.

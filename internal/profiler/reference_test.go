@@ -13,11 +13,12 @@ import (
 )
 
 // referenceAutotuneUS is the autotune charge as it was computed before
-// profiles recorded their tuned shapes: it rebuilds the iteration's op
-// stream and prices the first launch of every new GEMM/conv signature.
+// profiles recorded their tuned shapes: it rebuilds the iteration's
+// flat op stream and prices the first launch of every new GEMM/conv
+// signature.
 func referenceAutotuneUS(sim *gpusim.Simulator, m models.Model, batch, seqLen int, seen map[string]bool) float64 {
 	var us float64
-	for _, op := range m.IterationOps(batch, seqLen) {
+	for _, op := range tensor.Flatten(m.IterationBlocks(batch, seqLen)) {
 		if op.Kind() != tensor.KindGEMM && op.Kind() != tensor.KindConv2D {
 			continue
 		}
@@ -32,9 +33,9 @@ func referenceAutotuneUS(sim *gpusim.Simulator, m models.Model, batch, seqLen in
 	return us
 }
 
-// referenceProfile aggregates ops with no pricing memo: every op is
-// priced at every launch. With tune set it records the tuned shapes
-// from those per-launch prices.
+// referenceProfile aggregates a flat op stream, pricing every op at
+// every launch. With tune set it records the tuned shapes from those
+// per-launch prices.
 func referenceProfile(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int, tune bool) IterationProfile {
 	p := IterationProfile{
 		SeqLen:      seqLen,
@@ -79,7 +80,7 @@ func referenceProfile(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int,
 
 // referenceStep is ProfileStep over referenceProfile.
 func referenceStep(sim *gpusim.Simulator, cl gpusim.ClusterConfig, m models.Model, shardBatch, seqLen int) IterationProfile {
-	p := referenceProfile(sim, m.IterationOps(shardBatch, seqLen), shardBatch, seqLen, true)
+	p := referenceProfile(sim, tensor.Flatten(m.IterationBlocks(shardBatch, seqLen)), shardBatch, seqLen, true)
 	if cl.GPUs > 1 {
 		p.CommUS = cl.ExposedCommUS(cl.AllReduceUS(models.GradientBytes(m)), p.TimeUS)
 		p.TimeUS += p.CommUS
@@ -109,9 +110,9 @@ func customModel(t *testing.T) models.Model {
 	return m
 }
 
-// TestMemoizedProfileMatchesReference checks the pricing memo and the
-// tuned-shape autotune charge against the unmemoized reference over
-// every model family, several shard batches, SLs across each model's
+// TestMemoizedProfileMatchesReference checks block-wise pricing and the
+// tuned-shape autotune charge against the per-launch reference over the
+// flattened stream, for every model family, several shard batches, SLs across each model's
 // range (listed in an unsorted, plan-like order) and 1 and 4 GPUs.
 // Profiles must deep-equal; autotune summed over the SLs with one
 // shared seen map must be bit-equal.
@@ -141,7 +142,7 @@ func TestMemoizedProfileMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						if ref := referenceStep(s, cl, tc.m, shard, sl); !reflect.DeepEqual(p, ref) {
-							t.Fatalf("SL %d: memoized profile differs from the reference", sl)
+							t.Fatalf("SL %d: block-priced profile differs from the reference", sl)
 						}
 						got += AutotuneUS(p, seen)
 						want += referenceAutotuneUS(s, tc.m, shard, sl, refSeen)
@@ -165,8 +166,8 @@ func TestEvalProfileMatchesReferenceAndTunesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := referenceProfile(s, m.EvalOps(8, 60), 8, 60, false); !reflect.DeepEqual(p, want) {
-			t.Errorf("%s: memoized eval profile differs from the reference", m.Name())
+		if want := referenceProfile(s, tensor.Flatten(m.EvalBlocks(8, 60)), 8, 60, false); !reflect.DeepEqual(p, want) {
+			t.Errorf("%s: block-priced eval profile differs from the reference", m.Name())
 		}
 		if p.TunedShapes != nil {
 			t.Errorf("%s: eval profile records %d tuned shapes, want none", m.Name(), len(p.TunedShapes))
@@ -175,7 +176,8 @@ func TestEvalProfileMatchesReferenceAndTunesNothing(t *testing.T) {
 }
 
 // sliceOp is a tensor.Op implemented outside package tensor whose
-// dynamic type is not comparable: using it as a map key would panic.
+// dynamic type is not comparable: pricing must never use an op as a map
+// key, or it would panic.
 type sliceOp struct {
 	dims  []int
 	label string
@@ -198,25 +200,24 @@ func (o sliceOp) Signature() string {
 // timestep, the same value every time.
 type sliceOpModel struct{ models.Model }
 
-func (m sliceOpModel) IterationOps(batch, seqLen int) []tensor.Op {
-	ops := m.Model.IterationOps(batch, seqLen)
-	step := sliceOp{dims: []int{64, batch, 32}, label: "custom_step"}
-	for t := 0; t < seqLen; t++ {
-		ops = append(ops, step)
-	}
-	return append(ops, sliceOp{dims: []int{128, batch * seqLen, 64}, label: "custom_all"})
+func (m sliceOpModel) IterationBlocks(batch, seqLen int) []tensor.Block {
+	blocks := m.Model.IterationBlocks(batch, seqLen)
+	return append(blocks,
+		tensor.Block{Ops: []tensor.Op{sliceOp{dims: []int{64, batch, 32}, label: "custom_step"}}, Repeat: seqLen},
+		tensor.Block{Ops: []tensor.Op{sliceOp{dims: []int{128, batch * seqLen, 64}, label: "custom_all"}}, Repeat: 1},
+	)
 }
 
 // TestNonComparableOpPricedNotHashed proves an op type that cannot key
-// a map is priced at every launch instead of panicking, with the same
-// profile and autotune charge as the reference.
+// a map is priced without being hashed instead of panicking, with the
+// same profile and autotune charge as the reference.
 func TestNonComparableOpPricedNotHashed(t *testing.T) {
 	s := sim(t)
 	m := sliceOpModel{models.NewGNMT()}
 	seen, refSeen := make(map[string]bool), make(map[string]bool)
 	for _, sl := range []int{5, 12} {
 		p := trainProfile(t, s, m, 4, sl)
-		if want := referenceProfile(s, m.IterationOps(4, sl), 4, sl, true); !reflect.DeepEqual(p, want) {
+		if want := referenceProfile(s, tensor.Flatten(m.IterationBlocks(4, sl)), 4, sl, true); !reflect.DeepEqual(p, want) {
 			t.Fatalf("SL %d: profile with a non-comparable op differs from the reference", sl)
 		}
 		if got, want := AutotuneUS(p, seen), referenceAutotuneUS(s, m, 4, sl, refSeen); got != want {
@@ -225,5 +226,46 @@ func TestNonComparableOpPricedNotHashed(t *testing.T) {
 		if !refSeen["gemm:64x4x32:custom_step"] || !seen["gemm:64x4x32:custom_step"] {
 			t.Fatal("the non-comparable op's shape was not tuned")
 		}
+	}
+}
+
+// TestNonPositiveRepeatLaunchesNothing: a block with Repeat 0 or below
+// launches nothing, so it adds no time, kernel, label or tuned shape,
+// exactly as the reference over the flattened stream sees it.
+func TestNonPositiveRepeatLaunchesNothing(t *testing.T) {
+	s := sim(t)
+	skipped := []tensor.Op{
+		tensor.NewGEMM(96, 48, 512, "skipped_gemm"),
+		tensor.NewConv2D(2, 8, 16, 16, 8, 3, 3, 1, 1, 1, 1, "skipped_conv"),
+		tensor.NewElementwise(4096, 3, "skipped_ew"),
+	}
+	run := []tensor.Op{tensor.NewGEMM(64, 32, 128, "run_gemm"), tensor.NewElementwise(2048, 2, "run_ew")}
+	blocks := []tensor.Block{{Ops: skipped, Repeat: 0}, {Ops: run, Repeat: 3}, {Ops: skipped, Repeat: -4}}
+
+	p := profileOps(s, blocks, 4, 9, true)
+	if want := referenceProfile(s, tensor.Flatten(blocks), 4, 9, true); !reflect.DeepEqual(p, want) {
+		t.Fatal("profile with skipped blocks differs from the reference")
+	}
+	if p.NumKernels != 6 {
+		t.Errorf("NumKernels = %d, want 6 (two ops launched three times)", p.NumKernels)
+	}
+	if len(p.TunedShapes) != 1 || p.TunedShapes[0].Signature != run[0].Signature() {
+		t.Errorf("tuned shapes = %+v, want only %s", p.TunedShapes, run[0].Signature())
+	}
+	for label := range p.LabelTimeUS {
+		if label != "run_gemm" && label != "run_ew" {
+			t.Errorf("label %q of a skipped block was recorded", label)
+		}
+	}
+	for _, ks := range p.Kernels {
+		if ks.Count <= 0 {
+			t.Errorf("kernel %s recorded with %d launches", ks.Kernel, ks.Count)
+		}
+	}
+
+	empty := profileOps(s, []tensor.Block{{Ops: skipped, Repeat: 0}, {Ops: skipped, Repeat: -1}}, 4, 9, true)
+	if empty.TimeUS != 0 || empty.NumKernels != 0 || len(empty.Kernels) != 0 ||
+		len(empty.LabelTimeUS) != 0 || empty.TunedShapes != nil {
+		t.Errorf("blocks that launch nothing produced %+v", empty)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
+	"seqpoint/internal/tensor"
 )
 
 // TraceIteration returns the raw kernel-invocation stream of one
@@ -17,7 +18,7 @@ func TraceIteration(sim *gpusim.Simulator, m models.Model, batch, seqLen int) ([
 	if batch <= 0 || seqLen <= 0 {
 		return nil, fmt.Errorf("profiler: invalid iteration batch=%d seqLen=%d", batch, seqLen)
 	}
-	ops := m.IterationOps(batch, seqLen)
+	ops := tensor.Flatten(m.IterationBlocks(batch, seqLen))
 	invs := make([]gpusim.Invocation, len(ops))
 	for i, op := range ops {
 		invs[i] = sim.Price(op)

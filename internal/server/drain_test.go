@@ -193,6 +193,8 @@ func TestComputePanicContained(t *testing.T) {
 // back to zero, every rejection attributed.
 func TestServiceCounterConsistency(t *testing.T) {
 	s := testServer(Options{MaxInflight: 2})
+	joined := make(chan struct{})
+	s.onJoin = func() { close(joined) }
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -232,7 +234,7 @@ func TestServiceCounterConsistency(t *testing.T) {
 			t.Errorf("coalesced follower status = %d, want 200", status)
 		}
 	}()
-	waitForCounter(t, &s.coalesced, 1)
+	<-joined
 
 	// A limiter rejection: fill the remaining slot, then knock.
 	s.sem <- struct{}{}
@@ -291,17 +293,5 @@ func TestServiceCounterConsistency(t *testing.T) {
 	}
 	if st.Rejected != 2 {
 		t.Errorf("rejected = %d, want 2 (limiter + drain)", st.Rejected)
-	}
-}
-
-// waitForCounter polls an atomic counter until it reaches want.
-func waitForCounter(t *testing.T, c interface{ Load() int64 }, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Load() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("counter stuck at %d, want %d", c.Load(), want)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -22,6 +22,14 @@ import (
 func TestE2EConcurrentDeterminism(t *testing.T) {
 	eng := engine.New()
 	srv := New(Options{Engine: eng, MaxInflight: 8})
+	// Hold every flight's leader until some request has joined a
+	// flight, so identical concurrent requests provably coalesce instead
+	// of merely tending to overlap in time. Only three flights can lead
+	// at once, one per query, so the fourth request always joins one.
+	joined := make(chan struct{})
+	var joinOnce sync.Once
+	srv.onJoin = func() { joinOnce.Do(func() { close(joined) }) }
+	srv.onLead = func() { <-joined }
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

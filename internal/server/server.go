@@ -151,6 +151,11 @@ type Server struct {
 	// now is the clock, swappable by tests (latency observation and
 	// snapshot age both read it).
 	now func() time.Time
+	// onJoin and onLead are nil outside tests, which set them before
+	// serving to order the coalescing race: onJoin runs after a request
+	// joins an in-progress flight, onLead before a flight's leader
+	// computes.
+	onJoin, onLead func()
 }
 
 // New builds a Server over opts.Engine.
@@ -525,6 +530,9 @@ func (s *Server) execute(ctx context.Context, key string, compute func() (int, [
 	if f, ok := s.flights[key]; ok {
 		s.flightMu.Unlock()
 		s.coalesced.Add(1)
+		if s.onJoin != nil {
+			s.onJoin()
+		}
 		select {
 		case <-f.done:
 			return f.status, f.body
@@ -583,6 +591,9 @@ func (s *Server) execute(ctx context.Context, key string, compute func() (int, [
 				finish(status, errorBody(status, fmt.Errorf("simulation panicked: %v", p)))
 			}
 		}()
+		if s.onLead != nil {
+			s.onLead()
+		}
 		status, body := compute()
 		finish(status, body)
 	}()

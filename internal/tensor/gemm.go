@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // GEMM is a dense matrix multiply C[M,N] = A[M,K] x B[K,N] (+ C).
 // Label carries the layer-level role (e.g. "lstm_input", "attention_score",
@@ -50,7 +53,7 @@ func (g GEMM) WorkingSet() float64 {
 // Signature encodes the exact shape, which is what a BLAS library keys
 // its dispatch (and autotuning) on.
 func (g GEMM) Signature() string {
-	return fmt.Sprintf("gemm:%dx%dx%d", g.M, g.N, g.K)
+	return "gemm:" + strconv.Itoa(g.M) + "x" + strconv.Itoa(g.N) + "x" + strconv.Itoa(g.K)
 }
 
 // Transposed returns the GEMM computing the gradient with respect to one
@@ -124,6 +127,8 @@ func (c Conv2D) WorkingSet() float64 {
 // Signature encodes the full convolution geometry, which is what MIOpen
 // autotunes per shape.
 func (c Conv2D) Signature() string {
-	return fmt.Sprintf("conv:n%d_c%d_h%d_w%d_k%d_r%d_s%d_u%d_v%d",
-		c.N, c.C, c.H, c.W, c.OutC, c.KH, c.KW, c.SH, c.SW)
+	return "conv:n" + strconv.Itoa(c.N) + "_c" + strconv.Itoa(c.C) +
+		"_h" + strconv.Itoa(c.H) + "_w" + strconv.Itoa(c.W) + "_k" + strconv.Itoa(c.OutC) +
+		"_r" + strconv.Itoa(c.KH) + "_s" + strconv.Itoa(c.KW) +
+		"_u" + strconv.Itoa(c.SH) + "_v" + strconv.Itoa(c.SW)
 }

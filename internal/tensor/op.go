@@ -77,3 +77,31 @@ type Op interface {
 	// share one autotune decision.
 	Signature() string
 }
+
+// Block is a run of ops launched back to back, Repeat times over. A
+// recurrent or attention layer launches the same per-timestep kernels
+// once per step (the paper's key observations 1-3), so it emits those
+// ops as one block with Repeat equal to the step count; every other
+// stage is a block of Repeat 1. Repeat <= 0 launches nothing, just as
+// a step loop over zero timesteps does. Pricing walks blocks, so each
+// op of a block is priced once however many times it launches.
+type Block struct {
+	Ops    []Op
+	Repeat int
+}
+
+// Flatten returns the launch order of blocks: each block's ops, Repeat
+// times over, block after block.
+func Flatten(blocks []Block) []Op {
+	n := 0
+	for _, b := range blocks {
+		n += len(b.Ops) * max(b.Repeat, 0)
+	}
+	ops := make([]Op, 0, n)
+	for _, b := range blocks {
+		for r := 0; r < b.Repeat; r++ {
+			ops = append(ops, b.Ops...)
+		}
+	}
+	return ops
+}

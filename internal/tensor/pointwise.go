@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Elementwise is a pointwise map over Elems elements performing
 // OpsPerElem floating-point operations each (sigmoid/tanh gate math,
@@ -37,7 +40,7 @@ func (e Elementwise) WorkingSet() float64 { return 0 }
 // Signature buckets by label and element count; pointwise kernels are
 // shape-agnostic beyond their launch geometry.
 func (e Elementwise) Signature() string {
-	return fmt.Sprintf("ew:%s:%d", e.Label, e.Elems)
+	return "ew:" + e.Label + ":" + strconv.Itoa(e.Elems)
 }
 
 // Reduction folds Elems elements down to Groups results (softmax row
@@ -73,7 +76,7 @@ func (r Reduction) WorkingSet() float64 { return 0 }
 
 // Signature buckets by label and size.
 func (r Reduction) Signature() string {
-	return fmt.Sprintf("red:%s:%d", r.Label, r.Elems)
+	return "red:" + r.Label + ":" + strconv.Itoa(r.Elems)
 }
 
 // Embedding is a gather of Lookups rows of width Dim from a table of
@@ -118,5 +121,5 @@ func (e Embedding) WorkingSet() float64 {
 
 // Signature buckets by table geometry and lookup count.
 func (e Embedding) Signature() string {
-	return fmt.Sprintf("emb:%s:%dx%d:%d", e.Label, e.Rows, e.Dim, e.Lookups)
+	return "emb:" + e.Label + ":" + strconv.Itoa(e.Rows) + "x" + strconv.Itoa(e.Dim) + ":" + strconv.Itoa(e.Lookups)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -208,5 +209,52 @@ func TestQuickGEMMFLOPsMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestFlattenLaunchOrder(t *testing.T) {
+	a, b, c := NewGEMM(1, 2, 3, "a"), NewElementwise(4, 1, "b"), NewReduction(8, 2, "c")
+	got := Flatten([]Block{
+		{Ops: []Op{a}, Repeat: 1},
+		{Ops: []Op{b, c}, Repeat: 3},
+		{Ops: []Op{a, b}, Repeat: 0},
+		{Ops: []Op{c}, Repeat: -2},
+		{Ops: []Op{c, a}, Repeat: 1},
+	})
+	want := []Op{a, b, c, b, c, b, c, c, a}
+	if len(got) != len(want) {
+		t.Fatalf("Flatten launched %d ops, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("launch %d = %s, want %s", i, got[i].Signature(), want[i].Signature())
+		}
+	}
+	if n := len(Flatten([]Block{{Ops: []Op{a}, Repeat: 0}, {Ops: []Op{b}, Repeat: -1}})); n != 0 {
+		t.Errorf("blocks with Repeat <= 0 launched %d ops, want none", n)
+	}
+}
+
+// TestSignaturesMatchFormatted pins every op signature, built by
+// concatenation, to the fmt format it replaced: signatures key autotune
+// and the engine fingerprint, so a byte of drift would re-key caches.
+func TestSignaturesMatchFormatted(t *testing.T) {
+	cases := []struct {
+		op   Op
+		want string
+	}{
+		{NewGEMM(4096, 2560, 1024, "enc_lstm_0_d1_xproj"), fmt.Sprintf("gemm:%dx%dx%d", 4096, 2560, 1024)},
+		{NewGEMM(1, 7, 123456, ""), fmt.Sprintf("gemm:%dx%dx%d", 1, 7, 123456)},
+		{NewConv2D(64, 1, 161, 400, 32, 41, 11, 2, 2, 20, 5, "conv1"),
+			fmt.Sprintf("conv:n%d_c%d_h%d_w%d_k%d_r%d_s%d_u%d_v%d", 64, 1, 161, 400, 32, 41, 11, 2, 2)},
+		{NewElementwise(3200*64, 12, "gru_3_d1_gates"), fmt.Sprintf("ew:%s:%d", "gru_3_d1_gates", 3200*64)},
+		{NewElementwise(9, 1, ""), fmt.Sprintf("ew:%s:%d", "", 9)},
+		{NewReduction(1024*50, 50, "softmax_max"), fmt.Sprintf("red:%s:%d", "softmax_max", 1024*50)},
+		{NewEmbedding(36549, 1024, 64*40, "src_embed"), fmt.Sprintf("emb:%s:%dx%d:%d", "src_embed", 36549, 1024, 64*40)},
+	}
+	for _, tc := range cases {
+		if got := tc.op.Signature(); got != tc.want {
+			t.Errorf("%T signature = %q, want %q", tc.op, got, tc.want)
+		}
 	}
 }

@@ -170,7 +170,8 @@ var (
 // Layer library for user-defined models (Section VII-B: SeqPoint applies
 // to any network whose computation varies with input sequence length).
 // Assemble layers with NewCustomModel; each layer emits the logical ops
-// its forward and backward passes launch.
+// its forward and backward passes launch, as blocks of ops with a
+// repeat count.
 type (
 	// Layer is one network stage.
 	Layer = nn.Layer
@@ -180,7 +181,13 @@ type (
 	CellKind = nn.CellKind
 	// Op is a logical operation with first-order cost quantities.
 	Op = tensor.Op
+	// Block is a run of ops launched back to back Repeat times; a
+	// layer emits its per-timestep ops as one block repeated per step.
+	Block = tensor.Block
 )
+
+// Flatten returns the launch order of a list of blocks.
+var Flatten = tensor.Flatten
 
 // Recurrent cell kinds.
 const (

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -118,6 +119,13 @@ func TestRunGracefulDrain(t *testing.T) {
 // snapshot reports a warm start.
 func TestRunWarmRestart(t *testing.T) {
 	cacheFile := filepath.Join(t.TempDir(), "cache.json")
+	// The first start finds a snapshot in the retired format 2: it logs
+	// the file as unusable and serves cold, and its shutdown snapshot
+	// warms the second start.
+	stale := `{"magic": "seqpoint-profile-cache", "version": 2, "entries": []}`
+	if err := os.WriteFile(cacheFile, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	runOnce := func(warmAssert bool) {
 		logs := &logSink{}
@@ -156,6 +164,8 @@ func TestRunWarmRestart(t *testing.T) {
 			if !strings.Contains(logs.joined(), "restored") {
 				t.Fatalf("restart log never mentioned the restored cache:\n%s", logs.joined())
 			}
+		} else if !strings.Contains(logs.joined(), "unusable") {
+			t.Fatalf("start log never refused the format-2 cache:\n%s", logs.joined())
 		}
 		cancel()
 		select {

@@ -17,10 +17,13 @@ import (
 // anything that feeds a cached profile changes — the Key layout, the
 // IterationProfile layout, or the cost model itself — and every older
 // snapshot is invalidated wholesale on load instead of silently serving
-// stale prices. Format 2 adds each training profile's tuned shapes,
-// which the trainer charges autotune from; a format-1 file lacks them,
-// so it is refused and the daemon cold-starts once.
-const SnapshotVersion = 2
+// stale prices. Format 2 added each training profile's tuned shapes,
+// which the trainer charges autotune from. Format 3 drops the
+// per-kernel and per-label breakdowns, which no cached reader used: an
+// entry holds the iteration's time, communication time, kernel count,
+// counters and tuned shapes. An older file is refused, so the daemon
+// logs why and cold-starts once.
+const SnapshotVersion = 3
 
 // snapshotMagic distinguishes a seqpoint cache file from arbitrary JSON.
 const snapshotMagic = "seqpoint-profile-cache"
@@ -188,8 +191,19 @@ func validateEntry(se snapshotEntry) error {
 		return fmt.Errorf("profile comm time %v must be finite and non-negative", se.Profile.CommUS)
 	case se.Profile.NumKernels < 0:
 		return fmt.Errorf("kernel count %d must be non-negative", se.Profile.NumKernels)
+	case se.Profile.SeqLen != se.Key.SeqLen:
+		return fmt.Errorf("profile sequence length %d does not match key %d", se.Profile.SeqLen, se.Key.SeqLen)
+	case se.Profile.Batch != se.Key.Cluster.ShardBatch(se.Key.Batch):
+		return fmt.Errorf("profile batch %d is not the shard batch of key batch %d on %d GPUs",
+			se.Profile.Batch, se.Key.Batch, se.Key.Cluster.GPUs)
 	case se.Key.Phase == PhaseEval && len(se.Profile.TunedShapes) > 0:
 		return fmt.Errorf("eval profile records %d tuned shapes, want none", len(se.Profile.TunedShapes))
+	}
+	c := se.Profile.Counters
+	for _, v := range [...]float64{c.VALUInsts, c.LoadBytes, c.StoreBytes, c.MemWriteStallCycles} {
+		if !(v >= 0) || math.IsInf(v, 0) {
+			return fmt.Errorf("profile counters %+v must be finite and non-negative", c)
+		}
 	}
 	sigs := make(map[string]bool, len(se.Profile.TunedShapes))
 	for _, ts := range se.Profile.TunedShapes {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"seqpoint/internal/gpusim"
@@ -195,24 +196,26 @@ func TestLoadSnapshotRejectsTamperedEntries(t *testing.T) {
 		t.Fatalf("tampered snapshot installed %d entries, want 0", got)
 	}
 
-	// Tampered tuned shapes. Each case edits the decoded snapshot and
-	// loads it back; JSON cannot carry NaN or infinity, so those two
-	// cases go straight to the validating install step.
-	train, eval := -1, -1
+	// Tampered fields of the cached record. Each case edits the decoded
+	// snapshot and loads it back; JSON cannot carry NaN or infinity, so
+	// those cases go straight to the validating install step.
+	train, eval, cluster := -1, -1, -1
 	var snap snapshotFile
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
 	for i, se := range snap.Entries {
 		switch {
+		case se.Key.Phase == PhaseTrain && se.Key.Cluster.GPUs > 1 && cluster < 0:
+			cluster = i
 		case se.Key.Phase == PhaseTrain && len(se.Profile.TunedShapes) > 1 && train < 0:
 			train = i
 		case se.Key.Phase == PhaseEval && eval < 0:
 			eval = i
 		}
 	}
-	if train < 0 || eval < 0 {
-		t.Fatal("warm snapshot lacks a train entry with tuned shapes or an eval entry")
+	if train < 0 || eval < 0 || cluster < 0 {
+		t.Fatal("warm snapshot lacks a train entry with tuned shapes, an eval entry or a cluster entry")
 	}
 	cases := []struct {
 		name   string
@@ -228,6 +231,14 @@ func TestLoadSnapshotRejectsTamperedEntries(t *testing.T) {
 		{"infinite tuned time", func(es []snapshotEntry) { es[train].Profile.TunedShapes[0].TimeUS = math.Inf(1) }},
 		{"tuned shapes on an eval entry", func(es []snapshotEntry) {
 			es[eval].Profile.TunedShapes = []profiler.TunedShape{{Signature: "gemm:1x1x1", TimeUS: 1}}
+		}},
+		{"negative counter", func(es []snapshotEntry) { es[train].Profile.Counters.LoadBytes = -1 }},
+		{"NaN counter", func(es []snapshotEntry) { es[eval].Profile.Counters.VALUInsts = math.NaN() }},
+		{"infinite counter", func(es []snapshotEntry) { es[train].Profile.Counters.MemWriteStallCycles = math.Inf(1) }},
+		{"profile SL differs from key", func(es []snapshotEntry) { es[train].Profile.SeqLen++ }},
+		{"profile batch differs from key", func(es []snapshotEntry) { es[eval].Profile.Batch++ }},
+		{"cluster profile at the global batch", func(es []snapshotEntry) {
+			es[cluster].Profile.Batch = es[cluster].Key.Batch
 		}},
 	}
 	for _, tc := range cases {
@@ -265,22 +276,26 @@ func TestLoadSnapshotVersionMismatchInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := bytes.Replace(data,
-		[]byte(fmt.Sprintf(`"version": %d`, SnapshotVersion)), []byte(`"version": 9999`), 1)
-	if bytes.Equal(stale, data) {
-		t.Fatal("test could not rewrite the snapshot version field")
-	}
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Format 2, whose profiles carried per-kernel and per-label
+	// breakdowns, and a version from the future.
+	for _, version := range []int{2, 9999} {
+		stale := bytes.Replace(data,
+			[]byte(fmt.Sprintf(`"version": %d`, SnapshotVersion)), []byte(fmt.Sprintf(`"version": %d`, version)), 1)
+		if bytes.Equal(stale, data) {
+			t.Fatal("test could not rewrite the snapshot version field")
+		}
+		if err := os.WriteFile(path, stale, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	e := New()
-	n, err := e.LoadSnapshot(path)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version-mismatched snapshot: got (%d, %v), want version error", n, err)
-	}
-	if got := e.Stats().Entries; got != 0 {
-		t.Fatalf("version-mismatched snapshot installed %d entries, want 0", got)
+		e := New()
+		n, err := e.LoadSnapshot(path)
+		if err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version-%d snapshot: got (%d, %v), want version error", version, n, err)
+		}
+		if got := e.Stats().Entries; got != 0 {
+			t.Fatalf("version-%d snapshot installed %d entries, want 0", version, got)
+		}
 	}
 }
 
@@ -332,4 +347,65 @@ func TestReadSnapshotKeepsExistingEntries(t *testing.T) {
 	if got := dst.Stats().Entries; got != int64(total) {
 		t.Fatalf("cache holds %d entries after merge, want %d", got, total)
 	}
+}
+
+// loadBench is the snapshot BenchmarkSnapshotLoad restores, built once
+// per process.
+var loadBench struct {
+	once    sync.Once
+	data    []byte
+	entries int
+	err     error
+}
+
+// BenchmarkSnapshotLoad times a warm restart's snapshot restore:
+// ReadSnapshot into a fresh engine, from a cache warmed with the key
+// space a warm daemon serves. That is each of the four SQNNs on config
+// #1 and one GPU, with train profiles at batches 1-4 and eval profiles
+// at batches 1-16, over 24 SLs across the model's corpus range; eval
+// adds the decode length 1. It reports the snapshot's size and entry
+// count alongside the load time.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	loadBench.once.Do(func() {
+		e := New()
+		hw, cl := gpusim.VegaFE(), gpusim.SingleGPU()
+		for _, m := range []models.Model{models.NewDS2(), models.NewGNMT(), models.NewTransformer(), models.NewSeq2Seq()} {
+			start, step := 4, 4
+			if m.Name() == "ds2" {
+				start, step = 50, 10
+			}
+			sls := make([]int, 24)
+			for i := range sls {
+				sls[i] = start + i*step
+			}
+			for batch := 1; batch <= 16; batch++ {
+				if batch <= 4 {
+					if _, err := e.ProfileSLs(hw, cl, m, batch, sls, PhaseTrain); err != nil {
+						loadBench.err = err
+						return
+					}
+				}
+				if _, err := e.ProfileSLs(hw, cl, m, batch, append([]int{1}, sls...), PhaseEval); err != nil {
+					loadBench.err = err
+					return
+				}
+			}
+		}
+		var buf bytes.Buffer
+		loadBench.entries, loadBench.err = e.WriteSnapshot(&buf)
+		loadBench.data = buf.Bytes()
+	})
+	if loadBench.err != nil {
+		b.Fatal(loadBench.err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := New().ReadSnapshot(bytes.NewReader(loadBench.data))
+		if err != nil || n != loadBench.entries {
+			b.Fatalf("restored %d of %d entries: %v", n, loadBench.entries, err)
+		}
+	}
+	b.ReportMetric(float64(len(loadBench.data))/1e6, "MB")
+	b.ReportMetric(float64(loadBench.entries), "entries")
 }

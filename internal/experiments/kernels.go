@@ -45,13 +45,21 @@ func Fig5(lab *Lab, w Workload, cfg gpusim.Config, slPairs [][2]int) (Fig5Result
 	if err != nil {
 		return Fig5Result{}, err
 	}
+	sim, err := gpusim.New(run.Config)
+	if err != nil {
+		return Fig5Result{}, err
+	}
 	avail := run.UniqueSLs()
 	var res Fig5Result
 	for _, pair := range slPairs {
 		snapped := nearestSLs(avail, []int{pair[0], pair[1]})
-		p1 := run.BySL[snapped[0]]
-		p2 := run.BySL[snapped[1]]
-		common, only1, only2 := profiler.Overlap(p1, p2)
+		var bds [2]profiler.Breakdown
+		for i, sl := range snapped {
+			if bds[i], err = profiler.BreakdownStep(sim, run.Cluster, w.Model, run.Batch, sl); err != nil {
+				return Fig5Result{}, err
+			}
+		}
+		common, only1, only2 := profiler.Overlap(bds[0], bds[1])
 		res.Pairs = append(res.Pairs, Fig5Pair{
 			Network: w.Name, SL1: snapped[0], SL2: snapped[1],
 			Common: common, Only1: only1, Only2: only2,
@@ -108,15 +116,17 @@ func DefaultKernelGroups() []KernelGroup {
 	}
 }
 
-// GroupShares buckets an iteration's per-label runtime into groups and
-// returns each group's share of total runtime in percent.
-func GroupShares(p profiler.IterationProfile, groups []KernelGroup) map[string]float64 {
+// GroupShares buckets an iteration's per-label runtime, from its
+// breakdown bd, into groups and returns each group's share of the
+// profile's total runtime in percent. Time no label accounts for,
+// including a cluster step's exposed communication, is "other".
+func GroupShares(p profiler.IterationProfile, bd profiler.Breakdown, groups []KernelGroup) map[string]float64 {
 	shares := make(map[string]float64, len(groups))
 	if p.TimeUS == 0 {
 		return shares
 	}
 	var labeled float64
-	for label, us := range p.LabelTimeUS {
+	for label, us := range bd.LabelTimeUS {
 		for _, g := range groups {
 			if g.Match(label) {
 				shares[g.Name] += us / p.TimeUS * 100
@@ -125,7 +135,6 @@ func GroupShares(p profiler.IterationProfile, groups []KernelGroup) map[string]f
 		}
 		labeled += us
 	}
-	// Unlabeled time (none in practice: every op carries a label).
 	if rest := p.TimeUS - labeled; rest > 1e-9 {
 		shares["other"] += rest / p.TimeUS * 100
 	}
@@ -156,6 +165,10 @@ func Fig6(lab *Lab, w Workload, cfg gpusim.Config, sls []int) (Fig6Result, error
 	if err != nil {
 		return Fig6Result{}, err
 	}
+	sim, err := gpusim.New(run.Config)
+	if err != nil {
+		return Fig6Result{}, err
+	}
 	snapped := nearestSLs(run.UniqueSLs(), sls)
 	groups := DefaultKernelGroups()
 	res := Fig6Result{}
@@ -168,10 +181,14 @@ func Fig6(lab *Lab, w Workload, cfg gpusim.Config, sls []int) (Fig6Result, error
 			continue
 		}
 		seen[sl] = true
+		bd, err := profiler.BreakdownStep(sim, run.Cluster, w.Model, run.Batch, sl)
+		if err != nil {
+			return Fig6Result{}, err
+		}
 		res.Columns = append(res.Columns, Fig6Column{
 			Network:  w.Name,
 			SeqLen:   sl,
-			SharePct: GroupShares(run.BySL[sl], groups),
+			SharePct: GroupShares(run.BySL[sl], bd, groups),
 		})
 	}
 	sort.Slice(res.Columns, func(i, j int) bool { return res.Columns[i].SeqLen < res.Columns[j].SeqLen })

@@ -55,60 +55,28 @@ type Explanation struct {
 // invocation record.
 func (s *Simulator) Explain(op tensor.Op) Explanation {
 	inv := s.Price(op)
-	// Recompute the legs the same way Price does.
-	computeUS, memUS := s.rooflineLegs(op)
+	r := s.roofline(op)
 
 	ex := Explanation{
 		Kernel:    inv.Kernel,
-		ComputeUS: computeUS,
-		MemoryUS:  memUS,
+		ComputeUS: r.computeUS,
+		MemoryUS:  r.memUS,
 		LaunchUS:  s.cfg.LaunchOverheadUS,
 		TimeUS:    inv.TimeUS,
 	}
-	exec := maxF(computeUS, memUS)
+	exec := maxF(r.computeUS, r.memUS)
 	switch {
 	case s.cfg.LaunchOverheadUS > exec:
 		ex.Bound = BoundLaunch
-	case computeUS >= memUS:
+	case r.computeUS >= r.memUS:
 		ex.Bound = BoundCompute
 	default:
 		ex.Bound = BoundMemory
 	}
-	if bytes := inv.Counters.LoadBytes + inv.Counters.StoreBytes; bytes > 0 {
+	if bytes := r.readBytes + r.writeBytes; bytes > 0 {
 		ex.ArithmeticIntensity = op.FLOPs() / bytes
 	}
 	return ex
-}
-
-// rooflineLegs returns the compute and memory times for op, mirroring
-// the switch in Price.
-func (s *Simulator) rooflineLegs(op tensor.Op) (computeUS, memUS float64) {
-	var readTraffic float64
-	bwEff := streamBWEff
-	switch o := op.(type) {
-	case tensor.GEMM:
-		computeUS = flopsToUS(o.FLOPs(), s.cfg.PeakGFLOPs()*s.blockedEff(gemmEfficiency(o, s.cfg)))
-		readTraffic = s.gemmReadTraffic(o)
-	case tensor.Conv2D:
-		computeUS = flopsToUS(o.FLOPs(), s.cfg.PeakGFLOPs()*s.blockedEff(convEfficiency(o, s.cfg)))
-		readTraffic = s.convReadTraffic(o)
-	case tensor.Elementwise:
-		computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.25)
-		readTraffic = op.BytesRead()
-	case tensor.Reduction:
-		computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.15)
-		readTraffic = op.BytesRead()
-	case tensor.Embedding:
-		computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.10)
-		hit := s.reuseHit(o.WorkingSet())
-		readTraffic = op.BytesRead() * (1 - hit)
-		bwEff = gatherBWEff
-	default:
-		computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.25)
-		readTraffic = op.BytesRead()
-	}
-	memUS = bytesToUS(readTraffic+op.BytesWritten(), s.effectiveBWGBps(bwEff))
-	return computeUS, memUS
 }
 
 // BoundShares classifies every op and returns the fraction of total

@@ -7,8 +7,9 @@ import (
 )
 
 // Invocation is one priced kernel execution: what ran, for how long, and
-// what the performance counters read. It is the unit the profiler
-// aggregates, standing in for one row of a Radeon Compute Profiler trace.
+// what the performance counters read. It is the unit of an iteration
+// trace and of the profiler's per-kernel breakdown, standing in for one
+// row of a Radeon Compute Profiler trace.
 type Invocation struct {
 	// Kernel is the concrete kernel symbol (see KernelName).
 	Kernel string
@@ -95,64 +96,99 @@ func (s *Simulator) blockedEff(eff float64) float64 {
 	return eff
 }
 
-// Price models the execution of op and returns the invocation record.
-func (s *Simulator) Price(op tensor.Op) Invocation {
-	var computeUS, readTraffic float64
+// OpCost is what the model charges one launch of an op: its class,
+// modeled time and counters. It carries no names, so a caller that
+// only totals an iteration builds no strings.
+type OpCost struct {
+	// Kind is the op class.
+	Kind tensor.Kind
+	// TimeUS is the modeled execution time in microseconds, including
+	// launch overhead.
+	TimeUS float64
+	// Counters are the modeled hardware counters.
+	Counters Counters
+}
+
+// roofline is the cost model proper: an op's compute leg, the DRAM
+// traffic it moves and the memory leg that traffic takes. Cost and
+// Explain both read it, so the arithmetic exists once.
+type roofline struct {
+	computeUS, memUS      float64
+	readBytes, writeBytes float64
+}
+
+func (s *Simulator) roofline(op tensor.Op) roofline {
+	r := roofline{writeBytes: op.BytesWritten()}
 	bwEff := streamBWEff
 
 	switch o := op.(type) {
 	case tensor.GEMM:
-		computeUS = flopsToUS(o.FLOPs(), s.cfg.PeakGFLOPs()*s.blockedEff(gemmEfficiency(o, s.cfg)))
-		readTraffic = s.gemmReadTraffic(o)
+		r.computeUS = flopsToUS(o.FLOPs(), s.cfg.PeakGFLOPs()*s.blockedEff(gemmEfficiency(o, s.cfg)))
+		r.readBytes = s.gemmReadTraffic(o)
 	case tensor.Conv2D:
-		computeUS = flopsToUS(o.FLOPs(), s.cfg.PeakGFLOPs()*s.blockedEff(convEfficiency(o, s.cfg)))
-		readTraffic = s.convReadTraffic(o)
+		r.computeUS = flopsToUS(o.FLOPs(), s.cfg.PeakGFLOPs()*s.blockedEff(convEfficiency(o, s.cfg)))
+		r.readBytes = s.convReadTraffic(o)
 	case tensor.Elementwise:
 		// Transcendental-heavy pointwise kernels (sigmoid/tanh) run the
 		// VALU at a modest fraction of FMA peak.
-		computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.25)
-		readTraffic = op.BytesRead()
+		r.computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.25)
+		r.readBytes = op.BytesRead()
 	case tensor.Reduction:
-		computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.15)
-		readTraffic = op.BytesRead()
+		r.computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.15)
+		r.readBytes = op.BytesRead()
 	case tensor.Embedding:
-		computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.10)
+		r.computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.10)
 		// Gathers hit the table randomly; cache coverage of the table
 		// decides how much reaches DRAM.
 		hit := s.reuseHit(o.WorkingSet())
-		readTraffic = op.BytesRead() * (1 - hit)
+		r.readBytes = op.BytesRead() * (1 - hit)
 		bwEff = gatherBWEff
 	default:
-		computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.25)
-		readTraffic = op.BytesRead()
+		r.computeUS = flopsToUS(op.FLOPs(), s.cfg.PeakGFLOPs()*0.25)
+		r.readBytes = op.BytesRead()
 	}
 
-	writeTraffic := op.BytesWritten()
-	memUS := bytesToUS(readTraffic+writeTraffic, s.effectiveBWGBps(bwEff))
-	execUS := maxF(computeUS, memUS)
-	timeUS := s.cfg.LaunchOverheadUS + execUS
+	r.memUS = bytesToUS(r.readBytes+r.writeBytes, s.effectiveBWGBps(bwEff))
+	return r
+}
+
+// Cost models one launch of op: its class, time and counters, without
+// naming anything. The profiler totals the iteration profiles the
+// engine caches from it, so a cache miss builds no kernel names.
+func (s *Simulator) Cost(op tensor.Op) OpCost {
+	r := s.roofline(op)
 
 	// Counters: stalls accrue when the write path cannot hide behind
 	// compute; proportional to the write share of memory time.
 	var stallCycles float64
-	if memUS > computeUS && readTraffic+writeTraffic > 0 {
-		writeShare := writeTraffic / (readTraffic + writeTraffic)
-		stallCycles = (memUS - computeUS) * writeShare * s.cfg.ClockGHz * 1e3
+	if traffic := r.readBytes + r.writeBytes; r.memUS > r.computeUS && traffic > 0 {
+		stallCycles = (r.memUS - r.computeUS) * (r.writeBytes / traffic) * s.cfg.ClockGHz * 1e3
 	}
 
-	label := opLabel(op)
+	return OpCost{
+		Kind:   op.Kind(),
+		TimeUS: s.cfg.LaunchOverheadUS + maxF(r.computeUS, r.memUS),
+		Counters: Counters{
+			VALUInsts:           op.FLOPs() / vegaSIMDLanes,
+			LoadBytes:           r.readBytes,
+			StoreBytes:          r.writeBytes,
+			MemWriteStallCycles: stallCycles,
+		},
+	}
+}
+
+// Price is Cost plus the names a trace row carries: the dispatched
+// kernel symbol, the op's shape signature and its layer label. Traces,
+// Explain and the profiler's per-kernel breakdown read it.
+func (s *Simulator) Price(op tensor.Op) Invocation {
+	c := s.Cost(op)
 	return Invocation{
 		Kernel:    KernelName(op),
 		Signature: op.Signature(),
-		Label:     label,
-		Kind:      op.Kind(),
-		TimeUS:    timeUS,
-		Counters: Counters{
-			VALUInsts:           op.FLOPs() / vegaSIMDLanes,
-			LoadBytes:           readTraffic,
-			StoreBytes:          writeTraffic,
-			MemWriteStallCycles: stallCycles,
-		},
+		Label:     opLabel(op),
+		Kind:      c.Kind,
+		TimeUS:    c.TimeUS,
+		Counters:  c.Counters,
 	}
 }
 

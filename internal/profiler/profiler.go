@@ -1,10 +1,12 @@
 // Package profiler collects per-iteration execution profiles from the
 // GPU model, standing in for the Radeon Compute Profiler in the paper's
-// methodology: for each training iteration it records total runtime,
-// aggregate hardware counters, and a kernel-level breakdown (which
-// kernels ran, how often, for how long). The comparison utilities
-// (unique-kernel overlap, runtime distribution by kernel group) are the
-// measurements behind the paper's Figs 4, 5, 6, and 8.
+// methodology. For each iteration it records what SeqPoint reads and
+// the engine caches: total runtime, the exposed communication, the
+// kernel count, aggregate hardware counters and the shapes autotune
+// charges for. The kernel-level breakdown (which kernels ran, how
+// often, for how long, and the runtime of each layer label) is a
+// separate, on-demand Breakdown; its comparison utilities (unique-kernel
+// overlap) are the measurements behind the paper's Figs 5, 6 and 8.
 package profiler
 
 import (
@@ -31,9 +33,13 @@ type KernelStat struct {
 	Counters gpusim.Counters
 }
 
-// IterationProfile is the execution profile of one training iteration:
-// the paper's definition (Section IV-A) — "the distribution of invoked
-// kernels and their runtimes".
+// IterationProfile is the execution profile of one iteration: its
+// runtime as a function of sequence length, which is all SeqPoint's
+// selection and projection read (Section IV), plus the aggregate
+// counters and tuned shapes the characterization and the trainer need.
+// It is the record the engine caches and snapshots, so it holds no
+// per-kernel or per-label detail; BreakdownStep computes that on
+// demand.
 type IterationProfile struct {
 	// SeqLen is the padded sequence length of the iteration's batch.
 	SeqLen int
@@ -50,13 +56,6 @@ type IterationProfile struct {
 	NumKernels int
 	// Counters are the iteration-aggregate hardware counters.
 	Counters gpusim.Counters
-	// Kernels is the per-kernel breakdown, sorted by descending time.
-	Kernels []KernelStat
-	// LabelTimeUS maps layer-level op labels ("classifier",
-	// "enc_lstm_0_xproj", ...) to their summed runtime; this is the
-	// grouping behind the paper's Fig. 6/Fig. 8 "GEMM-1"/"GEMM-2"
-	// distributions.
-	LabelTimeUS map[string]float64
 	// TunedShapes lists the distinct GEMM/convolution shape signatures a
 	// training iteration launches, in first-launch order, each with the
 	// time of its first launch: the input AutotuneUS charges from. Eval
@@ -75,21 +74,104 @@ type TunedShape struct {
 	TimeUS float64
 }
 
+// Breakdown is the kernel-level view of one training iteration: the
+// paper's "distribution of invoked kernels and their runtimes"
+// (Section IV-A). Its kernel and label times sum, launch by launch,
+// to the compute time of the iteration's profile; the profile's
+// communication time has no kernel.
+type Breakdown struct {
+	// Kernels is the per-kernel breakdown, sorted by descending time,
+	// then by kernel symbol.
+	Kernels []KernelStat
+	// LabelTimeUS maps layer-level op labels ("classifier",
+	// "enc_lstm_0_xproj", ...) to their summed runtime; this is the
+	// grouping behind the paper's Fig. 6/Fig. 8 "GEMM-1"/"GEMM-2"
+	// distributions.
+	LabelTimeUS map[string]float64
+}
+
 // ProfileIteration runs one training iteration of m under sim and
 // aggregates the trace, recording the iteration's tuned shapes.
 func ProfileIteration(sim *gpusim.Simulator, m models.Model, batch, seqLen int) (IterationProfile, error) {
-	if batch <= 0 || seqLen <= 0 {
-		return IterationProfile{}, fmt.Errorf("profiler: invalid iteration batch=%d seqLen=%d", batch, seqLen)
+	if err := checkShape("iteration", batch, seqLen); err != nil {
+		return IterationProfile{}, err
 	}
 	return profileOps(sim, m.IterationBlocks(batch, seqLen), batch, seqLen, true), nil
 }
 
 // ProfileEval runs one forward-only evaluation pass.
 func ProfileEval(sim *gpusim.Simulator, m models.Model, batch, seqLen int) (IterationProfile, error) {
-	if batch <= 0 || seqLen <= 0 {
-		return IterationProfile{}, fmt.Errorf("profiler: invalid eval batch=%d seqLen=%d", batch, seqLen)
+	if err := checkShape("eval", batch, seqLen); err != nil {
+		return IterationProfile{}, err
 	}
 	return profileOps(sim, m.EvalBlocks(batch, seqLen), batch, seqLen, false), nil
+}
+
+// checkShape rejects a non-positive batch or sequence length.
+func checkShape(what string, batch, seqLen int) error {
+	if batch <= 0 || seqLen <= 0 {
+		return fmt.Errorf("profiler: invalid %s batch=%d seqLen=%d", what, batch, seqLen)
+	}
+	return nil
+}
+
+// profileOps totals an iteration given as blocks. Each op of a block
+// is costed once, in op order, before the block's first launch; with
+// tune set, a GEMM or convolution whose signature is new records its
+// tuned shape then, so tuned shapes keep first-launch order. The block
+// then adds every launch's time and counters Repeat times over, in
+// launch order, so every float sums exactly as it would over the
+// flattened stream (tensor.Flatten) with each launch priced anew.
+// Blocks with Repeat <= 0 launch nothing and are skipped. Nothing here
+// names a kernel: this is the engine's cache-miss path.
+func profileOps(sim *gpusim.Simulator, blocks []tensor.Block, batch, seqLen int, tune bool) IterationProfile {
+	p := IterationProfile{SeqLen: seqLen, Batch: batch}
+	var tuned map[string]bool
+	if tune {
+		tuned = make(map[string]bool)
+	}
+	var costs []gpusim.OpCost
+	for _, b := range blocks {
+		if b.Repeat <= 0 {
+			continue
+		}
+		costs = costs[:0]
+		for _, op := range b.Ops {
+			c := sim.Cost(op)
+			if tune && (c.Kind == tensor.KindGEMM || c.Kind == tensor.KindConv2D) {
+				if sig := op.Signature(); !tuned[sig] {
+					tuned[sig] = true
+					p.TunedShapes = append(p.TunedShapes, TunedShape{Signature: sig, TimeUS: c.TimeUS})
+				}
+			}
+			costs = append(costs, c)
+		}
+		for r := 0; r < b.Repeat; r++ {
+			for i := range costs {
+				p.TimeUS += costs[i].TimeUS
+				p.Counters.Add(costs[i].Counters)
+			}
+		}
+		p.NumKernels += b.Repeat * len(costs)
+	}
+	return p
+}
+
+// BreakdownStep returns the kernel and label breakdown of the training
+// step ProfileStep prices: the iteration on the shard batch of
+// globalBatch. It walks the same blocks with the same per-launch
+// accumulation as profileOps, so each kernel's and label's times sum
+// exactly as over the flattened stream.
+func BreakdownStep(sim *gpusim.Simulator, cl gpusim.ClusterConfig, m models.Model, globalBatch, seqLen int) (Breakdown, error) {
+	cl = cl.Normalized()
+	if err := cl.Validate(); err != nil {
+		return Breakdown{}, err
+	}
+	batch := cl.ShardBatch(globalBatch)
+	if err := checkShape("iteration", batch, seqLen); err != nil {
+		return Breakdown{}, err
+	}
+	return breakdownOps(sim, m.IterationBlocks(batch, seqLen)), nil
 }
 
 // pricedOp is one op of a block, priced: its invocation and the kernel
@@ -100,28 +182,13 @@ type pricedOp struct {
 	label *float64 // nil for an unlabeled op
 }
 
-// profileOps aggregates an iteration given as blocks. Each op of a
-// block is priced once, in op order, before the block's first launch:
-// that resolves its kernel stat, its label total and, with tune set,
-// its tuned shape, so tuned shapes keep first-launch order. The block
-// then adds every launch's time, kernel count and counters Repeat
-// times over, in launch order, so every float sums exactly as it would
-// over the flattened stream (tensor.Flatten) with each launch priced
-// anew. Blocks with Repeat <= 0 launch nothing and are skipped.
-func profileOps(sim *gpusim.Simulator, blocks []tensor.Block, batch, seqLen int, tune bool) IterationProfile {
-	p := IterationProfile{SeqLen: seqLen, Batch: batch}
-	// Nearly every op carries its own label, so the op count sizes the
-	// per-label and per-shape maps without regrowth.
-	n := 0
-	for _, b := range blocks {
-		n += len(b.Ops)
-	}
+// breakdownOps aggregates an iteration given as blocks per kernel and
+// per label. Each op of a block is priced once; its launches then add
+// into their kernel stat and label total Repeat times over, in launch
+// order. Blocks with Repeat <= 0 launch nothing and are skipped.
+func breakdownOps(sim *gpusim.Simulator, blocks []tensor.Block) Breakdown {
 	byKernel := make(map[string]*KernelStat)
-	labels := make(map[string]*float64, n)
-	var tuned map[string]bool
-	if tune {
-		tuned = make(map[string]bool, n)
-	}
+	labels := make(map[string]*float64)
 	var priced []pricedOp
 	for _, b := range blocks {
 		if b.Repeat <= 0 {
@@ -141,49 +208,43 @@ func profileOps(sim *gpusim.Simulator, blocks []tensor.Block, batch, seqLen int,
 					labels[inv.Label] = po.label
 				}
 			}
-			if tune && (inv.Kind == tensor.KindGEMM || inv.Kind == tensor.KindConv2D) && !tuned[inv.Signature] {
-				tuned[inv.Signature] = true
-				p.TunedShapes = append(p.TunedShapes, TunedShape{Signature: inv.Signature, TimeUS: inv.TimeUS})
-			}
 			priced = append(priced, po)
 		}
 		for r := 0; r < b.Repeat; r++ {
 			for i := range priced {
 				po := &priced[i]
-				inv := &po.inv
-				p.TimeUS += inv.TimeUS
-				p.NumKernels++
-				p.Counters.Add(inv.Counters)
 				po.ks.Count++
-				po.ks.TimeUS += inv.TimeUS
-				po.ks.Counters.Add(inv.Counters)
+				po.ks.TimeUS += po.inv.TimeUS
+				po.ks.Counters.Add(po.inv.Counters)
 				if po.label != nil {
-					*po.label += inv.TimeUS
+					*po.label += po.inv.TimeUS
 				}
 			}
 		}
 	}
-	p.LabelTimeUS = make(map[string]float64, len(labels))
+	bd := Breakdown{
+		Kernels:     make([]KernelStat, 0, len(byKernel)),
+		LabelTimeUS: make(map[string]float64, len(labels)),
+	}
 	for label, us := range labels {
-		p.LabelTimeUS[label] = *us
+		bd.LabelTimeUS[label] = *us
 	}
-	p.Kernels = make([]KernelStat, 0, len(byKernel))
 	for _, ks := range byKernel {
-		p.Kernels = append(p.Kernels, *ks)
+		bd.Kernels = append(bd.Kernels, *ks)
 	}
-	sort.Slice(p.Kernels, func(i, j int) bool {
-		if p.Kernels[i].TimeUS != p.Kernels[j].TimeUS {
-			return p.Kernels[i].TimeUS > p.Kernels[j].TimeUS
+	sort.Slice(bd.Kernels, func(i, j int) bool {
+		if bd.Kernels[i].TimeUS != bd.Kernels[j].TimeUS {
+			return bd.Kernels[i].TimeUS > bd.Kernels[j].TimeUS
 		}
-		return p.Kernels[i].Kernel < p.Kernels[j].Kernel
+		return bd.Kernels[i].Kernel < bd.Kernels[j].Kernel
 	})
-	return p
+	return bd
 }
 
 // UniqueKernels returns the set of distinct kernel symbols invoked.
-func (p IterationProfile) UniqueKernels() map[string]struct{} {
-	set := make(map[string]struct{}, len(p.Kernels))
-	for _, k := range p.Kernels {
+func (bd Breakdown) UniqueKernels() map[string]struct{} {
+	set := make(map[string]struct{}, len(bd.Kernels))
+	for _, k := range bd.Kernels {
 		set[k.Kernel] = struct{}{}
 	}
 	return set
@@ -192,7 +253,7 @@ func (p IterationProfile) UniqueKernels() map[string]struct{} {
 // Overlap compares the unique-kernel sets of two iterations, returning
 // the counts behind one bar group of the paper's Fig. 5: kernels common
 // to both, kernels only in p, and kernels only in q.
-func Overlap(p, q IterationProfile) (common, onlyP, onlyQ int) {
+func Overlap(p, q Breakdown) (common, onlyP, onlyQ int) {
 	ps, qs := p.UniqueKernels(), q.UniqueKernels()
 	for k := range ps {
 		if _, ok := qs[k]; ok {
@@ -207,28 +268,6 @@ func Overlap(p, q IterationProfile) (common, onlyP, onlyQ int) {
 		}
 	}
 	return common, onlyP, onlyQ
-}
-
-// TimeShareByKind returns the fraction of iteration runtime spent in
-// each op class (GEMM, elementwise, reduce, ...), the quantity the
-// paper's Fig. 6 plots per sequence length.
-func (p IterationProfile) TimeShareByKind() map[tensor.Kind]float64 {
-	shares := make(map[tensor.Kind]float64)
-	if p.TimeUS == 0 {
-		return shares
-	}
-	for _, k := range p.Kernels {
-		shares[k.Kind] += k.TimeUS / p.TimeUS
-	}
-	return shares
-}
-
-// TopKernels returns the n longest-running kernels.
-func (p IterationProfile) TopKernels(n int) []KernelStat {
-	if n > len(p.Kernels) {
-		n = len(p.Kernels)
-	}
-	return p.Kernels[:n]
 }
 
 // Throughput returns training throughput in samples per second, the

@@ -34,10 +34,11 @@ func TestProfileIterationAggregates(t *testing.T) {
 	if p.NumKernels != len(tensor.Flatten(m.IterationBlocks(16, 100))) {
 		t.Errorf("NumKernels = %d, want one per op", p.NumKernels)
 	}
-	// Kernel breakdown must sum back to the totals.
+	// The kernel breakdown must sum back to the totals.
+	bd := breakdown(t, s, m, 16, 100)
 	var sumT float64
 	var sumCount int
-	for _, k := range p.Kernels {
+	for _, k := range bd.Kernels {
 		sumT += k.TimeUS
 		sumCount += k.Count
 	}
@@ -48,15 +49,15 @@ func TestProfileIterationAggregates(t *testing.T) {
 		t.Errorf("kernel counts sum to %d, total %d", sumCount, p.NumKernels)
 	}
 	// Sorted by descending time.
-	for i := 1; i < len(p.Kernels); i++ {
-		if p.Kernels[i].TimeUS > p.Kernels[i-1].TimeUS {
+	for i := 1; i < len(bd.Kernels); i++ {
+		if bd.Kernels[i].TimeUS > bd.Kernels[i-1].TimeUS {
 			t.Error("kernels not sorted by time")
 			break
 		}
 	}
 	// Label shares also sum to the total (every op is labeled).
 	var sumLabel float64
-	for _, us := range p.LabelTimeUS {
+	for _, us := range bd.LabelTimeUS {
 		sumLabel += us
 	}
 	if math.Abs(sumLabel-p.TimeUS) > 1e-6*p.TimeUS {
@@ -75,6 +76,14 @@ func TestProfileIterationInvalidArgs(t *testing.T) {
 	}
 	if _, err := ProfileEval(s, m, 0, 10); err == nil {
 		t.Error("eval zero batch should error")
+	}
+	if _, err := BreakdownStep(s, gpusim.SingleGPU(), m, 10, 0); err == nil {
+		t.Error("breakdown zero seqlen should error")
+	}
+	bad := gpusim.DefaultCluster(4)
+	bad.Overlap = 2
+	if _, err := BreakdownStep(s, bad, m, 16, 10); err == nil {
+		t.Error("breakdown on an invalid cluster should error")
 	}
 }
 
@@ -113,28 +122,21 @@ func TestProfileDeterministic(t *testing.T) {
 func TestUniqueKernelsAndOverlap(t *testing.T) {
 	s := sim(t)
 	m := models.NewDS2()
-	p1, err := ProfileIteration(s, m, 64, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := ProfileIteration(s, m, 64, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u1 := p1.UniqueKernels()
-	if len(u1) != len(p1.Kernels) {
-		t.Errorf("unique set %d != kernel rows %d", len(u1), len(p1.Kernels))
+	b1, b2 := breakdown(t, s, m, 64, 100), breakdown(t, s, m, 64, 400)
+	u1 := b1.UniqueKernels()
+	if len(u1) != len(b1.Kernels) {
+		t.Errorf("unique set %d != kernel rows %d", len(u1), len(b1.Kernels))
 	}
 
-	common, only1, only2 := Overlap(p1, p2)
+	common, only1, only2 := Overlap(b1, b2)
 	if common+only1 != len(u1) {
 		t.Errorf("common %d + only1 %d != |p1| %d", common, only1, len(u1))
 	}
-	if common+only2 != len(p2.UniqueKernels()) {
+	if common+only2 != len(b2.UniqueKernels()) {
 		t.Errorf("common %d + only2 %d != |p2|", common, only2)
 	}
 	// Self overlap is total.
-	c, o1, o2 := Overlap(p1, p1)
+	c, o1, o2 := Overlap(b1, b1)
 	if o1 != 0 || o2 != 0 || c != len(u1) {
 		t.Errorf("self overlap = (%d,%d,%d)", c, o1, o2)
 	}
@@ -144,13 +146,16 @@ func TestUniqueKernelsAndOverlap(t *testing.T) {
 	}
 }
 
+// TestTimeShareByKind: the per-kernel breakdown's time, bucketed by op
+// class, accounts for the whole iteration, and GEMMs dominate GNMT.
 func TestTimeShareByKind(t *testing.T) {
 	s := sim(t)
-	p, err := ProfileIteration(s, models.NewGNMT(), 16, 30)
-	if err != nil {
-		t.Fatal(err)
+	m := models.NewGNMT()
+	p := trainProfile(t, s, m, 16, 30)
+	shares := make(map[tensor.Kind]float64)
+	for _, k := range breakdown(t, s, m, 16, 30).Kernels {
+		shares[k.Kind] += k.TimeUS / p.TimeUS
 	}
-	shares := p.TimeShareByKind()
 	var total float64
 	for _, v := range shares {
 		if v < 0 {
@@ -166,25 +171,6 @@ func TestTimeShareByKind(t *testing.T) {
 	}
 }
 
-func TestTopKernels(t *testing.T) {
-	s := sim(t)
-	p, err := ProfileIteration(s, models.NewDS2(), 16, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := p.TopKernels(3)
-	if len(top) != 3 {
-		t.Fatalf("TopKernels(3) = %d entries", len(top))
-	}
-	if top[0].TimeUS < top[2].TimeUS {
-		t.Error("top kernels not in descending order")
-	}
-	all := p.TopKernels(1 << 20)
-	if len(all) != len(p.Kernels) {
-		t.Error("overlong n should clamp")
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	p := IterationProfile{Batch: 64, TimeUS: 5e5}
 	if got := p.Throughput(); math.Abs(got-128) > 1e-9 {
@@ -193,6 +179,16 @@ func TestThroughput(t *testing.T) {
 	if (IterationProfile{}).Throughput() != 0 {
 		t.Error("zero-time profile throughput should be 0")
 	}
+}
+
+// breakdown is BreakdownStep on one GPU that fails the test on error.
+func breakdown(t *testing.T, s *gpusim.Simulator, m models.Model, batch, seqLen int) Breakdown {
+	t.Helper()
+	bd, err := BreakdownStep(s, gpusim.SingleGPU(), m, batch, seqLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bd
 }
 
 // trainProfile is ProfileIteration that fails the test on error.

@@ -34,14 +34,12 @@ func referenceAutotuneUS(sim *gpusim.Simulator, m models.Model, batch, seqLen in
 }
 
 // referenceProfile aggregates a flat op stream, pricing every op at
-// every launch. With tune set it records the tuned shapes from those
+// every launch, into both the lean profile and the kernel and label
+// breakdown. With tune set it records the tuned shapes from those
 // per-launch prices.
-func referenceProfile(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int, tune bool) IterationProfile {
-	p := IterationProfile{
-		SeqLen:      seqLen,
-		Batch:       batch,
-		LabelTimeUS: make(map[string]float64),
-	}
+func referenceProfile(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int, tune bool) (IterationProfile, Breakdown) {
+	p := IterationProfile{SeqLen: seqLen, Batch: batch}
+	bd := Breakdown{LabelTimeUS: make(map[string]float64)}
 	byKernel := make(map[string]*KernelStat)
 	tuned := make(map[string]bool)
 	for _, op := range ops {
@@ -58,34 +56,34 @@ func referenceProfile(sim *gpusim.Simulator, ops []tensor.Op, batch, seqLen int,
 		ks.TimeUS += inv.TimeUS
 		ks.Counters.Add(inv.Counters)
 		if inv.Label != "" {
-			p.LabelTimeUS[inv.Label] += inv.TimeUS
+			bd.LabelTimeUS[inv.Label] += inv.TimeUS
 		}
 		if tune && (op.Kind() == tensor.KindGEMM || op.Kind() == tensor.KindConv2D) && !tuned[op.Signature()] {
 			tuned[op.Signature()] = true
 			p.TunedShapes = append(p.TunedShapes, TunedShape{Signature: op.Signature(), TimeUS: inv.TimeUS})
 		}
 	}
-	p.Kernels = make([]KernelStat, 0, len(byKernel))
+	bd.Kernels = make([]KernelStat, 0, len(byKernel))
 	for _, ks := range byKernel {
-		p.Kernels = append(p.Kernels, *ks)
+		bd.Kernels = append(bd.Kernels, *ks)
 	}
-	sort.Slice(p.Kernels, func(i, j int) bool {
-		if p.Kernels[i].TimeUS != p.Kernels[j].TimeUS {
-			return p.Kernels[i].TimeUS > p.Kernels[j].TimeUS
+	sort.Slice(bd.Kernels, func(i, j int) bool {
+		if bd.Kernels[i].TimeUS != bd.Kernels[j].TimeUS {
+			return bd.Kernels[i].TimeUS > bd.Kernels[j].TimeUS
 		}
-		return p.Kernels[i].Kernel < p.Kernels[j].Kernel
+		return bd.Kernels[i].Kernel < bd.Kernels[j].Kernel
 	})
-	return p
+	return p, bd
 }
 
-// referenceStep is ProfileStep over referenceProfile.
-func referenceStep(sim *gpusim.Simulator, cl gpusim.ClusterConfig, m models.Model, shardBatch, seqLen int) IterationProfile {
-	p := referenceProfile(sim, tensor.Flatten(m.IterationBlocks(shardBatch, seqLen)), shardBatch, seqLen, true)
+// referenceStep is ProfileStep and BreakdownStep over referenceProfile.
+func referenceStep(sim *gpusim.Simulator, cl gpusim.ClusterConfig, m models.Model, shardBatch, seqLen int) (IterationProfile, Breakdown) {
+	p, bd := referenceProfile(sim, tensor.Flatten(m.IterationBlocks(shardBatch, seqLen)), shardBatch, seqLen, true)
 	if cl.GPUs > 1 {
 		p.CommUS = cl.ExposedCommUS(cl.AllReduceUS(models.GradientBytes(m)), p.TimeUS)
 		p.TimeUS += p.CommUS
 	}
-	return p
+	return p, bd
 }
 
 // customModel is a user-assembled SQNN mixing every per-timestep layer
@@ -110,12 +108,14 @@ func customModel(t *testing.T) models.Model {
 	return m
 }
 
-// TestMemoizedProfileMatchesReference checks block-wise pricing and the
-// tuned-shape autotune charge against the per-launch reference over the
-// flattened stream, for every model family, several shard batches, SLs across each model's
-// range (listed in an unsorted, plan-like order) and 1 and 4 GPUs.
-// Profiles must deep-equal; autotune summed over the SLs with one
-// shared seen map must be bit-equal.
+// TestMemoizedProfileMatchesReference checks block-wise pricing, the
+// on-demand breakdown and the tuned-shape autotune charge against the
+// per-launch reference over the flattened stream, for every model
+// family, several shard batches, SLs across each model's range (listed
+// in an unsorted, plan-like order) and 1 and 4 GPUs. ProfileStep must
+// deep-equal the lean reference and BreakdownStep the reference
+// breakdown; autotune summed over the SLs with one shared seen map must
+// be bit-equal.
 func TestMemoizedProfileMatchesReference(t *testing.T) {
 	s := sim(t)
 	cases := []struct {
@@ -141,8 +141,16 @@ func TestMemoizedProfileMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if ref := referenceStep(s, cl, tc.m, shard, sl); !reflect.DeepEqual(p, ref) {
+						ref, refBD := referenceStep(s, cl, tc.m, shard, sl)
+						if !reflect.DeepEqual(p, ref) {
 							t.Fatalf("SL %d: block-priced profile differs from the reference", sl)
+						}
+						bd, err := BreakdownStep(s, cl, tc.m, shard*gpus, sl)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(bd, refBD) {
+							t.Fatalf("SL %d: block-priced breakdown differs from the reference", sl)
 						}
 						got += AutotuneUS(p, seen)
 						want += referenceAutotuneUS(s, tc.m, shard, sl, refSeen)
@@ -166,7 +174,7 @@ func TestEvalProfileMatchesReferenceAndTunesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := referenceProfile(s, tensor.Flatten(m.EvalBlocks(8, 60)), 8, 60, false); !reflect.DeepEqual(p, want) {
+		if want, _ := referenceProfile(s, tensor.Flatten(m.EvalBlocks(8, 60)), 8, 60, false); !reflect.DeepEqual(p, want) {
 			t.Errorf("%s: block-priced eval profile differs from the reference", m.Name())
 		}
 		if p.TunedShapes != nil {
@@ -217,8 +225,12 @@ func TestNonComparableOpPricedNotHashed(t *testing.T) {
 	seen, refSeen := make(map[string]bool), make(map[string]bool)
 	for _, sl := range []int{5, 12} {
 		p := trainProfile(t, s, m, 4, sl)
-		if want := referenceProfile(s, tensor.Flatten(m.IterationBlocks(4, sl)), 4, sl, true); !reflect.DeepEqual(p, want) {
+		want, wantBD := referenceProfile(s, tensor.Flatten(m.IterationBlocks(4, sl)), 4, sl, true)
+		if !reflect.DeepEqual(p, want) {
 			t.Fatalf("SL %d: profile with a non-comparable op differs from the reference", sl)
+		}
+		if bd := breakdownOps(s, m.IterationBlocks(4, sl)); !reflect.DeepEqual(bd, wantBD) {
+			t.Fatalf("SL %d: breakdown with a non-comparable op differs from the reference", sl)
 		}
 		if got, want := AutotuneUS(p, seen), referenceAutotuneUS(s, m, 4, sl, refSeen); got != want {
 			t.Fatalf("SL %d: autotune %v us, reference %v us", sl, got, want)
@@ -230,8 +242,9 @@ func TestNonComparableOpPricedNotHashed(t *testing.T) {
 }
 
 // TestNonPositiveRepeatLaunchesNothing: a block with Repeat 0 or below
-// launches nothing, so it adds no time, kernel, label or tuned shape,
-// exactly as the reference over the flattened stream sees it.
+// launches nothing, so it adds no time, kernel, label or tuned shape to
+// the profile or the breakdown, exactly as the reference over the
+// flattened stream sees it.
 func TestNonPositiveRepeatLaunchesNothing(t *testing.T) {
 	s := sim(t)
 	skipped := []tensor.Op{
@@ -242,9 +255,13 @@ func TestNonPositiveRepeatLaunchesNothing(t *testing.T) {
 	run := []tensor.Op{tensor.NewGEMM(64, 32, 128, "run_gemm"), tensor.NewElementwise(2048, 2, "run_ew")}
 	blocks := []tensor.Block{{Ops: skipped, Repeat: 0}, {Ops: run, Repeat: 3}, {Ops: skipped, Repeat: -4}}
 
-	p := profileOps(s, blocks, 4, 9, true)
-	if want := referenceProfile(s, tensor.Flatten(blocks), 4, 9, true); !reflect.DeepEqual(p, want) {
+	p, bd := profileOps(s, blocks, 4, 9, true), breakdownOps(s, blocks)
+	want, wantBD := referenceProfile(s, tensor.Flatten(blocks), 4, 9, true)
+	if !reflect.DeepEqual(p, want) {
 		t.Fatal("profile with skipped blocks differs from the reference")
+	}
+	if !reflect.DeepEqual(bd, wantBD) {
+		t.Fatal("breakdown with skipped blocks differs from the reference")
 	}
 	if p.NumKernels != 6 {
 		t.Errorf("NumKernels = %d, want 6 (two ops launched three times)", p.NumKernels)
@@ -252,20 +269,21 @@ func TestNonPositiveRepeatLaunchesNothing(t *testing.T) {
 	if len(p.TunedShapes) != 1 || p.TunedShapes[0].Signature != run[0].Signature() {
 		t.Errorf("tuned shapes = %+v, want only %s", p.TunedShapes, run[0].Signature())
 	}
-	for label := range p.LabelTimeUS {
+	for label := range bd.LabelTimeUS {
 		if label != "run_gemm" && label != "run_ew" {
 			t.Errorf("label %q of a skipped block was recorded", label)
 		}
 	}
-	for _, ks := range p.Kernels {
+	for _, ks := range bd.Kernels {
 		if ks.Count <= 0 {
 			t.Errorf("kernel %s recorded with %d launches", ks.Kernel, ks.Count)
 		}
 	}
 
-	empty := profileOps(s, []tensor.Block{{Ops: skipped, Repeat: 0}, {Ops: skipped, Repeat: -1}}, 4, 9, true)
-	if empty.TimeUS != 0 || empty.NumKernels != 0 || len(empty.Kernels) != 0 ||
-		len(empty.LabelTimeUS) != 0 || empty.TunedShapes != nil {
-		t.Errorf("blocks that launch nothing produced %+v", empty)
+	none := []tensor.Block{{Ops: skipped, Repeat: 0}, {Ops: skipped, Repeat: -1}}
+	empty, emptyBD := profileOps(s, none, 4, 9, true), breakdownOps(s, none)
+	if empty.TimeUS != 0 || empty.NumKernels != 0 || empty.TunedShapes != nil ||
+		len(emptyBD.Kernels) != 0 || len(emptyBD.LabelTimeUS) != 0 {
+		t.Errorf("blocks that launch nothing produced %+v and %+v", empty, emptyBD)
 	}
 }

@@ -139,7 +139,9 @@ type (
 	InferenceSpec = trainer.InferenceSpec
 	// InferenceRun is a simulated serving run.
 	InferenceRun = trainer.InferenceRun
-	// IterationProfile is one iteration's execution profile.
+	// IterationProfile is one iteration's execution profile: runtime,
+	// kernel count, counters and tuned shapes. Per-kernel detail comes
+	// from TraceIteration.
 	IterationProfile = profiler.IterationProfile
 )
 

@@ -268,7 +268,7 @@ func BenchmarkKMeansAblation(b *testing.B) {
 func BenchmarkFullSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(experiments.DefaultSeed)
-		if err := s.RunAll(io.Discard); err != nil {
+		if _, err := s.RunAll(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,10 +328,10 @@ func BenchmarkServingLoadSweep(b *testing.B) {
 	b.ReportMetric(res.CapacityRPS, "capacity-rps")
 	knee := res.Knee()
 	if knee >= 0 {
-		b.ReportMetric(res.Rows[knee].P99US, "p99-at-knee-us")
+		b.ReportMetric(res.Rows[knee].P99LatencyUS, "p99-at-knee-us")
 	}
 	last := res.Rows[len(res.Rows)-1]
-	b.ReportMetric(last.P99US, "p99-overload-us")
+	b.ReportMetric(last.P99LatencyUS, "p99-overload-us")
 	b.ReportMetric(last.ThroughputRPS, "overload-throughput-rps")
 }
 
@@ -361,9 +361,9 @@ func BenchmarkFleetSweep(b *testing.B) {
 		}
 		switch row.Routing {
 		case "rr":
-			rrP99 = row.P99US
+			rrP99 = row.P99LatencyUS
 		case "jsq":
-			jsqP99 = row.P99US
+			jsqP99 = row.P99LatencyUS
 		}
 	}
 	b.ReportMetric(rrP99, "rr-p99-us")

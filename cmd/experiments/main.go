@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [-seed 1] [-o experiments.txt] [-parallelism N]
+//	experiments [-seed 1] [-o experiments.txt] [-csv DIR] [-parallelism N]
 //	experiments -gpus 1,2,4,8 -topology mesh -linkgbps 50
 package main
 
@@ -55,13 +55,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	if err := suite.RunAll(w); err != nil {
+	csvs, err := suite.RunAll(w)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 
 	if *csvDir != "" {
-		if err := writeCSVs(suite, *csvDir); err != nil {
+		if err := writeCSVs(csvs, *csvDir); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
@@ -94,15 +95,11 @@ func configureScaleOut(suite *experiments.Suite, gpus, topology string, linkGBps
 }
 
 // writeCSVs dumps the figure-backing data series, one file per figure.
-func writeCSVs(suite *experiments.Suite, dir string) error {
+func writeCSVs(csvs map[string]string, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	bundle, err := suite.CSVBundle()
-	if err != nil {
-		return err
-	}
-	for name, content := range bundle {
+	for name, content := range csvs {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			return err
 		}

@@ -3,9 +3,9 @@ package seqpoint_test
 // Paper oracle. The repository's purpose is to reproduce the paper's
 // evaluation, so tier-1 asserts it: one suite at the default seed must
 // satisfy every claim cmd/papercheck checks, and the rendered tables
-// and figures (Suite.RunAll) plus every figure-backing CSV must match
-// a committed golden byte for byte. Any change to the pricing path
-// behind Figs 3-16 shows up here first.
+// and figures plus every figure-backing CSV, all from one
+// Suite.RunAll, must match a committed golden byte for byte. Any
+// change to the pricing path behind Figs 3-16 shows up here first.
 //
 // Regenerate the golden after an intentional model change with:
 //
@@ -40,10 +40,7 @@ func TestGoldenPaperSuite(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	if err := s.RunAll(&got); err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := s.CSVBundle()
+	bundle, err := s.RunAll(&got)
 	if err != nil {
 		t.Fatal(err)
 	}

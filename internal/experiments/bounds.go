@@ -50,19 +50,6 @@ func BoundShares(lab *Lab, w Workload, cfg gpusim.Config, n int) (BoundSharesRes
 	return res, nil
 }
 
-// LaunchShareShiftPP is the launch-bound share difference between the
-// shortest and longest sampled iterations, in percentage points — the
-// quantity that collapses as SL grows and drags the small-SL end of the
-// sensitivity curves down.
-func (r BoundSharesResult) LaunchShareShiftPP() float64 {
-	if len(r.Rows) < 2 {
-		return 0
-	}
-	first := r.Rows[0].Share[gpusim.BoundLaunch]
-	last := r.Rows[len(r.Rows)-1].Share[gpusim.BoundLaunch]
-	return (first - last) * 100
-}
-
 // Render formats the decomposition table.
 func (r BoundSharesResult) Render() string {
 	t := report.NewTable(

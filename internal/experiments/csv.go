@@ -101,88 +101,3 @@ func (r SpeedupProjectionResult) CSV() string {
 	}
 	return t.CSV()
 }
-
-// CSVBundle regenerates the figure-backing data series and returns them
-// keyed by file name (e.g. "fig09_gnmt.csv"). cmd/experiments writes
-// these when invoked with -csv.
-func (s *Suite) CSVBundle() (map[string]string, error) {
-	out := make(map[string]string)
-	calib := s.Calib()
-
-	fig3, err := Fig3(s.Lab, s.GNMT, 12, calib)
-	if err != nil {
-		return nil, err
-	}
-	out["fig03_cnn_vs_sqnn.csv"] = fig3.CSV()
-
-	for _, w := range s.Workloads() {
-		f7, err := Fig7(s.Lab, w, calib, 10)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("fig07_%s.csv", w.Name)] = f7.CSV()
-
-		f9, err := Fig9(s.Lab, w, calib)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("fig09_%s.csv", w.Name)] = f9.CSV()
-
-		tp, err := TimeProjection(s.Lab, w, s.Configs, s.Opts)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("fig11_12_%s.csv", w.Name)] = tp.CSV()
-
-		sens, err := Sensitivity(s.Lab, w, s.Configs, 40)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("fig13_14_%s.csv", w.Name)] = sens.CSV()
-
-		sp, err := SpeedupProjection(s.Lab, w, s.Configs, s.Opts)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("fig15_16_%s.csv", w.Name)] = sp.CSV()
-
-		so, err := ScaleOut(s.Lab, w, calib, s.BaseCluster, s.ScaleGPUs, s.Opts)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("scaleout_%s.csv", w.Name)] = so.CSV()
-
-		ls, err := LoadSweep(s.Lab, w, calib, DefaultServeRequests, LoadSweepFactors())
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("loadsweep_%s.csv", w.Name)] = ls.CSV()
-
-		fs, err := FleetSweep(s.Lab, w, calib, DefaultServeRequests,
-			FleetSweepReplicaCounts(), FleetSweepRoutings(), DefaultFleetLoadFactor)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("fleetsweep_%s.csv", w.Name)] = fs.CSV()
-
-		ks, err := KVSweep(s.Lab, w, calib, DefaultServeRequests,
-			KVSweepCapacitiesGB(), DefaultKVLoadFactor)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("kvsweep_%s.csv", w.Name)] = ks.CSV()
-
-		ps, err := PlanSweep(s.Lab, w, calib, DefaultServeRequests, PlanSweepBudgets())
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("plansweep_%s.csv", w.Name)] = ps.CSV()
-
-		ts, err := TenantSweep(s.Lab, w, calib, DefaultServeRequests, DefaultTenantLoadFactor)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("tenantsweep_%s.csv", w.Name)] = ts.CSV()
-	}
-	return out, nil
-}

@@ -12,10 +12,11 @@ import (
 	"seqpoint/internal/workload"
 )
 
-// This file holds the arrival-rate-grid construction the serving
-// sweeps share: rates are never absolute but expressed as factors of a
-// measured capacity, so "factor 1.0" is the saturation knee by
-// construction for every workload, policy and fleet size.
+// This file holds what the serving sweeps share: the runner every arm
+// goes through, and the arrival-rate grid. Rates are never absolute
+// but expressed as factors of a measured capacity, so "factor 1.0" is
+// the saturation knee by construction for every workload, policy and
+// fleet size.
 
 // ValidateLoadFactors checks a rate grid's load factors: at least
 // one, all positive and finite. Sweeps call it before their expensive
@@ -85,27 +86,95 @@ func servingPolicy(eng trainer.ProfileSource, w Workload, cfg gpusim.Config) (se
 	return serving.NewDynamicBatch(w.Batch, serviceUS)
 }
 
-// measureCapacity runs a fully backlogged burst of the given length
-// through one single-GPU replica under policy: every batch launches
-// full, so the achieved throughput is the per-replica saturation rate
-// on this request mix.
-func measureCapacity(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, policy serving.Policy, requests int) (float64, error) {
-	burst, err := workload.BurstTrace(w.Train, requests, w.Seed)
+// sweepRunner holds what a serving sweep keeps fixed across its arms:
+// the workload, the hardware, the lab's engine, the shared dynamic
+// batching policy and the trace length.
+type sweepRunner struct {
+	w        Workload
+	cfg      gpusim.Config
+	eng      trainer.ProfileSource
+	policy   serving.Policy
+	requests int
+}
+
+// newSweepRunner resolves the shared policy for w on cfg. That is a
+// sweep's first simulation work, so sweeps validate their axes before
+// calling it. requests <= 0 uses DefaultServeRequests.
+func newSweepRunner(lab *Lab, w Workload, cfg gpusim.Config, requests int) (sweepRunner, error) {
+	if requests <= 0 {
+		requests = DefaultServeRequests
+	}
+	policy, err := servingPolicy(lab.Engine(), w, cfg)
+	if err != nil {
+		return sweepRunner{}, err
+	}
+	return sweepRunner{w: w, cfg: cfg, eng: lab.Engine(), policy: policy, requests: requests}, nil
+}
+
+// calibratedRunner is newSweepRunner plus the capacity measured on a
+// burst drawn from the corpus: the corpus-mix sweeps' shared prologue.
+func calibratedRunner(lab *Lab, w Workload, cfg gpusim.Config, requests int) (sweepRunner, float64, error) {
+	run, err := newSweepRunner(lab, w, cfg, requests)
+	if err != nil {
+		return sweepRunner{}, 0, err
+	}
+	capacity, err := run.capacity(workload.BurstTrace(w.Train, run.requests, w.Seed))
+	return run, capacity, err
+}
+
+// simulate runs one arm on the fleet simulator. An arm that leaves
+// them unset gets the base policy, one round-robin replica and an
+// unbounded queue. An unbounded arm must serve every request, or the
+// sweep would report a silently thinned run: a rejection there is a
+// request whose KV footprint exceeds the capacity, and an error.
+func (r sweepRunner) simulate(arm serving.FleetSpec) (*serving.FleetResult, error) {
+	arm.Model, arm.Profiles = r.w.Model, r.eng
+	if arm.Policy == nil {
+		arm.Policy = r.policy
+	}
+	if arm.Router == nil {
+		arm.Router = serving.NewRoundRobin()
+	}
+	if arm.Replicas == 0 {
+		arm.Replicas = 1
+	}
+	run, err := serving.SimulateFleet(arm, r.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if rej := run.Rejections; arm.QueueCap == 0 && len(rej) > 0 {
+		return nil, fmt.Errorf("experiments: request %d rejected (%s) with no queue bound", rej[0].ID, rej[0].Reason)
+	}
+	return run, nil
+}
+
+// capacity serves trace's requests as one backlogged burst, all
+// arriving at time zero, through one replica under the base policy:
+// every batch launches full, so the throughput is the per-replica
+// saturation rate on that request mix. Like template.Must, it takes
+// the trace generator's error too, so a call can wrap the generator.
+func (r sweepRunner) capacity(trace serving.Trace, err error) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	run, err := serving.Simulate(serving.Spec{
-		Model:    w.Model,
-		Trace:    burst,
-		Policy:   policy,
-		Profiles: eng,
-	}, cfg)
+	burst := trace
+	burst.Requests = append([]serving.Request(nil), trace.Requests...)
+	for i := range burst.Requests {
+		burst.Requests[i].ArrivalUS = 0
+	}
+	run, err := r.simulate(serving.FleetSpec{Trace: burst})
 	if err != nil {
-		return 0, fmt.Errorf("experiments: %s capacity probe: %w", w.Name, err)
+		return 0, fmt.Errorf("experiments: %s capacity probe: %w", r.w.Name, err)
 	}
 	capacity := run.Throughput()
 	if capacity <= 0 {
-		return 0, fmt.Errorf("experiments: zero measured capacity for %s", w.Name)
+		return 0, fmt.Errorf("experiments: zero measured capacity for %s", r.w.Name)
 	}
 	return capacity, nil
+}
+
+// poisson builds an arm's Poisson trace at rate. Every arm shares the
+// workload seed, so arms serve the same request mix at different paces.
+func (r sweepRunner) poisson(rate float64) (serving.Trace, error) {
+	return workload.PoissonTrace(r.w.Train, r.requests, rate, r.w.Seed)
 }

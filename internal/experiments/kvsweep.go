@@ -7,24 +7,17 @@ import (
 	"seqpoint/internal/models"
 	"seqpoint/internal/report"
 	"seqpoint/internal/serving"
-	"seqpoint/internal/workload"
 )
 
 // KVSweepRow is one KV-cache capacity's serving outcome.
 type KVSweepRow struct {
 	// CapacityGB is the per-replica cache ceiling in decimal gigabytes.
 	CapacityGB float64
-	// ThroughputRPS is achieved requests per second over the makespan.
-	ThroughputRPS float64
-	// MeanTTFTUS and P99TTFTUS are time-to-first-token statistics
-	// (arrival to prefill completion).
-	MeanTTFTUS, P99TTFTUS float64
-	// P99US is the end-to-end p99 latency.
-	P99US float64
-	// Preemptions counts requests displaced by the capacity ceiling.
-	Preemptions int
-	// PeakGB is the largest cache footprint actually held.
-	PeakGB float64
+	// FleetSummary digests the run: its TTFT statistics run from
+	// arrival to prefill completion, Preemptions counts requests
+	// displaced by the ceiling, and KVPeakBytes is the largest
+	// footprint actually held.
+	serving.FleetSummary
 }
 
 // KVSweepResult is the cache-capacity sweep of one workload at a fixed
@@ -70,99 +63,63 @@ const (
 // trace seed is reused across capacities, so each row serves the same
 // arrivals under a different memory ceiling.
 func KVSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, capacitiesGB []float64, loadFactor float64) (KVSweepResult, error) {
-	if requests <= 0 {
-		requests = DefaultServeRequests
-	}
 	if len(capacitiesGB) == 0 {
 		return KVSweepResult{}, fmt.Errorf("experiments: KV sweep needs at least one capacity")
 	}
-	eng := lab.Engine()
-	policy, err := servingPolicy(eng, w, cfg)
+	kvs := make([]serving.KVConfig, len(capacitiesGB))
+	for i, capGB := range capacitiesGB {
+		kvs[i] = serving.KVConfig{CapacityBytes: capGB * 1e9, DecodeSteps: DefaultKVDecodeSteps}
+		if err := kvs[i].Validate(); err != nil {
+			return KVSweepResult{}, err
+		}
+	}
+	if err := ValidateLoadFactors([]float64{loadFactor}); err != nil {
+		return KVSweepResult{}, err
+	}
+	run, capacity, err := calibratedRunner(lab, w, cfg, requests)
 	if err != nil {
 		return KVSweepResult{}, err
 	}
-	capacity, err := measureCapacity(eng, w, cfg, policy, requests)
-	if err != nil {
-		return KVSweepResult{}, err
-	}
-	_, rates, err := ScaledRates(capacity, []float64{loadFactor})
-	if err != nil {
-		return KVSweepResult{}, err
-	}
-	rate := rates[0]
-	trace, err := workload.PoissonTrace(w.Train, requests, rate, w.Seed)
+	rate := loadFactor * capacity
+	trace, err := run.poisson(rate)
 	if err != nil {
 		return KVSweepResult{}, err
 	}
 	res := KVSweepResult{
 		Network:       w.Name,
-		Policy:        policy.Name(),
+		Policy:        run.policy.Name(),
 		DecodeSteps:   DefaultKVDecodeSteps,
 		BytesPerToken: models.KVBytesPerToken(w.Model),
 		RatePerSec:    rate,
 		LoadFactor:    loadFactor,
-		Requests:      requests,
+		Requests:      run.requests,
 	}
-	for _, capGB := range capacitiesGB {
-		run, err := serving.Simulate(serving.Spec{
-			Model:    w.Model,
-			Trace:    trace,
-			Policy:   policy,
-			Profiles: eng,
-			KV: &serving.KVConfig{
-				CapacityBytes: capGB * 1e9,
-				DecodeSteps:   DefaultKVDecodeSteps,
-			},
-		}, cfg)
+	for i, capGB := range capacitiesGB {
+		arm, err := run.simulate(serving.FleetSpec{Trace: trace, KV: &kvs[i]})
 		if err != nil {
 			return KVSweepResult{}, fmt.Errorf("experiments: KV sweep %s at %gGB: %w", w.Name, capGB, err)
 		}
-		sum := run.Summary()
-		res.Rows = append(res.Rows, KVSweepRow{
-			CapacityGB:    capGB,
-			ThroughputRPS: sum.ThroughputRPS,
-			MeanTTFTUS:    sum.MeanTTFTUS,
-			P99TTFTUS:     sum.P99TTFTUS,
-			P99US:         sum.P99LatencyUS,
-			Preemptions:   sum.Preemptions,
-			PeakGB:        sum.KVPeakBytes / 1e9,
-		})
+		res.Rows = append(res.Rows, KVSweepRow{CapacityGB: capGB, FleetSummary: arm.Summary()})
 	}
 	return res, nil
 }
 
+// kvSweepColumns declares the capacity-vs-tail curve's table and CSV.
+var kvSweepColumns = []column[KVSweepRow]{
+	floatCol("capacity", "capacity_gb", fixed("%.3g GB"), func(r KVSweepRow) float64 { return r.CapacityGB }),
+	floatCol("served/s", "throughput_rps", fixed("%.0f"), func(r KVSweepRow) float64 { return r.ThroughputRPS }),
+	floatCol("mean TTFT", "mean_ttft_us", report.US, func(r KVSweepRow) float64 { return r.MeanTTFTUS }),
+	floatCol("p99 TTFT", "p99_ttft_us", report.US, func(r KVSweepRow) float64 { return r.P99TTFTUS }),
+	floatCol("p99 e2e", "p99_us", report.US, func(r KVSweepRow) float64 { return r.P99LatencyUS }),
+	intCol("preempts", "preemptions", report.Count, func(r KVSweepRow) int { return r.Preemptions }),
+	floatCol("peak", "peak_gb", fixed("%.2f GB"), func(r KVSweepRow) float64 { return r.KVPeakBytes / 1e9 }),
+}
+
 // Render formats the capacity-vs-tail curve.
 func (r KVSweepResult) Render() string {
-	t := report.NewTable(
-		fmt.Sprintf("KV capacity sweep — %s: %s serving at %.0f req/s (%.2fx load), %d decode steps, %.0f B/token",
-			r.Network, r.Policy, r.RatePerSec, r.LoadFactor, r.DecodeSteps, r.BytesPerToken),
-		"capacity", "served/s", "mean TTFT", "p99 TTFT", "p99 e2e", "preempts", "peak").AlignNumeric()
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			fmt.Sprintf("%.3g GB", row.CapacityGB),
-			fmt.Sprintf("%.0f", row.ThroughputRPS),
-			report.US(row.MeanTTFTUS),
-			report.US(row.P99TTFTUS),
-			report.US(row.P99US),
-			report.Count(row.Preemptions),
-			fmt.Sprintf("%.2f GB", row.PeakGB))
-	}
-	return t.String()
+	return textTable(fmt.Sprintf("KV capacity sweep — %s: %s serving at %.0f req/s (%.2fx load), %d decode steps, %.0f B/token",
+		r.Network, r.Policy, r.RatePerSec, r.LoadFactor, r.DecodeSteps, r.BytesPerToken), kvSweepColumns, r.Rows)
 }
 
 // CSV renders the capacity-vs-tail curve for external plotting.
-func (r KVSweepResult) CSV() string {
-	t := report.NewTable("", "capacity_gb", "throughput_rps", "mean_ttft_us", "p99_ttft_us",
-		"p99_us", "preemptions", "peak_gb")
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			fmt.Sprintf("%.6f", row.CapacityGB),
-			fmt.Sprintf("%.6f", row.ThroughputRPS),
-			fmt.Sprintf("%.6f", row.MeanTTFTUS),
-			fmt.Sprintf("%.6f", row.P99TTFTUS),
-			fmt.Sprintf("%.6f", row.P99US),
-			fmt.Sprintf("%d", row.Preemptions),
-			fmt.Sprintf("%.6f", row.PeakGB))
-	}
-	return t.CSV()
-}
+func (r KVSweepResult) CSV() string { return csvTable(kvSweepColumns, r.Rows) }

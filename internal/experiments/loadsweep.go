@@ -6,7 +6,6 @@ import (
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/report"
 	"seqpoint/internal/serving"
-	"seqpoint/internal/workload"
 )
 
 // LoadSweepRow is one arrival rate's serving outcome.
@@ -16,18 +15,8 @@ type LoadSweepRow struct {
 	Factor float64
 	// RatePerSec is the Poisson arrival rate.
 	RatePerSec float64
-	// ThroughputRPS is achieved requests per second over the makespan.
-	ThroughputRPS float64
-	// UtilizationPct is the server's busy share of the makespan.
-	UtilizationPct float64
-	// MeanBatch is the mean launched batch size.
-	MeanBatch float64
-	// MeanWaitUS is the mean queueing delay.
-	MeanWaitUS float64
-	// P50US, P95US and P99US are end-to-end latency percentiles.
-	P50US, P95US, P99US float64
-	// Batches is the number of launched batches.
-	Batches int
+	// FleetSummary digests the run on one replica.
+	serving.FleetSummary
 }
 
 // LoadSweepResult is the arrival-rate sweep of one workload: the
@@ -70,24 +59,10 @@ const DefaultServeRequests = 512
 // across rates, so each row serves the same request mix at a
 // different pace.
 func LoadSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, factors []float64) (LoadSweepResult, error) {
-	if requests <= 0 {
-		requests = DefaultServeRequests
-	}
-	// Validate the grid before the capacity probe: bad factors must
-	// fail before any simulation work.
 	if err := ValidateLoadFactors(factors); err != nil {
 		return LoadSweepResult{}, err
 	}
-	eng := lab.Engine()
-	policy, err := servingPolicy(eng, w, cfg)
-	if err != nil {
-		return LoadSweepResult{}, err
-	}
-
-	// Measure capacity: a backlogged burst through the same policy
-	// always launches full batches, so its throughput is the server's
-	// saturation rate on this request mix.
-	capacity, err := measureCapacity(eng, w, cfg, policy, requests)
+	run, capacity, err := calibratedRunner(lab, w, cfg, requests)
 	if err != nil {
 		return LoadSweepResult{}, err
 	}
@@ -97,39 +72,21 @@ func LoadSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, factors []
 	}
 	res := LoadSweepResult{
 		Network:     w.Name,
-		Policy:      policy.Name(),
+		Policy:      run.policy.Name(),
 		Batch:       w.Batch,
-		Requests:    requests,
+		Requests:    run.requests,
 		CapacityRPS: capacity,
 	}
 	for i, f := range fs {
-		rate := rates[i]
-		trace, err := workload.PoissonTrace(w.Train, requests, rate, w.Seed)
+		trace, err := run.poisson(rates[i])
 		if err != nil {
 			return LoadSweepResult{}, err
 		}
-		run, err := serving.Simulate(serving.Spec{
-			Model:    w.Model,
-			Trace:    trace,
-			Policy:   policy,
-			Profiles: eng,
-		}, cfg)
+		arm, err := run.simulate(serving.FleetSpec{Trace: trace})
 		if err != nil {
-			return LoadSweepResult{}, fmt.Errorf("experiments: load sweep %s at %.4g rps: %w", w.Name, rate, err)
+			return LoadSweepResult{}, fmt.Errorf("experiments: load sweep %s at %.4g rps: %w", w.Name, rates[i], err)
 		}
-		sum := run.Summary()
-		res.Rows = append(res.Rows, LoadSweepRow{
-			Factor:         f,
-			RatePerSec:     rate,
-			ThroughputRPS:  sum.ThroughputRPS,
-			UtilizationPct: sum.UtilizationPct,
-			MeanBatch:      sum.MeanBatch,
-			MeanWaitUS:     sum.MeanWaitUS,
-			P50US:          sum.P50LatencyUS,
-			P95US:          sum.P95LatencyUS,
-			P99US:          sum.P99LatencyUS,
-			Batches:        sum.Batches,
-		})
+		res.Rows = append(res.Rows, LoadSweepRow{Factor: f, RatePerSec: rates[i], FleetSummary: arm.Summary()})
 	}
 	return res, nil
 }
@@ -147,43 +104,25 @@ func (r LoadSweepResult) Knee() int {
 	return knee
 }
 
+// loadSweepColumns declares the saturation curve's table and CSV.
+var loadSweepColumns = []column[LoadSweepRow]{
+	floatCol("load", "load_factor", fixed("%.2fx"), func(r LoadSweepRow) float64 { return r.Factor }),
+	floatCol("req/s", "rate_rps", fixed("%.0f"), func(r LoadSweepRow) float64 { return r.RatePerSec }),
+	floatCol("served/s", "throughput_rps", fixed("%.0f"), func(r LoadSweepRow) float64 { return r.ThroughputRPS }),
+	floatCol("util", "utilization_pct", report.Pct, func(r LoadSweepRow) float64 { return r.UtilizationPct }),
+	floatCol("mean batch", "mean_batch", fixed("%.1f"), func(r LoadSweepRow) float64 { return r.MeanBatch }),
+	floatCol("mean wait", "mean_wait_us", report.US, func(r LoadSweepRow) float64 { return r.MeanWaitUS }),
+	floatCol("p50", "p50_us", report.US, func(r LoadSweepRow) float64 { return r.P50LatencyUS }),
+	floatCol("p95", "p95_us", report.US, func(r LoadSweepRow) float64 { return r.P95LatencyUS }),
+	floatCol("p99", "p99_us", report.US, func(r LoadSweepRow) float64 { return r.P99LatencyUS }),
+	intCol("", "batches", nil, func(r LoadSweepRow) int { return r.Batches }),
+}
+
 // Render formats the saturation curve.
 func (r LoadSweepResult) Render() string {
-	t := report.NewTable(
-		fmt.Sprintf("Load sweep — %s: %s serving, capacity ≈ %.0f req/s (%d requests/rate)",
-			r.Network, r.Policy, r.CapacityRPS, r.Requests),
-		"load", "req/s", "served/s", "util", "mean batch", "mean wait", "p50", "p95", "p99").AlignNumeric()
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			fmt.Sprintf("%.2fx", row.Factor),
-			fmt.Sprintf("%.0f", row.RatePerSec),
-			fmt.Sprintf("%.0f", row.ThroughputRPS),
-			report.Pct(row.UtilizationPct),
-			fmt.Sprintf("%.1f", row.MeanBatch),
-			report.US(row.MeanWaitUS),
-			report.US(row.P50US),
-			report.US(row.P95US),
-			report.US(row.P99US))
-	}
-	return t.String()
+	return textTable(fmt.Sprintf("Load sweep — %s: %s serving, capacity ≈ %.0f req/s (%d requests/rate)",
+		r.Network, r.Policy, r.CapacityRPS, r.Requests), loadSweepColumns, r.Rows)
 }
 
 // CSV renders the saturation curve for external plotting.
-func (r LoadSweepResult) CSV() string {
-	t := report.NewTable("", "load_factor", "rate_rps", "throughput_rps", "utilization_pct",
-		"mean_batch", "mean_wait_us", "p50_us", "p95_us", "p99_us", "batches")
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			fmt.Sprintf("%.6f", row.Factor),
-			fmt.Sprintf("%.6f", row.RatePerSec),
-			fmt.Sprintf("%.6f", row.ThroughputRPS),
-			fmt.Sprintf("%.6f", row.UtilizationPct),
-			fmt.Sprintf("%.6f", row.MeanBatch),
-			fmt.Sprintf("%.6f", row.MeanWaitUS),
-			fmt.Sprintf("%.6f", row.P50US),
-			fmt.Sprintf("%.6f", row.P95US),
-			fmt.Sprintf("%.6f", row.P99US),
-			fmt.Sprintf("%d", row.Batches))
-	}
-	return t.CSV()
-}
+func (r LoadSweepResult) CSV() string { return csvTable(loadSweepColumns, r.Rows) }

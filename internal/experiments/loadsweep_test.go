@@ -57,15 +57,15 @@ func TestLoadSweepSaturationKnee(t *testing.T) {
 	// slope between 0.6x and 1.2x must exceed the below-knee slope
 	// between 0.2x and 0.6x — while the throughput gained over the
 	// same crossing collapses.
-	slopeBelow := (mid.P99US - low.P99US) / (mid.RatePerSec - low.RatePerSec)
-	slopeAcross := (over.P99US - mid.P99US) / (over.RatePerSec - mid.RatePerSec)
+	slopeBelow := (mid.P99LatencyUS - low.P99LatencyUS) / (mid.RatePerSec - low.RatePerSec)
+	slopeAcross := (over.P99LatencyUS - mid.P99LatencyUS) / (over.RatePerSec - mid.RatePerSec)
 	if slopeAcross <= 1.2*slopeBelow {
 		t.Errorf("p99 slope across knee %.3g <= 1.2 x below-knee slope %.3g; want superlinear growth",
 			slopeAcross, slopeBelow)
 	}
-	if over.P99US < 1.5*mid.P99US {
+	if over.P99LatencyUS < 1.5*mid.P99LatencyUS {
 		t.Errorf("p99 rose only %.2fx across the knee (%.0f -> %.0f µs)",
-			over.P99US/mid.P99US, mid.P99US, over.P99US)
+			over.P99LatencyUS/mid.P99LatencyUS, mid.P99LatencyUS, over.P99LatencyUS)
 	}
 
 	// Overloaded rows saturate the server.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/planner"
@@ -205,38 +206,30 @@ type PlanSweepResult struct {
 // is served; zero drops is the trace-length-independent way to say
 // "carry the whole load". Budgets default to PlanSweepBudgets.
 func PlanSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, budgets []float64) (PlanSweepResult, error) {
-	if requests <= 0 {
-		requests = DefaultServeRequests
-	}
 	if len(budgets) == 0 {
 		budgets = PlanSweepBudgets()
 	}
 	if err := ValidateLoadFactors(budgets); err != nil {
 		return PlanSweepResult{}, err
 	}
-	eng := lab.Engine()
-	policy, err := servingPolicy(eng, w, cfg)
-	if err != nil {
-		return PlanSweepResult{}, err
-	}
-	capacity, err := measureCapacity(eng, w, cfg, policy, requests)
+	run, capacity, err := calibratedRunner(lab, w, cfg, requests)
 	if err != nil {
 		return PlanSweepResult{}, err
 	}
 	res := PlanSweepResult{
 		Network:     w.Name,
-		Policy:      policy.Name(),
+		Policy:      run.policy.Name(),
 		Batch:       w.Batch,
-		Requests:    requests,
+		Requests:    run.requests,
 		QueueCap:    fleetQueueCapBatches * w.Batch,
 		MaxReplicas: planSweepMaxReplicas,
 		CapacityRPS: capacity,
 		RatePerSec:  DefaultPlanLoadReplicas * capacity,
 	}
-	probe, err := PlanProbe(eng, w, cfg, PlanProbeConfig{
-		Requests: requests,
+	probe, err := PlanProbe(run.eng, w, cfg, PlanProbeConfig{
+		Requests: run.requests,
 		QueueCap: res.QueueCap,
-		Policy:   policy,
+		Policy:   run.policy,
 	})
 	if err != nil {
 		return PlanSweepResult{}, err
@@ -281,47 +274,38 @@ func PlanSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, budgets []
 	return res, nil
 }
 
+// planSweepColumns declares the per-budget plans' table and CSV.
+var planSweepColumns = []column[PlanRow]{
+	floatCol("p99 budget", "p99_budget_us", report.US, func(r PlanRow) float64 { return r.P99BudgetUS }),
+	{csv: "feasible", export: func(r PlanRow) string { return strconv.FormatBool(r.Feasible) }},
+	ifFeasible("—", intCol("replicas", "replicas", strconv.Itoa, func(r PlanRow) int { return r.Replicas })),
+	ifFeasible("infeasible", textCol("routing", "routing", func(r PlanRow) string { return r.Routing })),
+	ifFeasible("—", floatCol("served/s", "throughput_rps", fixed("%.0f"), func(r PlanRow) float64 { return r.ThroughputRPS })),
+	ifFeasible("—", floatCol("p99", "p99_us", report.US, func(r PlanRow) float64 { return r.P99US })),
+	ifFeasible("—", floatCol("headroom", "headroom_pct", report.Pct, func(r PlanRow) float64 { return r.HeadroomPct })),
+	ifFeasible("—", textCol("bottleneck", "bottleneck", func(r PlanRow) string { return r.Bottleneck })),
+	ifFeasible("—", floatCol("knee req/s", "knee_rps", fixed("%.0f"), func(r PlanRow) float64 { return r.KneeRPS })),
+	ifFeasible("—", intCol("probes", "evaluations", strconv.Itoa, func(r PlanRow) int { return r.Evaluations })),
+}
+
+// ifFeasible shows otherwise in place of c's text cell on infeasible
+// rows.
+func ifFeasible(otherwise string, c column[PlanRow]) column[PlanRow] {
+	show := c.show
+	c.show = func(r PlanRow) string {
+		if !r.Feasible {
+			return otherwise
+		}
+		return show(r)
+	}
+	return c
+}
+
 // Render formats the per-budget plans.
 func (r PlanSweepResult) Render() string {
-	t := report.NewTable(
-		fmt.Sprintf("Capacity planner — %s: %s per replica, %.0f req/s offered (%.1fx one replica), ≤%d replicas",
-			r.Network, r.Policy, r.RatePerSec, r.RatePerSec/r.CapacityRPS, r.MaxReplicas),
-		"p99 budget", "replicas", "routing", "served/s", "p99", "headroom", "bottleneck", "knee req/s", "probes").AlignNumeric()
-	for _, row := range r.Rows {
-		if !row.Feasible {
-			t.AddStringRow(report.US(row.P99BudgetUS), "—", "infeasible", "—", "—", "—", "—", "—", "—")
-			continue
-		}
-		t.AddStringRow(
-			report.US(row.P99BudgetUS),
-			fmt.Sprintf("%d", row.Replicas),
-			row.Routing,
-			fmt.Sprintf("%.0f", row.ThroughputRPS),
-			report.US(row.P99US),
-			report.Pct(row.HeadroomPct),
-			row.Bottleneck,
-			fmt.Sprintf("%.0f", row.KneeRPS),
-			fmt.Sprintf("%d", row.Evaluations))
-	}
-	return t.String()
+	return textTable(fmt.Sprintf("Capacity planner — %s: %s per replica, %.0f req/s offered (%.1fx one replica), ≤%d replicas",
+		r.Network, r.Policy, r.RatePerSec, r.RatePerSec/r.CapacityRPS, r.MaxReplicas), planSweepColumns, r.Rows)
 }
 
 // CSV renders the per-budget plans for external plotting.
-func (r PlanSweepResult) CSV() string {
-	t := report.NewTable("", "p99_budget_us", "feasible", "replicas", "routing", "throughput_rps",
-		"p99_us", "headroom_pct", "bottleneck", "knee_rps", "evaluations")
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			fmt.Sprintf("%.6f", row.P99BudgetUS),
-			fmt.Sprintf("%t", row.Feasible),
-			fmt.Sprintf("%d", row.Replicas),
-			row.Routing,
-			fmt.Sprintf("%.6f", row.ThroughputRPS),
-			fmt.Sprintf("%.6f", row.P99US),
-			fmt.Sprintf("%.6f", row.HeadroomPct),
-			row.Bottleneck,
-			fmt.Sprintf("%.6f", row.KneeRPS),
-			fmt.Sprintf("%d", row.Evaluations))
-	}
-	return t.CSV()
-}
+func (r PlanSweepResult) CSV() string { return csvTable(planSweepColumns, r.Rows) }

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"seqpoint/internal/core"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/report"
-	"seqpoint/internal/trainer"
 )
 
 // ScaleOutRow is one GPU count's data-parallel scaling outcome.
@@ -141,53 +141,28 @@ func ScaleOut(lab *Lab, w Workload, cfg gpusim.Config, base gpusim.ClusterConfig
 	return res, nil
 }
 
+// scaleOutColumns declares the scaling curve's table and CSV.
+var scaleOutColumns = []column[ScaleOutRow]{
+	intCol("gpus", "gpus", strconv.Itoa, func(r ScaleOutRow) int { return r.GPUs }),
+	intCol("shard", "shard_batch", strconv.Itoa, func(r ScaleOutRow) int { return r.ShardBatch }),
+	floatCol("samples/s", "throughput_sps", fixed("%.1f"), func(r ScaleOutRow) float64 { return r.ThroughputSPS }),
+	floatCol("speedup", "speedup_x", fixed("%.2fx"), func(r ScaleOutRow) float64 { return r.SpeedupX }),
+	floatCol("efficiency", "efficiency_pct", report.Pct, func(r ScaleOutRow) float64 { return r.EfficiencyPct }),
+	floatCol("comm share", "comm_share_pct", report.Pct, func(r ScaleOutRow) float64 { return r.CommSharePct }),
+	floatCol("", "proj_train_us", nil, func(r ScaleOutRow) float64 { return r.ProjTrainUS }),
+	floatCol("", "actual_train_us", nil, func(r ScaleOutRow) float64 { return r.ActualTrainUS }),
+	floatCol("proj err", "proj_err_pct", report.Pct, func(r ScaleOutRow) float64 { return r.ProjErrPct }),
+}
+
 // Render formats the scaling curve.
 func (r ScaleOutResult) Render() string {
-	t := report.NewTable(
-		fmt.Sprintf("Scale-out — %s: data-parallel scaling over %s @ %g GB/s (%d SeqPoints)",
-			r.Network, r.Topology, r.LinkGBps, r.SeqPoints),
-		"gpus", "shard", "samples/s", "speedup", "efficiency", "comm share", "proj err").AlignNumeric()
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			fmt.Sprintf("%d", row.GPUs),
-			fmt.Sprintf("%d", row.ShardBatch),
-			fmt.Sprintf("%.1f", row.ThroughputSPS),
-			fmt.Sprintf("%.2fx", row.SpeedupX),
-			report.Pct(row.EfficiencyPct),
-			report.Pct(row.CommSharePct),
-			report.Pct(row.ProjErrPct))
-	}
-	return t.String()
+	return textTable(fmt.Sprintf("Scale-out — %s: data-parallel scaling over %s @ %g GB/s (%d SeqPoints)",
+		r.Network, r.Topology, r.LinkGBps, r.SeqPoints), scaleOutColumns, r.Rows)
 }
 
 // CSV renders the scaling curve for external plotting.
-func (r ScaleOutResult) CSV() string {
-	t := report.NewTable("", "gpus", "shard_batch", "throughput_sps", "speedup_x",
-		"efficiency_pct", "comm_share_pct", "proj_train_us", "actual_train_us", "proj_err_pct")
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			fmt.Sprintf("%d", row.GPUs),
-			fmt.Sprintf("%d", row.ShardBatch),
-			fmt.Sprintf("%.6f", row.ThroughputSPS),
-			fmt.Sprintf("%.6f", row.SpeedupX),
-			fmt.Sprintf("%.6f", row.EfficiencyPct),
-			fmt.Sprintf("%.6f", row.CommSharePct),
-			fmt.Sprintf("%.6f", row.ProjTrainUS),
-			fmt.Sprintf("%.6f", row.ActualTrainUS),
-			fmt.Sprintf("%.6f", row.ProjErrPct))
-	}
-	return t.CSV()
-}
+func (r ScaleOutResult) CSV() string { return csvTable(scaleOutColumns, r.Rows) }
 
 // ScaleOutGPUCounts is the default sweep: the cluster sizes of the
 // acceptance evaluation.
 func ScaleOutGPUCounts() []int { return []int{1, 2, 4, 8} }
-
-// ScaleOutSpec builds the trainer spec of one sweep point — exposed so
-// callers (and tests) can reproduce exactly what the sweep simulates.
-func ScaleOutSpec(w Workload, base gpusim.ClusterConfig, gpus int) trainer.Spec {
-	c := base
-	c.GPUs = gpus
-	w.Cluster = c.Normalized()
-	return w.Spec()
-}

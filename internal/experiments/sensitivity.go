@@ -109,13 +109,6 @@ func Sensitivity(lab *Lab, w Workload, cfgs []gpusim.Config, maxPoints int) (Sen
 	return res, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Render formats the curves as a seqlen x pair matrix plus per-curve
 // spreads.
 func (r SensitivityResult) Render() string {

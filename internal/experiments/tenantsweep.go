@@ -170,14 +170,13 @@ func classP50P99(metrics []serving.RequestMetric, class string) (p50, p99 float6
 // inversion (interactive p99 above batch p99); the wfq row shows its
 // mitigation and what it costs in aggregate throughput.
 func TenantSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, loadFactor float64) (TenantSweepResult, error) {
-	if requests <= 0 {
-		requests = DefaultServeRequests
-	}
 	if loadFactor == 0 {
 		loadFactor = DefaultTenantLoadFactor
 	}
-	eng := lab.Engine()
-	basePolicy, err := servingPolicy(eng, w, cfg)
+	if err := ValidateLoadFactors([]float64{loadFactor}); err != nil {
+		return TenantSweepResult{}, err
+	}
+	run, err := newSweepRunner(lab, w, cfg, requests)
 	if err != nil {
 		return TenantSweepResult{}, err
 	}
@@ -186,34 +185,16 @@ func TenantSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, loadFact
 	// capacity would overshoot and push the sweep into deep overload.
 	// The probe trace shares the generator seed with the real one, so
 	// its request mix is identical; only arrival times differ.
-	probeTrace, err := tenantSweepTrace(w, requests, 1)
+	capacity, err := run.capacity(tenantSweepTrace(w, run.requests, 1))
 	if err != nil {
 		return TenantSweepResult{}, err
 	}
-	burst := serving.Trace{Name: probeTrace.Name + " burst", Requests: append([]serving.Request(nil), probeTrace.Requests...)}
-	for i := range burst.Requests {
-		burst.Requests[i].ArrivalUS = 0
-	}
-	capRun, err := serving.Simulate(serving.Spec{
-		Model:    w.Model,
-		Trace:    burst,
-		Policy:   basePolicy,
-		Profiles: eng,
-	}, cfg)
-	if err != nil {
-		return TenantSweepResult{}, fmt.Errorf("experiments: tenant sweep %s capacity probe: %w", w.Name, err)
-	}
-	capacity := capRun.Throughput()
-	_, rates, err := ScaledRates(capacity, []float64{loadFactor})
+	rate := loadFactor * capacity
+	trace, err := tenantSweepTrace(w, run.requests, rate)
 	if err != nil {
 		return TenantSweepResult{}, err
 	}
-	rate := rates[0]
-	trace, err := tenantSweepTrace(w, requests, rate)
-	if err != nil {
-		return TenantSweepResult{}, err
-	}
-	serviceUS, err := fullBatchServiceUS(eng, w, cfg)
+	serviceUS, err := fullBatchServiceUS(run.eng, w, cfg)
 	if err != nil {
 		return TenantSweepResult{}, err
 	}
@@ -231,31 +212,26 @@ func TenantSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, loadFact
 		Batch:      w.Batch,
 		RatePerSec: rate,
 		LoadFactor: loadFactor,
-		Requests:   requests,
+		Requests:   run.requests,
 		Trace:      trace.Name,
 		Tenants:    trace.Tenants(),
 	}
 	for _, policy := range []serving.Policy{fifo, wfq} {
-		run, err := serving.Simulate(serving.Spec{
-			Model:    w.Model,
-			Trace:    trace,
-			Policy:   policy,
-			Profiles: eng,
-		}, cfg)
+		arm, err := run.simulate(serving.FleetSpec{Trace: trace, Policy: policy})
 		if err != nil {
 			return TenantSweepResult{}, fmt.Errorf("experiments: tenant sweep %s under %s: %w", w.Name, policy.Name(), err)
 		}
-		chatP50, chatP99, err := classP50P99(run.Requests, tenantClassChat)
+		chatP50, chatP99, err := classP50P99(arm.Requests, tenantClassChat)
 		if err != nil {
 			return TenantSweepResult{}, err
 		}
-		_, batchP99, err := classP50P99(run.Requests, tenantClassBatch)
+		_, batchP99, err := classP50P99(arm.Requests, tenantClassBatch)
 		if err != nil {
 			return TenantSweepResult{}, err
 		}
 		row := TenantSweepRow{
 			Policy:           policy.Name(),
-			ThroughputRPS:    run.Throughput(),
+			ThroughputRPS:    arm.Throughput(),
 			InteractiveP50US: chatP50,
 			InteractiveP99US: chatP99,
 			BatchP99US:       batchP99,
@@ -268,36 +244,22 @@ func TenantSweep(lab *Lab, w Workload, cfg gpusim.Config, requests int, loadFact
 	return res, nil
 }
 
+// tenantSweepColumns declares the FIFO-vs-fair contrast's table and
+// CSV.
+var tenantSweepColumns = []column[TenantSweepRow]{
+	textCol("policy", "policy", func(r TenantSweepRow) string { return r.Policy }),
+	floatCol("served/s", "throughput_rps", fixed("%.0f"), func(r TenantSweepRow) float64 { return r.ThroughputRPS }),
+	floatCol("interactive p50", "interactive_p50_us", report.US, func(r TenantSweepRow) float64 { return r.InteractiveP50US }),
+	floatCol("interactive p99", "interactive_p99_us", report.US, func(r TenantSweepRow) float64 { return r.InteractiveP99US }),
+	floatCol("batch p99", "batch_p99_us", report.US, func(r TenantSweepRow) float64 { return r.BatchP99US }),
+	floatCol("p99 ratio", "starvation_ratio", fixed("%.2f"), func(r TenantSweepRow) float64 { return r.StarvationRatio }),
+}
+
 // Render formats the FIFO-vs-fair contrast.
 func (r TenantSweepResult) Render() string {
-	t := report.NewTable(
-		fmt.Sprintf("Multi-tenant serving — %s: %d tenants, diurnal Zipf trace at %.0f req/s (%.2fx load), batch %d",
-			r.Network, len(r.Tenants), r.RatePerSec, r.LoadFactor, r.Batch),
-		"policy", "served/s", "interactive p50", "interactive p99", "batch p99", "p99 ratio").AlignNumeric()
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			row.Policy,
-			fmt.Sprintf("%.0f", row.ThroughputRPS),
-			report.US(row.InteractiveP50US),
-			report.US(row.InteractiveP99US),
-			report.US(row.BatchP99US),
-			fmt.Sprintf("%.2f", row.StarvationRatio))
-	}
-	return t.String()
+	return textTable(fmt.Sprintf("Multi-tenant serving — %s: %d tenants, diurnal Zipf trace at %.0f req/s (%.2fx load), batch %d",
+		r.Network, len(r.Tenants), r.RatePerSec, r.LoadFactor, r.Batch), tenantSweepColumns, r.Rows)
 }
 
 // CSV renders the contrast for external plotting.
-func (r TenantSweepResult) CSV() string {
-	t := report.NewTable("", "policy", "throughput_rps", "interactive_p50_us",
-		"interactive_p99_us", "batch_p99_us", "starvation_ratio")
-	for _, row := range r.Rows {
-		t.AddStringRow(
-			row.Policy,
-			fmt.Sprintf("%.6f", row.ThroughputRPS),
-			fmt.Sprintf("%.6f", row.InteractiveP50US),
-			fmt.Sprintf("%.6f", row.InteractiveP99US),
-			fmt.Sprintf("%.6f", row.BatchP99US),
-			fmt.Sprintf("%.6f", row.StarvationRatio))
-	}
-	return t.CSV()
-}
+func (r TenantSweepResult) CSV() string { return csvTable(tenantSweepColumns, r.Rows) }

@@ -5,45 +5,6 @@ import (
 	"testing"
 )
 
-// TestFmtFloatBranches drives every branch of the float formatter,
-// including the negative mirrors the happy-path tests skip.
-func TestFmtFloatBranches(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{0, "0"},
-		{0.5, "0.50"},              // < 100: two decimals
-		{-0.5, "-0.50"},            // negative small
-		{99.994, "99.99"},          // just under the 100 cut
-		{100, "100.0"},             // >= 100: one decimal
-		{-123.456, "-123.5"},       // negative mid-range
-		{9999999.4, "9999999.4"},   // just under 1e7 stays fixed-point
-		{1e7, "1e+07"},             // >= 1e7 switches to scientific
-		{-1e7, "-1e+07"},           // negative scientific
-		{0.00099, "0.00099"},       // < 1e-3 switches to scientific
-		{-0.00012345, "-0.000123"}, // negative tiny
-		{0.001, "0.00"},            // exactly 1e-3 stays fixed-point
-	}
-	for _, tc := range cases {
-		if got := fmtFloat(tc.in); got != tc.want {
-			t.Errorf("fmtFloat(%v) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestAddRowMixedTypes covers AddRow's three formatting arms: string
-// pass-through, float formatting, and the %v default.
-func TestAddRowMixedTypes(t *testing.T) {
-	tbl := NewTable("", "a", "b", "c", "d")
-	tbl.AddRow("s", 1.25, 42, true)
-	csv := tbl.CSV()
-	want := "a,b,c,d\ns,1.25,42,true\n"
-	if csv != want {
-		t.Errorf("CSV = %q, want %q", csv, want)
-	}
-}
-
 // TestAlignBounds: out-of-range column indexes must be ignored, not
 // panic, and Align must affect exactly the requested column.
 func TestAlignBounds(t *testing.T) {

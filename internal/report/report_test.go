@@ -7,8 +7,8 @@ import (
 
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("Title", "name", "value").AlignNumeric()
-	tbl.AddRow("alpha", 1.5)
-	tbl.AddRow("b", 100)
+	tbl.AddStringRow("alpha", "1.50")
+	tbl.AddStringRow("b", "100")
 	s := tbl.String()
 	if !strings.HasPrefix(s, "Title\n") {
 		t.Errorf("missing title: %q", s)
@@ -57,21 +57,6 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\n1,2\n\"has,comma\",\"has\"\"quote\"\n"
 	if csv != want {
 		t.Errorf("CSV = %q, want %q", csv, want)
-	}
-}
-
-func TestFmtFloat(t *testing.T) {
-	cases := map[float64]string{
-		0:       "0",
-		1.5:     "1.50",
-		123.456: "123.5",
-		1e9:     "1e+09",
-		1e-5:    "1e-05",
-	}
-	for in, want := range cases {
-		if got := fmtFloat(in); got != want {
-			t.Errorf("fmtFloat(%v) = %q, want %q", in, got, want)
-		}
 	}
 }
 

@@ -51,48 +51,10 @@ func (t *Table) AlignNumeric() *Table {
 	return t
 }
 
-// AddRow appends a row. Cells are stringified with %v; float64 cells are
-// formatted with 4 significant digits — use Cell for custom formats.
-func (t *Table) AddRow(cells ...interface{}) *Table {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = fmtFloat(v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
-	return t
-}
-
 // AddStringRow appends a pre-formatted row.
 func (t *Table) AddStringRow(cells ...string) *Table {
 	t.rows = append(t.rows, cells)
 	return t
-}
-
-// fmtFloat renders a float compactly: fixed-point with enough precision
-// for percent errors (two decimals) but switching to scientific form for
-// very large or tiny magnitudes.
-func fmtFloat(v float64) string {
-	av := v
-	if av < 0 {
-		av = -av
-	}
-	switch {
-	case av == 0:
-		return "0"
-	case av >= 1e7 || av < 1e-3:
-		return fmt.Sprintf("%.3g", v)
-	case av >= 100:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.2f", v)
-	}
 }
 
 // Rows returns the number of data rows added so far.

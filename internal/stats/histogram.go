@@ -108,27 +108,6 @@ func (h *Histogram) String() string {
 	return b.String()
 }
 
-// Mode returns the most frequent value among the samples and its count.
-// Ties break toward the smaller value, which keeps the "frequent"
-// baseline deterministic.
-func Mode(samples []int) (value, count int, err error) {
-	if len(samples) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	freq := make(map[int]int, len(samples))
-	for _, s := range samples {
-		freq[s]++
-	}
-	first := true
-	for v, c := range freq {
-		if first || c > count || (c == count && v < value) {
-			value, count = v, c
-			first = false
-		}
-	}
-	return value, count, nil
-}
-
 // MedianInt returns the frequency-weighted median of the samples: the
 // value at the midpoint of the sorted sample list. This is the "median"
 // baseline's selection rule.
@@ -153,15 +132,6 @@ func UniqueInts(samples []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// CountsByValue returns a map from distinct value to occurrence count.
-func CountsByValue(samples []int) map[int]int {
-	freq := make(map[int]int, len(samples))
-	for _, s := range samples {
-		freq[s]++
-	}
-	return freq
 }
 
 // ErrBadBins reports invalid bin specifications.

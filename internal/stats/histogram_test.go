@@ -237,27 +237,6 @@ func TestBinOfAgreesWithEdgesNarrow(t *testing.T) {
 	}
 }
 
-func TestMode(t *testing.T) {
-	v, c, err := Mode([]int{3, 1, 3, 2, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 3 || c != 3 {
-		t.Errorf("Mode = (%d,%d), want (3,3)", v, c)
-	}
-	// Ties break toward the smaller value.
-	v, c, err = Mode([]int{5, 2, 5, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 2 || c != 2 {
-		t.Errorf("Mode tie = (%d,%d), want (2,2)", v, c)
-	}
-	if _, _, err := Mode(nil); err != ErrEmpty {
-		t.Errorf("empty error = %v, want ErrEmpty", err)
-	}
-}
-
 func TestMedianInt(t *testing.T) {
 	got, err := MedianInt([]int{9, 1, 5})
 	if err != nil {
@@ -284,13 +263,6 @@ func TestUniqueInts(t *testing.T) {
 	}
 }
 
-func TestCountsByValue(t *testing.T) {
-	got := CountsByValue([]int{1, 1, 2})
-	if got[1] != 2 || got[2] != 1 {
-		t.Errorf("CountsByValue = %v", got)
-	}
-}
-
 func TestFitExactLine(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := make([]float64, len(xs))
@@ -306,9 +278,6 @@ func TestFitExactLine(t *testing.T) {
 	}
 	if !almostEqual(fit.R2, 1, 1e-12) {
 		t.Errorf("R2 = %v, want 1", fit.R2)
-	}
-	if got := fit.Predict(10); !almostEqual(got, 37, 1e-9) {
-		t.Errorf("Predict(10) = %v, want 37", got)
 	}
 }
 

@@ -53,8 +53,3 @@ func Fit(xs, ys []float64) (LinearFit, error) {
 	}
 	return LinearFit{Slope: slope, Intercept: intercept, R2: r2, N: len(xs)}, nil
 }
-
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 {
-	return f.Slope*x + f.Intercept
-}

@@ -67,19 +67,6 @@ func WeightedMean(xs, ws []float64) (float64, error) {
 	return num / den, nil
 }
 
-// WeightedSum returns sum(w_i * x_i): Equation 1 of the paper, used for
-// projecting additive statistics such as total training time.
-func WeightedSum(xs, ws []float64) (float64, error) {
-	if len(xs) != len(ws) {
-		return 0, ErrMismatch
-	}
-	var s float64
-	for i, x := range xs {
-		s += ws[i] * x
-	}
-	return s, nil
-}
-
 // Geomean returns the geometric mean of xs. All samples must be
 // positive; the paper reports projection errors as geomeans across
 // hardware configurations.
@@ -178,29 +165,6 @@ func nearestRank(n int, p float64) int {
 		rank = n
 	}
 	return rank
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)), nil
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
 }
 
 // PercentError returns |predicted-actual| / actual * 100. The actual

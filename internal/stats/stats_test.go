@@ -233,19 +233,6 @@ func TestWeightedMean(t *testing.T) {
 	})
 }
 
-func TestWeightedSum(t *testing.T) {
-	got, err := WeightedSum([]float64{1, 2}, []float64{10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 210 {
-		t.Errorf("WeightedSum = %v, want 210", got)
-	}
-	if _, err := WeightedSum([]float64{1}, nil); err != ErrMismatch {
-		t.Errorf("mismatch error = %v, want ErrMismatch", err)
-	}
-}
-
 func TestGeomean(t *testing.T) {
 	got, err := Geomean([]float64{1, 100})
 	if err != nil {
@@ -295,23 +282,6 @@ func TestMedian(t *testing.T) {
 			t.Errorf("input mutated: %v", in)
 		}
 	})
-}
-
-func TestVarianceStddev(t *testing.T) {
-	v, err := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	s, err := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(s, 2, 1e-12) {
-		t.Errorf("Stddev = %v, want 2", s)
-	}
 }
 
 func TestPercentError(t *testing.T) {

@@ -38,18 +38,9 @@ func main() {
 }
 
 func run(model string, batch int, seed int64, eThr float64, nThr, kInit int) error {
-	var w experiments.Workload
-	switch model {
-	case "ds2":
-		w = experiments.DS2Workload(seed)
-	case "gnmt":
-		w = experiments.GNMTWorkload(seed)
-	case "transformer":
-		w = experiments.TransformerWorkload(seed)
-	case "seq2seq":
-		w = experiments.Seq2SeqWorkload(seed)
-	default:
-		return fmt.Errorf("unknown model %q (want ds2, gnmt, transformer or seq2seq)", model)
+	w, err := experiments.ServedWorkloadByName(model, seed)
+	if err != nil {
+		return err
 	}
 	w.Batch = batch
 	w.Epochs = 1

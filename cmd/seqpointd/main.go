@@ -11,9 +11,10 @@
 //	          -parallelism 8 -max-inflight 32
 //
 // Endpoints: POST /v1/simulate, POST /v1/sweep, POST /v1/seqpoint,
-// POST /v1/serve, GET /healthz, GET /v1/stats, GET /metrics. See the
-// README's "Running as a service" and "Online serving simulation"
-// sections for request examples.
+// POST /v1/serve, POST /v1/fleet, POST /v1/plan, GET /healthz,
+// GET /v1/stats, GET /metrics. See the README's "Running as a service",
+// "Online serving simulation", "Fleet simulation" and "Capacity
+// planning" sections for request examples.
 //
 // The daemon runs the garbage collector at GC percent 400 unless GOGC
 // is set in its environment (see main).

@@ -17,6 +17,10 @@
 // that meets them at -rate, and report the plan with its saturation
 // analysis — headroom, bottleneck, and the knee rate where it breaks.
 //
+// Both serving modes map their flags onto seqpointd's request types and
+// resolve them with the Spec methods its /v1/serve, /v1/fleet and
+// /v1/plan handlers call, so a run here simulates the same inputs.
+//
 // Usage:
 //
 //	trainsim -model ds2 -config 3 -epochs 2 -parallelism 8 -o profile.csv
@@ -29,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,6 +49,7 @@ import (
 	"seqpoint/internal/planner"
 	"seqpoint/internal/profiler"
 	"seqpoint/internal/report"
+	"seqpoint/internal/server"
 	"seqpoint/internal/serving"
 	"seqpoint/internal/workload"
 )
@@ -91,32 +97,33 @@ func mainExit() int {
 		linkLat  = flag.Float64("linklatus", gpusim.DefaultLinkLatencyUS, "per-hop interconnect latency in microseconds")
 		overlap  = flag.Float64("overlap", gpusim.DefaultOverlap, "fraction of compute the all-reduce can hide behind [0,1]")
 		serve    = flag.Bool("serve", false, "simulate online serving instead of training")
-		rate     = flag.Float64("rate", 100, "(with -serve) Poisson arrival rate in requests/s")
-		policy   = flag.String("policy", serving.PolicyDynamic, "(with -serve) batching policy: fixed, dynamic, length or wfq")
-		requests = flag.Int("requests", experiments.DefaultServeRequests, "(with -serve) arrival-trace length")
-		tenants  = flag.String("tenants", "", "(with -serve) generate a multi-tenant trace: comma-separated class=count cohorts, e.g. chat=3,bulk=1")
-		pattern  = flag.String("pattern", "", "(with -serve) arrival-rate shape for generated traces: uniform or diurnal")
-		traceOut = flag.String("trace-out", "", "(with -serve) save the arrival trace to this file (versioned JSON lines)")
-		traceIn  = flag.String("trace-in", "", "(with -serve) replay a recorded trace file instead of generating arrivals; an explicit -rate rescales it")
-		timeout  = flag.Float64("serve-timeout-us", 50000, "(with -serve) dynamic policy's batching window in µs")
-		replicas = flag.Int("replicas", 1, "(with -serve) serving replica count; > 1 simulates a fleet")
-		routing  = flag.String("routing", serving.RoutingRoundRobin, "(with -serve) fleet routing: rr, least, jsq or po2")
-		queueCap = flag.Int("queue-cap", 0, "(with -serve) per-replica admission queue bound (0 = unbounded)")
-		autoScal = flag.Bool("autoscale", false, "(with -serve) autoscale the fleet between 1 and -replicas on queue depth")
-		kvCapGB  = flag.Float64("kv-capacity-gb", 0, "(with -serve) per-replica KV-cache capacity in GB; 0 disables the memory model")
-		kvSteps  = flag.Int("decode-steps", 0, "(with -serve -kv-capacity-gb) decode steps per request")
-		kvPre    = flag.String("kv-preempt", "", "(with -serve -kv-capacity-gb) over-capacity behavior: evict or block")
-		disagg   = flag.String("disagg", "", "(with -serve -kv-capacity-gb) split the fleet into prefill:decode pools, e.g. 2:6")
 		plan     = flag.Bool("plan", false, "plan capacity: find the minimal fleet meeting the -slo-* targets at -rate")
-		sloP99   = flag.Float64("slo-p99-us", 0, "(with -plan) p99 end-to-end latency target in µs (0 = untargeted)")
-		sloTTFT  = flag.Float64("slo-ttft-p99-us", 0, "(with -plan) p99 TTFT target in µs; needs -kv-capacity-gb (0 = untargeted)")
-		sloRPS   = flag.Float64("slo-min-rps", 0, "(with -plan) served-throughput floor in requests/s (0 = untargeted)")
-		sloDrop  = flag.Float64("slo-max-drop-pct", -1, "(with -plan) admission drop-rate cap in percent; 0 means drop nothing (-1 = untargeted)")
-		planMax  = flag.Int("plan-max-replicas", planner.DefaultMaxReplicas, "(with -plan) replica search ceiling")
-		planRout = flag.String("plan-routings", "", "(with -plan) comma-separated routing axis (default rr,least,jsq,po2)")
+		traceOut = flag.String("trace-out", "", "(with -serve) save the arrival trace to this file (versioned JSON lines)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
+	var sf servingFlags
+	flag.Float64Var(&sf.ws.Rate, "rate", 100, "(with -serve) Poisson arrival rate in requests/s")
+	flag.StringVar(&sf.ws.Policy, "policy", serving.PolicyDynamic, "(with -serve) batching policy: fixed, dynamic, length or wfq")
+	flag.IntVar(&sf.ws.Requests, "requests", experiments.DefaultServeRequests, "(with -serve) arrival-trace length")
+	flag.StringVar(&sf.tenants, "tenants", "", "(with -serve) generate a multi-tenant trace: comma-separated class=count cohorts, e.g. chat=3,bulk=1")
+	flag.StringVar(&sf.ws.Pattern, "pattern", "", "(with -serve) arrival-rate shape for generated traces: uniform or diurnal")
+	flag.StringVar(&sf.ws.TraceFile, "trace-in", "", "(with -serve) replay a recorded trace file instead of generating arrivals; an explicit -rate rescales it")
+	sf.ws.TimeoutUS = flag.Float64("serve-timeout-us", 50000, "(with -serve) dynamic policy's batching window in µs")
+	flag.IntVar(&sf.fleet.Replicas, "replicas", 1, "(with -serve) serving replica count; > 1 simulates a fleet")
+	flag.StringVar(&sf.fleet.Routing, "routing", serving.RoutingRoundRobin, "(with -serve) fleet routing: rr, least, jsq or po2")
+	flag.IntVar(&sf.fleet.QueueCap, "queue-cap", 0, "(with -serve) per-replica admission queue bound (0 = unbounded)")
+	flag.BoolVar(&sf.autoscale, "autoscale", false, "(with -serve) autoscale the fleet between 1 and -replicas on queue depth")
+	flag.Float64Var(&sf.kvCapGB, "kv-capacity-gb", 0, "(with -serve) per-replica KV-cache capacity in GB; 0 disables the memory model")
+	flag.IntVar(&sf.ws.DecodeSteps, "decode-steps", 0, "(with -serve -kv-capacity-gb) decode steps per request")
+	flag.StringVar(&sf.ws.KVPreempt, "kv-preempt", "", "(with -serve -kv-capacity-gb) over-capacity behavior: evict or block")
+	flag.StringVar(&sf.disagg, "disagg", "", "(with -serve -kv-capacity-gb) split the fleet into prefill:decode pools, e.g. 2:6")
+	flag.Float64Var(&sf.plan.SLO.LatencyP99US, "slo-p99-us", 0, "(with -plan) p99 end-to-end latency target in µs (0 = untargeted)")
+	flag.Float64Var(&sf.plan.SLO.TTFTP99US, "slo-ttft-p99-us", 0, "(with -plan) p99 TTFT target in µs; needs -kv-capacity-gb (0 = untargeted)")
+	flag.Float64Var(&sf.plan.SLO.MinThroughputRPS, "slo-min-rps", 0, "(with -plan) served-throughput floor in requests/s (0 = untargeted)")
+	flag.Float64Var(&sf.sloDrop, "slo-max-drop-pct", -1, "(with -plan) admission drop-rate cap in percent; 0 means drop nothing (-1 = untargeted)")
+	flag.IntVar(&sf.plan.MaxReplicas, "plan-max-replicas", planner.DefaultMaxReplicas, "(with -plan) replica search ceiling")
+	flag.StringVar(&sf.planRoutings, "plan-routings", "", "(with -plan) comma-separated routing axis (default rr,least,jsq,po2)")
 	flag.Parse()
 	engine.Shared().SetParallelism(*par)
 
@@ -163,10 +170,9 @@ func mainExit() int {
 		mode = "plan"
 	}
 	var visited []string
-	routingSet, rateSet := false, false
 	flag.Visit(func(f *flag.Flag) {
-		routingSet = routingSet || f.Name == "routing"
-		rateSet = rateSet || f.Name == "rate"
+		sf.routingSet = sf.routingSet || f.Name == "routing"
+		sf.rateSet = sf.rateSet || f.Name == "rate"
 		visited = append(visited, f.Name)
 	})
 	if bad, hint := badModeFlags(mode, visited); len(bad) > 0 {
@@ -174,54 +180,27 @@ func mainExit() int {
 		return 1
 	}
 
-	if *plan {
-		slo := planner.SLO{
-			TTFTP99US:        *sloTTFT,
-			LatencyP99US:     *sloP99,
-			MinThroughputRPS: *sloRPS,
-		}
-		if *sloDrop >= 0 {
-			slo.MaxDropRatePct = sloDrop
-		}
-		kvCfg, _, err := kvFromFlags(*kvCapGB, *kvSteps, *kvPre, "", 0)
-		if err == nil {
-			err = runPlan(*model, *cfgIdx, *batch, *seed, *rate, *policy, *requests, *timeout,
-				*queueCap, kvCfg, slo, *planMax, *planRout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trainsim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *serve {
-		arr := arrivalSpec{tenants: *tenants, pattern: *pattern, in: *traceIn, out: *traceOut, rateSet: rateSet}
-		kvCfg, disaggCfg, err := kvFromFlags(*kvCapGB, *kvSteps, *kvPre, *disagg, *replicas)
-		if err == nil {
-			// Any fleet-only knob — including an explicit -routing, a
-			// bounded queue or a pool split on a single replica — selects
-			// the fleet simulator, so no flag is ever silently ignored.
-			if *replicas > 1 || *autoScal || *queueCap > 0 || routingSet || disaggCfg != nil {
-				err = runFleet(*model, *cfgIdx, *batch, *seed, *rate, *policy, *requests, *timeout,
-					*replicas, *routing, *queueCap, *autoScal, kvCfg, disaggCfg, arr)
-			} else {
-				err = runServe(*model, *cfgIdx, *batch, *seed, *rate, *policy, *requests, *timeout, kvCfg, arr)
+	var err error
+	if *serve || *plan {
+		sf.ws.Model, sf.ws.Config, sf.ws.Batch, sf.ws.Seed = *model, "#"+strconv.Itoa(*cfgIdx), *batch, *seed
+		var req any
+		if req, err = sf.request(*plan); err == nil {
+			switch req := req.(type) {
+			case server.PlanRequest:
+				err = runPlan(req)
+			case server.FleetRequest:
+				err = runFleet(req, *traceOut)
+			case server.ServeRequest:
+				err = runServe(req, *traceOut)
 			}
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trainsim:", err)
-			return 1
+	} else {
+		var cl gpusim.ClusterConfig
+		if cl, err = clusterFromFlags(*gpus, *topology, *linkGBps, *linkLat, *overlap); err == nil {
+			err = run(*model, *cfgIdx, *epochs, *batch, *seed, *outCSV, *traceSL, *traceTo, cl)
 		}
-		return 0
 	}
-
-	cl, err := clusterFromFlags(*gpus, *topology, *linkGBps, *linkLat, *overlap)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "trainsim:", err)
-		return 1
-	}
-	if err := run(*model, *cfgIdx, *epochs, *batch, *seed, *outCSV, *traceSL, *traceTo, cl); err != nil {
 		fmt.Fprintln(os.Stderr, "trainsim:", err)
 		return 1
 	}
@@ -298,105 +277,92 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// kvFromFlags assembles the KV-cache and disaggregation configuration
-// from the serve-mode flags; both are nil with the memory model off.
-func kvFromFlags(capGB float64, steps int, preempt, disagg string, replicas int) (*serving.KVConfig, *serving.DisaggConfig, error) {
-	if capGB == 0 {
-		if steps != 0 || preempt != "" || disagg != "" {
-			return nil, nil, fmt.Errorf("-decode-steps, -kv-preempt and -disagg need the KV model; add -kv-capacity-gb")
-		}
-		return nil, nil, nil
-	}
-	kv := &serving.KVConfig{CapacityBytes: capGB * 1e9, DecodeSteps: steps, Preempt: preempt}
-	if err := kv.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if disagg == "" {
-		return kv, nil, nil
-	}
-	var p, d int
-	if n, err := fmt.Sscanf(disagg, "%d:%d", &p, &d); n != 2 || err != nil {
-		return nil, nil, fmt.Errorf("-disagg wants prefill:decode pool sizes (e.g. 2:6), got %q", disagg)
-	}
-	if p+d != replicas {
-		return nil, nil, fmt.Errorf("-disagg pools must sum to -replicas: %d + %d != %d", p, d, replicas)
-	}
-	return kv, &serving.DisaggConfig{PrefillReplicas: p, DecodeReplicas: d}, nil
+// servingFlags holds the flags of the two serving modes, -serve and
+// -plan. Most bind straight into the request fields they set, where the
+// field takes the flag's value as it is; request maps the rest.
+type servingFlags struct {
+	ws                             server.WorkloadSpec
+	fleet                          server.FleetRequest
+	plan                           server.PlanRequest
+	tenants, disagg, planRoutings  string
+	kvCapGB, sloDrop               float64
+	autoscale, rateSet, routingSet bool
 }
 
-// arrivalSpec carries the serve-mode trace-shaping flags: a recorded
-// trace to replay, or the generator's tenant mix and arrival pattern,
-// plus an optional path to save whichever trace the run used.
-type arrivalSpec struct {
-	tenants string
-	pattern string
-	in, out string
-	// rateSet records whether -rate was given explicitly; a replayed
-	// trace is rescaled to -rate only then, and keeps its recorded
-	// arrival times otherwise.
-	rateSet bool
-}
+// request maps the flags onto the daemon's request type for the mode:
+// a server.PlanRequest under -plan, a server.FleetRequest when any
+// fleet knob is set — more than one replica, autoscaling, a bounded
+// queue, an explicit -routing or a pool split, so no flag is silently
+// ignored — and a server.ServeRequest otherwise.
+func (f servingFlags) request(plan bool) (any, error) {
+	fleet := !plan && (f.fleet.Replicas > 1 || f.autoscale || f.fleet.QueueCap > 0 || f.routingSet || f.disagg != "")
+	// The request types read a zero or empty field as "use the
+	// default"; refuse the flag values they would silently replace.
+	for _, z := range []struct {
+		flag string
+		zero bool
+	}{
+		{"batch", f.ws.Batch == 0}, {"requests", f.ws.Requests == 0 && !plan && f.ws.TraceFile == ""},
+		{"policy", f.ws.Policy == ""}, {"seed", f.ws.Seed == 0}, {"rate", f.ws.Rate == 0 && f.ws.TraceFile != ""},
+		{"replicas", fleet && f.fleet.Replicas == 0}, {"routing", fleet && f.fleet.Routing == ""},
+	} {
+		if z.zero {
+			return nil, fmt.Errorf("-%s cannot be zero or empty: the request types read that as their default", z.flag)
+		}
+	}
+	if f.kvCapGB != 0 {
+		f.ws.KVCapacityGB = &f.kvCapGB
+	}
+	if f.ws.TraceFile != "" && !f.rateSet {
+		f.ws.Rate = 0 // replay at the recorded rate
+	}
+	if f.tenants != "" {
+		for _, part := range strings.Split(f.tenants, ",") {
+			class, count, ok := strings.Cut(strings.TrimSpace(part), "=")
+			if !ok || class == "" {
+				return nil, fmt.Errorf("-tenants wants class=count pairs (e.g. chat=3,bulk=1), got %q", part)
+			}
+			n, err := strconv.Atoi(count)
+			if err != nil || n < 1 {
+				return nil, fmt.Errorf("-tenants cohort %q needs a positive tenant count, got %q", class, count)
+			}
+			f.ws.Tenants = append(f.ws.Tenants, server.TenantSpec{Class: class, Count: n})
+		}
+	}
 
-// arrivalTrace builds the serve-mode arrival trace: a replayed trace
-// file, a generated multi-tenant or pattern-shaped trace, or the
-// default Poisson process.
-func arrivalTrace(w experiments.Workload, requests int, rate float64, seed int64, arr arrivalSpec) (workload.Trace, error) {
-	if arr.in != "" {
-		if arr.tenants != "" || arr.pattern != "" {
-			return workload.Trace{}, fmt.Errorf("-trace-in replays a recorded trace; -tenants and -pattern shape generated ones — drop one side")
+	if plan {
+		req := f.plan
+		req.WorkloadSpec, req.QueueCap = f.ws, f.fleet.QueueCap
+		if f.sloDrop >= 0 {
+			req.SLO.MaxDropRatePct = &f.sloDrop
+		} else if req.SLO.LatencyP99US == 0 && req.SLO.TTFTP99US == 0 && req.SLO.MinThroughputRPS == 0 {
+			return nil, errors.New("SLO needs at least one target; set at least one of -slo-p99-us, -slo-ttft-p99-us, -slo-min-rps, -slo-max-drop-pct")
 		}
-		tr, err := workload.LoadTrace(arr.in)
-		if err != nil {
-			return workload.Trace{}, err
+		if f.planRoutings != "" {
+			for _, r := range strings.Split(f.planRoutings, ",") {
+				req.Routings = append(req.Routings, strings.TrimSpace(r))
+			}
 		}
-		if arr.rateSet {
-			return tr.ScaleToRate(rate)
+		return req, nil
+	}
+	if !fleet {
+		return server.ServeRequest{WorkloadSpec: f.ws}, nil
+	}
+	req := f.fleet
+	req.WorkloadSpec = f.ws
+	if f.autoscale {
+		// Scale between one replica and -replicas; the request's
+		// defaults set the thresholds and the cooldown.
+		req.Autoscale = &server.AutoscaleSpec{Max: req.Replicas}
+		req.Replicas = 1
+	}
+	if f.disagg != "" {
+		req.Disagg = new(server.DisaggSpec)
+		if n, err := fmt.Sscanf(f.disagg, "%d:%d", &req.Disagg.Prefill, &req.Disagg.Decode); n != 2 || err != nil {
+			return nil, fmt.Errorf("-disagg wants prefill:decode pool sizes (e.g. 2:6), got %q", f.disagg)
 		}
-		return tr, nil
 	}
-	if arr.tenants == "" && arr.pattern == "" {
-		return workload.PoissonTrace(w.Train, requests, rate, seed)
-	}
-	cohorts, err := parseTenants(arr.tenants, w.Train.Lengths)
-	if err != nil {
-		return workload.Trace{}, err
-	}
-	pat := workload.Pattern{Kind: arr.pattern}
-	if arr.pattern == workload.PatternDiurnal {
-		// Mirror the HTTP envelope's defaults: ±50% swing, two cycles
-		// over the nominal trace horizon.
-		pat.Amplitude = 0.5
-		pat.PeriodUS = float64(requests) / rate * 1e6 / 2
-	}
-	return workload.Generate(workload.GenSpec{
-		Requests:   requests,
-		RatePerSec: rate,
-		Seed:       seed,
-		Pattern:    pat,
-		Cohorts:    cohorts,
-	})
-}
-
-// parseTenants parses the -tenants cohort list ("chat=3,bulk=1") into
-// equal-weight cohorts drawing from the corpus lengths. An empty list
-// (pattern shaping without tenancy) yields one anonymous cohort.
-func parseTenants(spec string, seqLens []int) ([]workload.Cohort, error) {
-	if spec == "" {
-		return []workload.Cohort{{Tenants: 1, Weight: 1, SeqLens: seqLens}}, nil
-	}
-	var cohorts []workload.Cohort
-	for _, part := range strings.Split(spec, ",") {
-		class, count, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || class == "" {
-			return nil, fmt.Errorf("-tenants wants class=count pairs (e.g. chat=3,bulk=1), got %q", part)
-		}
-		n, err := strconv.Atoi(count)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-tenants cohort %q needs a positive tenant count, got %q", class, count)
-		}
-		cohorts = append(cohorts, workload.Cohort{Class: class, Tenants: n, Weight: 1, SeqLens: seqLens})
-	}
-	return cohorts, nil
+	return req, nil
 }
 
 // saveArrivals writes the run's arrival trace when -trace-out is set.
@@ -440,35 +406,23 @@ func addTenantTable(stats []serving.TenantStats, kvOn bool) {
 	fmt.Print(tt.String())
 }
 
-// runServe simulates online serving and prints the roll-up.
-func runServe(model string, cfgIdx, batch int, seed int64, rate float64, policyName string, requests int, timeoutUS float64, kv *serving.KVConfig, arr arrivalSpec) error {
-	cfgs := gpusim.TableII()
-	if cfgIdx < 1 || cfgIdx > len(cfgs) {
-		return fmt.Errorf("config %d outside Table II range 1-%d", cfgIdx, len(cfgs))
-	}
-	cfg := cfgs[cfgIdx-1]
-	w, err := experiments.ServedWorkloadByName(model, seed)
+// runServe simulates online serving on one queue and prints the
+// roll-up, saving the arrival trace to traceOut when it is set.
+func runServe(req server.ServeRequest, traceOut string) error {
+	spec, cfg, err := req.Spec(engine.Shared())
 	if err != nil {
 		return err
 	}
-	pol, err := serving.ParsePolicy(policyName, batch, timeoutUS)
-	if err != nil {
+	if err := saveArrivals(traceOut, spec.Trace); err != nil {
 		return err
 	}
-	trace, err := arrivalTrace(w, requests, rate, seed, arr)
-	if err != nil {
-		return err
-	}
-	if err := saveArrivals(arr.out, trace); err != nil {
-		return err
-	}
-	res, err := serving.Simulate(serving.Spec{Model: w.Model, Trace: trace, Policy: pol, KV: kv}, cfg)
+	res, err := serving.Simulate(spec, cfg)
 	if err != nil {
 		return err
 	}
 	sum := res.Summary()
 
-	fmt.Printf("model=%s trace=%s config=%s policy=%s\n", w.Name, trace.Name, cfg, sum.Policy)
+	fmt.Printf("model=%s trace=%s config=%s policy=%s\n", req.Model, spec.Trace.Name, cfg, sum.Policy)
 	t := report.NewTable("Serving summary", "quantity", "value").Align(1, report.AlignRight)
 	t.AddStringRow("requests", report.Count(sum.Requests))
 	t.AddStringRow("batches", report.Count(sum.Batches))
@@ -481,11 +435,11 @@ func runServe(model string, cfgIdx, batch int, seed int64, rate float64, policyN
 	t.AddStringRow("p50 latency", report.US(sum.P50LatencyUS))
 	t.AddStringRow("p95 latency", report.US(sum.P95LatencyUS))
 	t.AddStringRow("p99 latency", report.US(sum.P99LatencyUS))
-	if kv != nil {
+	if spec.KV != nil {
 		addKVRows(t, sum.MeanTTFTUS, sum.P99TTFTUS, sum.Preemptions, sum.KVPeakBytes, sum.KVCapacityBytes)
 	}
 	fmt.Print(t.String())
-	addTenantTable(sum.PerTenant, kv != nil)
+	addTenantTable(sum.PerTenant, spec.KV != nil)
 	return nil
 }
 
@@ -499,56 +453,14 @@ func addKVRows(t *report.Table, meanTTFT, p99TTFT float64, preemptions int, peak
 }
 
 // runFleet simulates multi-replica serving and prints the fleet
-// roll-up.
-func runFleet(model string, cfgIdx, batch int, seed int64, rate float64, policyName string,
-	requests int, timeoutUS float64, replicas int, routingName string, queueCap int,
-	autoscale bool, kv *serving.KVConfig, disagg *serving.DisaggConfig,
-	arr arrivalSpec) error {
-	cfgs := gpusim.TableII()
-	if cfgIdx < 1 || cfgIdx > len(cfgs) {
-		return fmt.Errorf("config %d outside Table II range 1-%d", cfgIdx, len(cfgs))
-	}
-	cfg := cfgs[cfgIdx-1]
-	w, err := experiments.ServedWorkloadByName(model, seed)
+// roll-up, saving the arrival trace to traceOut when it is set.
+func runFleet(req server.FleetRequest, traceOut string) error {
+	spec, cfg, err := req.Spec(engine.Shared())
 	if err != nil {
 		return err
 	}
-	pol, err := serving.ParsePolicy(policyName, batch, timeoutUS)
-	if err != nil {
+	if err := saveArrivals(traceOut, spec.Trace); err != nil {
 		return err
-	}
-	router, err := serving.ParseRouting(routingName, seed)
-	if err != nil {
-		return err
-	}
-	trace, err := arrivalTrace(w, requests, rate, seed, arr)
-	if err != nil {
-		return err
-	}
-	if err := saveArrivals(arr.out, trace); err != nil {
-		return err
-	}
-	spec := serving.FleetSpec{
-		Model:    w.Model,
-		Trace:    trace,
-		Policy:   pol,
-		Router:   router,
-		Replicas: replicas,
-		QueueCap: queueCap,
-		KV:       kv,
-		Disagg:   disagg,
-	}
-	if autoscale {
-		// Scale between one replica and the flag's fleet size: up past
-		// one full batch queued per live replica, down below a quarter.
-		spec.Replicas = 1
-		spec.Autoscale = &serving.AutoscaleConfig{
-			Min:        1,
-			Max:        replicas,
-			UpDepth:    float64(batch),
-			DownDepth:  float64(batch) / 4,
-			CooldownUS: 50_000,
-		}
 	}
 	res, err := serving.SimulateFleet(spec, cfg)
 	if err != nil {
@@ -557,7 +469,7 @@ func runFleet(model string, cfgIdx, batch int, seed int64, rate float64, policyN
 	sum := res.Summary()
 
 	fmt.Printf("model=%s trace=%s config=%s policy=%s routing=%s replicas=%d\n",
-		w.Name, trace.Name, cfg, sum.Policy, sum.Routing, sum.Replicas)
+		req.Model, spec.Trace.Name, cfg, sum.Policy, sum.Routing, sum.Replicas)
 	t := report.NewTable("Fleet summary", "quantity", "value").Align(1, report.AlignRight)
 	t.AddStringRow("requests", report.Count(sum.Requests))
 	t.AddStringRow("served", report.Count(sum.Served))
@@ -572,18 +484,18 @@ func runFleet(model string, cfgIdx, batch int, seed int64, rate float64, policyN
 	t.AddStringRow("p95 latency", report.US(sum.P95LatencyUS))
 	t.AddStringRow("p99 latency", report.US(sum.P99LatencyUS))
 	t.AddStringRow("replica-seconds", fmt.Sprintf("%.2f", sum.ReplicaSeconds))
-	if kv != nil {
+	if spec.KV != nil {
 		addKVRows(t, sum.MeanTTFTUS, sum.P99TTFTUS, sum.Preemptions, sum.KVPeakBytes, sum.KVCapacityBytes)
 	}
 	if sum.Disagg != "" {
 		t.AddStringRow("pools", sum.Disagg)
 	}
-	if autoscale {
+	if spec.Autoscale != nil {
 		t.AddStringRow("scale ups / downs", fmt.Sprintf("%d / %d", sum.ScaleUps, sum.ScaleDowns))
 		t.AddStringRow("peak replicas", report.Count(sum.PeakReplicas))
 	}
 	fmt.Print(t.String())
-	addTenantTable(sum.PerTenant, kv != nil)
+	addTenantTable(sum.PerTenant, spec.KV != nil)
 
 	rt := report.NewTable("Per-replica", "replica", "gpus", "served", "batches", "busy", "live").AlignNumeric()
 	for _, rs := range sum.PerReplica {
@@ -601,60 +513,17 @@ func runFleet(model string, cfgIdx, batch int, seed int64, rate float64, policyN
 
 // runPlan searches for the minimal fleet meeting the SLO at the
 // offered rate and prints the plan report.
-func runPlan(model string, cfgIdx, batch int, seed int64, rate float64, policyName string,
-	requests int, timeoutUS float64, queueCap int, kv *serving.KVConfig,
-	slo planner.SLO, maxReplicas int, routingsCSV string) error {
-	cfgs := gpusim.TableII()
-	if cfgIdx < 1 || cfgIdx > len(cfgs) {
-		return fmt.Errorf("config %d outside Table II range 1-%d", cfgIdx, len(cfgs))
-	}
-	cfg := cfgs[cfgIdx-1]
-	if err := slo.Validate(); err != nil {
-		return fmt.Errorf("%w; set at least one of -slo-p99-us, -slo-ttft-p99-us, -slo-min-rps, -slo-max-drop-pct", err)
-	}
-	w, err := experiments.ServedWorkloadByName(model, seed)
+func runPlan(req server.PlanRequest) error {
+	spec, cfg, err := req.Spec(engine.Shared())
 	if err != nil {
 		return err
 	}
-	w.Batch = batch
-	pol, err := serving.ParsePolicy(policyName, batch, timeoutUS)
-	if err != nil {
-		return err
-	}
-	var routings []string
-	if routingsCSV != "" {
-		for _, r := range strings.Split(routingsCSV, ",") {
-			name := strings.TrimSpace(r)
-			// Validate eagerly: search pruning can skip a combination
-			// entirely, which would let a typo ride along unnoticed.
-			if _, err := serving.ParseRouting(name, seed); err != nil {
-				return err
-			}
-			routings = append(routings, name)
-		}
-	}
-	probe, err := experiments.PlanProbe(engine.Shared(), w, cfg, experiments.PlanProbeConfig{
-		Requests:        requests,
-		QueueCap:        queueCap,
-		KV:              kv,
-		Policy:          pol,
-		PolicyTimeoutUS: timeoutUS,
-	})
-	if err != nil {
-		return err
-	}
-	plan, err := planner.Solve(planner.Spec{
-		SLO:         slo,
-		RatePerSec:  rate,
-		MaxReplicas: maxReplicas,
-		Routings:    routings,
-		Probe:       probe,
-	})
+	plan, err := planner.Solve(spec)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("model=%s config=%s rate=%g req/s max-replicas=%d\n", w.Name, cfg, rate, maxReplicas)
+	fmt.Printf("model=%s config=%s rate=%g req/s max-replicas=%d\n", req.Model, cfg, spec.RatePerSec, spec.MaxReplicas)
 	t := report.NewTable("Capacity plan", "quantity", "value").Align(1, report.AlignRight)
 	t.AddStringRow("replicas", report.Count(plan.Replicas))
 	t.AddStringRow("routing", plan.Routing)

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"seqpoint/internal/engine"
 	"seqpoint/internal/experiments"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/planner"
+	"seqpoint/internal/server"
 	"seqpoint/internal/serving"
 	"seqpoint/internal/workload"
 )
@@ -60,72 +62,142 @@ func TestBadModeFlags(t *testing.T) {
 	}
 }
 
+// testFlags returns the serving flags the tests start from, as flag
+// parsing leaves them: gnmt on config #1 at batch 8 and seed 1, a
+// 48-request trace at 300 req/s through a dynamic policy with a 20 ms
+// window, one replica, and no SLO.
+func testFlags() servingFlags {
+	timeout := 20000.0
+	return servingFlags{
+		ws: server.WorkloadSpec{
+			Model: "gnmt", Config: "#1", Rate: 300, Batch: 8, Policy: "dynamic",
+			TimeoutUS: &timeout, Requests: 48, Seed: 1,
+		},
+		fleet:   server.FleetRequest{Replicas: 1, Routing: serving.RoutingRoundRobin},
+		plan:    server.PlanRequest{MaxReplicas: planner.DefaultMaxReplicas},
+		sloDrop: -1,
+	}
+}
+
+// runFlags maps f onto its request and runs it the way main does.
+func runFlags(f servingFlags, plan bool, traceOut string) error {
+	req, err := f.request(plan)
+	if err != nil {
+		return err
+	}
+	switch req := req.(type) {
+	case server.PlanRequest:
+		return runPlan(req)
+	case server.FleetRequest:
+		return runFleet(req, traceOut)
+	default:
+		return runServe(req.(server.ServeRequest), traceOut)
+	}
+}
+
+// serveSpec maps f onto a single-queue request and resolves it.
+func serveSpec(t *testing.T, f servingFlags) (serving.Spec, error) {
+	t.Helper()
+	req, err := f.request(false)
+	if err != nil {
+		return serving.Spec{}, err
+	}
+	sr, ok := req.(server.ServeRequest)
+	if !ok {
+		t.Fatalf("flags mapped to %T, want a single-queue request", req)
+	}
+	spec, _, err := sr.Spec(engine.Shared())
+	return spec, err
+}
+
 // TestRunPlan drives the planning entry point end to end (output goes
 // to stdout; errors are what we assert on).
 func TestRunPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full planning searches skipped in -short mode")
 	}
-	// Feasible: a loose latency target plus a throughput floor.
-	slo := planner.SLO{LatencyP99US: 500_000, MinThroughputRPS: 100}
-	if err := runPlan("gnmt", 1, 16, 1, 300, "dynamic", 48, 20000, 0, nil, slo, 4, ""); err != nil {
+	plan := func(edit func(f *servingFlags)) error {
+		f := testFlags()
+		f.ws.Batch = 16
+		f.plan.MaxReplicas = 4
+		// Feasible: a loose latency target plus a throughput floor.
+		f.plan.SLO.LatencyP99US, f.plan.SLO.MinThroughputRPS = 500_000, 100
+		edit(&f)
+		return runFlags(f, true, "")
+	}
+	if err := plan(func(*servingFlags) {}); err != nil {
 		t.Errorf("runPlan: %v", err)
 	}
 	// An explicit routing axis and a bounded queue.
-	if err := runPlan("gnmt", 1, 16, 1, 300, "dynamic", 48, 20000, 32, nil, slo, 4, "rr,jsq"); err != nil {
+	if err := plan(func(f *servingFlags) { f.fleet.QueueCap, f.planRoutings = 32, "rr,jsq" }); err != nil {
 		t.Errorf("runPlan with routings: %v", err)
 	}
 	// The KV model brings TTFT targets into play.
-	kv := &serving.KVConfig{CapacityBytes: 0.5e9, DecodeSteps: 16}
-	kvSLO := planner.SLO{TTFTP99US: 1e9, MinThroughputRPS: 10}
-	if err := runPlan("gnmt", 1, 16, 1, 300, "dynamic", 48, 20000, 0, kv, kvSLO, 4, ""); err != nil {
+	if err := plan(func(f *servingFlags) {
+		f.kvCapGB, f.ws.DecodeSteps = 0.5, 16
+		f.plan.SLO = server.PlanSLO{TTFTP99US: 1e9, MinThroughputRPS: 10}
+	}); err != nil {
 		t.Errorf("runPlan kv: %v", err)
 	}
 
 	// Error paths: bad config, empty SLO, unknown model/policy/routing,
 	// infeasible target.
-	if err := runPlan("gnmt", 9, 16, 1, 300, "dynamic", 48, 20000, 0, nil, slo, 4, ""); err == nil {
-		t.Error("config out of range should error")
+	for name, edit := range map[string]func(f *servingFlags){
+		"config out of range": func(f *servingFlags) { f.ws.Config = "#9" },
+		"empty SLO":           func(f *servingFlags) { f.plan.SLO = server.PlanSLO{} },
+		"cnn is not servable": func(f *servingFlags) { f.ws.Model = "cnn" },
+		"unknown policy":      func(f *servingFlags) { f.ws.Policy = "magic" },
+		"unknown routing":     func(f *servingFlags) { f.planRoutings = "rr,torus" },
+		"impossible latency": func(f *servingFlags) {
+			f.plan.SLO, f.plan.MaxReplicas, f.planRoutings = server.PlanSLO{LatencyP99US: 1}, 2, "rr"
+		},
+		"negative max replicas": func(f *servingFlags) { f.plan.MaxReplicas = -1 },
+	} {
+		if err := plan(edit); err == nil {
+			t.Errorf("%s: runPlan should error", name)
+		}
 	}
-	if err := runPlan("gnmt", 1, 16, 1, 300, "dynamic", 48, 20000, 0, nil, planner.SLO{}, 4, ""); err == nil {
-		t.Error("empty SLO should error")
-	}
-	if err := runPlan("cnn", 1, 16, 1, 300, "dynamic", 48, 20000, 0, nil, slo, 4, ""); err == nil {
-		t.Error("cnn is not servable")
-	}
-	if err := runPlan("gnmt", 1, 16, 1, 300, "magic", 48, 20000, 0, nil, slo, 4, ""); err == nil {
-		t.Error("unknown policy should error")
-	}
-	if err := runPlan("gnmt", 1, 16, 1, 300, "dynamic", 48, 20000, 0, nil, slo, 4, "rr,torus"); err == nil {
-		t.Error("unknown routing should error")
-	}
-	if err := runPlan("gnmt", 1, 16, 1, 300, "dynamic", 48, 20000, 0, nil,
-		planner.SLO{LatencyP99US: 1}, 2, "rr"); err == nil {
-		t.Error("impossible latency target should be infeasible")
+	// The empty-SLO error names the flags that set a target.
+	if err := plan(func(f *servingFlags) { f.plan.SLO = server.PlanSLO{} }); err == nil || !strings.Contains(err.Error(), "-slo-min-rps") {
+		t.Errorf("empty SLO error %v does not name the -slo-* flags", err)
 	}
 }
 
 func TestKVFromFlags(t *testing.T) {
-	if kv, dis, err := kvFromFlags(0, 0, "", "", 2); err != nil || kv != nil || dis != nil {
-		t.Fatalf("no KV flags should mean no KV model: %v %v %v", kv, dis, err)
+	spec, err := serveSpec(t, testFlags())
+	if err != nil || spec.KV != nil {
+		t.Fatalf("no KV flags should mean no KV model: %+v, %v", spec.KV, err)
 	}
-	if _, _, err := kvFromFlags(0, 8, "", "", 2); err == nil {
+	f := testFlags()
+	f.ws.DecodeSteps = 8
+	if _, err := serveSpec(t, f); err == nil {
 		t.Error("-decode-steps without -kv-capacity-gb should error")
 	}
-	kv, dis, err := kvFromFlags(0.5, 8, "block", "1:2", 3)
+
+	fleet := func(capGB float64, steps int, preempt, disagg string, replicas int) (serving.FleetSpec, error) {
+		f := testFlags()
+		f.kvCapGB, f.ws.DecodeSteps, f.ws.KVPreempt, f.disagg, f.fleet.Replicas = capGB, steps, preempt, disagg, replicas
+		req, err := f.request(false)
+		if err != nil {
+			return serving.FleetSpec{}, err
+		}
+		spec, _, err := req.(server.FleetRequest).Spec(engine.Shared())
+		return spec, err
+	}
+	fs, err := fleet(0.5, 8, "block", "1:2", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kv == nil || kv.CapacityBytes != 0.5e9 || kv.DecodeSteps != 8 || kv.Preempt != serving.PreemptBlock {
+	if kv := fs.KV; kv == nil || kv.CapacityBytes != 0.5e9 || kv.DecodeSteps != 8 || kv.Preempt != serving.PreemptBlock {
 		t.Errorf("kv = %+v", kv)
 	}
-	if dis == nil || dis.PrefillReplicas != 1 || dis.DecodeReplicas != 2 {
+	if dis := fs.Disagg; dis == nil || dis.PrefillReplicas != 1 || dis.DecodeReplicas != 2 {
 		t.Errorf("disagg = %+v", dis)
 	}
-	if _, _, err := kvFromFlags(0.5, 8, "", "1:3", 3); err == nil {
+	if _, err := fleet(0.5, 8, "", "1:3", 3); err == nil {
 		t.Error("pools not summing to replicas should error")
 	}
-	if _, _, err := kvFromFlags(0.5, 0, "", "nope", 2); err == nil {
+	if _, err := fleet(0.5, 0, "", "nope", 2); err == nil {
 		t.Error("malformed -disagg should error")
 	}
 }
@@ -156,72 +228,110 @@ func TestRunServeAndFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serving simulations skipped in -short mode")
 	}
-	if err := runServe("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, nil, arrivalSpec{}); err != nil {
-		t.Errorf("runServe: %v", err)
+	run := func(edit func(f *servingFlags)) error {
+		f := testFlags()
+		edit(&f)
+		return runFlags(f, false, "")
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "jsq", 64, false, nil, nil, arrivalSpec{}); err != nil {
-		t.Errorf("runFleet: %v", err)
-	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 2, "po2", 0, true, nil, nil, arrivalSpec{}); err != nil {
-		t.Errorf("runFleet autoscale: %v", err)
-	}
-	kv := &serving.KVConfig{CapacityBytes: 0.05e9, DecodeSteps: 16}
-	if err := runServe("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, kv, arrivalSpec{}); err != nil {
-		t.Errorf("runServe kv: %v", err)
-	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "kv", 64, false, kv, nil, arrivalSpec{}); err != nil {
-		t.Errorf("runFleet kv routing: %v", err)
-	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "rr", 64, false, kv,
-		&serving.DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}, arrivalSpec{}); err != nil {
-		t.Errorf("runFleet disagg: %v", err)
+	kv := func(f *servingFlags) { f.kvCapGB, f.ws.DecodeSteps = 0.05, 16 }
+	for name, edit := range map[string]func(f *servingFlags){
+		"serve": func(*servingFlags) {},
+		"fleet": func(f *servingFlags) {
+			f.ws.Rate, f.fleet.Replicas, f.fleet.Routing, f.fleet.QueueCap = 600, 3, "jsq", 64
+		},
+		"fleet autoscale": func(f *servingFlags) {
+			f.ws.Rate, f.fleet.Replicas, f.fleet.Routing, f.autoscale = 600, 2, "po2", true
+		},
+		"serve kv": kv,
+		"fleet kv routing": func(f *servingFlags) {
+			kv(f)
+			f.ws.Rate, f.fleet.Replicas, f.fleet.Routing, f.fleet.QueueCap = 600, 3, "kv", 64
+		},
+		"fleet disagg": func(f *servingFlags) {
+			kv(f)
+			f.ws.Rate, f.fleet.Replicas, f.fleet.QueueCap, f.disagg = 600, 3, 64, "1:2"
+		},
+	} {
+		if err := run(edit); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 
-	// Error paths: bad config index, model, policy, routing.
-	if err := runServe("gnmt", 9, 8, 1, 300, "dynamic", 48, 20000, nil, arrivalSpec{}); err == nil {
-		t.Error("config out of range should error")
-	}
-	if err := runFleet("gnmt", 0, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
-		t.Error("config out of range should error")
-	}
-	if err := runFleet("cnn", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
-		t.Error("cnn is not servable")
-	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "magic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
-		t.Error("unknown policy should error")
-	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "torus", 0, false, nil, nil, arrivalSpec{}); err == nil {
-		t.Error("unknown routing should error")
-	}
-	if err := runFleet("gnmt", 1, 8, 1, -5, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
-		t.Error("negative rate should error")
+	// Error paths: bad config, model, policy, routing, rate.
+	fleet := func(f *servingFlags) { f.fleet.Replicas, f.fleet.Routing = 2, "rr" }
+	for name, edit := range map[string]func(f *servingFlags){
+		"serve config out of range": func(f *servingFlags) { f.ws.Config = "#9" },
+		"fleet config out of range": func(f *servingFlags) { fleet(f); f.ws.Config = "#0" },
+		"cnn is not servable":       func(f *servingFlags) { fleet(f); f.ws.Model = "cnn" },
+		"unknown policy":            func(f *servingFlags) { fleet(f); f.ws.Policy = "magic" },
+		"unknown routing":           func(f *servingFlags) { fleet(f); f.fleet.Routing = "torus" },
+		"negative rate":             func(f *servingFlags) { fleet(f); f.ws.Rate = -5 },
+	} {
+		if err := run(edit); err == nil {
+			t.Errorf("%s: run should error", name)
+		}
 	}
 }
 
-// TestParseTenants pins the -tenants cohort grammar.
+// TestParseTenants pins the -tenants cohort grammar and its mapping:
+// equal-weight cohorts that draw from the corpus pool.
 func TestParseTenants(t *testing.T) {
-	sls := []int{4, 8}
-	cohorts, err := parseTenants("chat=3, bulk=1", sls)
+	w, err := experiments.ServedWorkloadByName("gnmt", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cohorts) != 2 || cohorts[0].Class != "chat" || cohorts[0].Tenants != 3 ||
-		cohorts[1].Class != "bulk" || cohorts[1].Tenants != 1 {
-		t.Errorf("cohorts = %+v", cohorts)
+	pool := make(map[int]bool)
+	for _, sl := range w.Train.Lengths {
+		pool[sl] = true
 	}
-	for _, c := range cohorts {
-		if c.Weight != 1 || !reflect.DeepEqual(c.SeqLens, sls) {
-			t.Errorf("cohort %q = %+v, want weight 1 and the corpus pool", c.Class, c)
+	f := testFlags()
+	f.tenants = "chat=3, bulk=1"
+	req, err := f.request(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []server.TenantSpec{{Class: "chat", Count: 3}, {Class: "bulk", Count: 1}}
+	if got := req.(server.ServeRequest).Tenants; !reflect.DeepEqual(got, want) {
+		t.Errorf("cohorts = %+v, want %+v", got, want)
+	}
+	spec, err := serveSpec(t, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make(map[string]bool)
+	for _, r := range spec.Trace.Requests {
+		labels[r.Tenant] = true
+		if !pool[r.SeqLen] {
+			t.Fatalf("request length %d is not from the corpus pool", r.SeqLen)
 		}
 	}
-	// Empty spec: one anonymous cohort (pattern shaping without tenancy).
-	anon, err := parseTenants("", sls)
-	if err != nil || len(anon) != 1 || anon[0].Class != "" || anon[0].Tenants != 1 {
-		t.Errorf("anonymous cohort = %+v, %v", anon, err)
+	for l := range labels {
+		if !map[string]bool{"chat-0": true, "chat-1": true, "chat-2": true, "bulk-0": true}[l] {
+			t.Errorf("unexpected tenant label %q", l)
+		}
 	}
+	if !labels["bulk-0"] || !(labels["chat-0"] || labels["chat-1"] || labels["chat-2"]) {
+		t.Errorf("tenant labels %v miss a cohort", labels)
+	}
+
+	// No tenants (pattern shaping without tenancy): one anonymous cohort.
+	f = testFlags()
+	f.ws.Pattern = workload.PatternDiurnal
+	anon, err := serveSpec(t, f)
+	if err != nil || len(anon.Trace.Requests) != 48 {
+		t.Fatalf("anonymous cohort trace: %v", err)
+	}
+	for _, r := range anon.Trace.Requests {
+		if r.Tenant != "" {
+			t.Fatalf("anonymous cohort request carries tenant %q", r.Tenant)
+		}
+	}
+
 	for _, bad := range []string{"chat", "chat=", "chat=0", "chat=-1", "=3", "chat=x", "chat=3,,bulk=1"} {
-		if _, err := parseTenants(bad, sls); err == nil {
-			t.Errorf("parseTenants(%q) should error", bad)
+		f := testFlags()
+		f.tenants = bad
+		if _, err := f.request(false); err == nil {
+			t.Errorf("-tenants %q should error", bad)
 		}
 	}
 }
@@ -230,18 +340,22 @@ func TestParseTenants(t *testing.T) {
 // default Poisson, generated multi-tenant, replayed file (with and
 // without rescaling), and the replay/generate flag conflict.
 func TestArrivalTrace(t *testing.T) {
-	w, err := experiments.ServedWorkloadByName("gnmt", 1)
-	if err != nil {
-		t.Fatal(err)
+	trace := func(edit func(f *servingFlags)) (workload.Trace, error) {
+		f := testFlags()
+		edit(&f)
+		spec, err := serveSpec(t, f)
+		return spec.Trace, err
 	}
-	plain, err := arrivalTrace(w, 32, 100, 1, arrivalSpec{})
+	plain, err := trace(func(f *servingFlags) { f.ws.Requests, f.ws.Rate = 32, 100 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.Requests) != 32 || plain.Requests[0].Tenant != "" {
 		t.Errorf("default trace = %s with %d requests", plain.Name, len(plain.Requests))
 	}
-	gen, err := arrivalTrace(w, 64, 200, 1, arrivalSpec{tenants: "chat=2,bulk=1", pattern: workload.PatternDiurnal})
+	gen, err := trace(func(f *servingFlags) {
+		f.ws.Requests, f.ws.Rate, f.tenants, f.ws.Pattern = 64, 200, "chat=2,bulk=1", workload.PatternDiurnal
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,14 +374,14 @@ func TestArrivalTrace(t *testing.T) {
 	if err := workload.SaveTrace(path, gen); err != nil {
 		t.Fatal(err)
 	}
-	replay, err := arrivalTrace(w, 0, 0, 0, arrivalSpec{in: path})
+	replay, err := trace(func(f *servingFlags) { f.ws.TraceFile = path })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(replay, gen) {
 		t.Error("replayed trace differs from the recorded one")
 	}
-	rescaled, err := arrivalTrace(w, 0, 50, 0, arrivalSpec{in: path, rateSet: true})
+	rescaled, err := trace(func(f *servingFlags) { f.ws.TraceFile, f.ws.Rate, f.rateSet = path, 50, true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +389,14 @@ func TestArrivalTrace(t *testing.T) {
 		t.Errorf("rescaled implied rate = %v, want ~50", got)
 	}
 
-	if _, err := arrivalTrace(w, 32, 100, 1, arrivalSpec{in: path, tenants: "chat=1"}); err == nil {
-		t.Error("-trace-in with -tenants should conflict")
-	}
-	if _, err := arrivalTrace(w, 32, 100, 1, arrivalSpec{in: filepath.Join(t.TempDir(), "missing.trace")}); err == nil {
-		t.Error("missing trace file should error")
-	}
-	if _, err := arrivalTrace(w, 32, 100, 1, arrivalSpec{pattern: "lunar"}); err == nil {
-		t.Error("unknown pattern should error")
+	for name, edit := range map[string]func(f *servingFlags){
+		"-trace-in with -tenants": func(f *servingFlags) { f.ws.TraceFile, f.tenants = path, "chat=1" },
+		"missing trace file":      func(f *servingFlags) { f.ws.TraceFile = filepath.Join(t.TempDir(), "missing.trace") },
+		"unknown pattern":         func(f *servingFlags) { f.ws.Pattern = "lunar" },
+	} {
+		if _, err := trace(edit); err == nil {
+			t.Errorf("%s should error", name)
+		}
 	}
 }
 
@@ -294,15 +408,73 @@ func TestServeRecordReplay(t *testing.T) {
 		t.Skip("full serving simulations skipped in -short mode")
 	}
 	path := filepath.Join(t.TempDir(), "arrivals.trace")
-	rec := arrivalSpec{tenants: "chat=2,bulk=1", pattern: workload.PatternDiurnal, out: path}
-	if err := runServe("gnmt", 1, 8, 1, 300, "wfq", 48, 20000, nil, rec); err != nil {
+	rec := testFlags()
+	rec.ws.Policy, rec.tenants, rec.ws.Pattern = "wfq", "chat=2,bulk=1", workload.PatternDiurnal
+	if err := runFlags(rec, false, path); err != nil {
 		t.Fatalf("record run: %v", err)
 	}
-	if err := runServe("gnmt", 1, 8, 1, 300, "fixed", 0, 20000, nil, arrivalSpec{in: path}); err != nil {
+	replay := testFlags()
+	replay.ws.Policy, replay.ws.Requests, replay.ws.TraceFile = "fixed", 0, path
+	if err := runFlags(replay, false, ""); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "wfq", 0, 20000, 2, "rr", 0, false, nil, nil,
-		arrivalSpec{in: path}); err != nil {
+	replay.ws.Policy, replay.fleet.Replicas = "wfq", 2
+	if err := runFlags(replay, false, ""); err != nil {
 		t.Fatalf("fleet replay run: %v", err)
+	}
+}
+
+// TestZeroFlagsRefused pins the flag values the request types would
+// read as "use the default": each is refused instead of silently
+// running the default, while the same value where it changes nothing
+// still runs.
+func TestZeroFlagsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "arrivals.trace")
+	gen := testFlags()
+	gen.ws.Pattern = workload.PatternDiurnal
+	spec, err := serveSpec(t, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.SaveTrace(path, spec.Trace); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		plan    bool
+		edit    func(f *servingFlags)
+		refused string // the flag named in the error; "" means accepted
+	}{
+		{"-batch 0", false, func(f *servingFlags) { f.ws.Batch = 0 }, "-batch"},
+		{"-requests 0", false, func(f *servingFlags) { f.ws.Requests = 0 }, "-requests"},
+		{"-policy empty", false, func(f *servingFlags) { f.ws.Policy = "" }, "-policy"},
+		{"-seed 0", false, func(f *servingFlags) { f.ws.Seed = 0 }, "-seed"},
+		{"-rate 0 with -trace-in", false, func(f *servingFlags) { f.ws.TraceFile, f.ws.Rate, f.rateSet = path, 0, true }, "-rate"},
+		{"-replicas 0 with -routing", false, func(f *servingFlags) { f.fleet.Replicas, f.routingSet = 0, true }, "-replicas"},
+		{"-replicas 0 with -autoscale", false, func(f *servingFlags) { f.fleet.Replicas, f.autoscale = 0, true }, "-replicas"},
+		{"-routing empty", false, func(f *servingFlags) { f.fleet.Routing, f.routingSet = "", true }, "-routing"},
+		{"plan -batch 0", true, func(f *servingFlags) { f.ws.Batch = 0 }, "-batch"},
+		{"plan -policy empty", true, func(f *servingFlags) { f.ws.Policy = "" }, "-policy"},
+		{"plan -seed 0", true, func(f *servingFlags) { f.ws.Seed = 0 }, "-seed"},
+		// Where the zero changes nothing it still runs: a replay ignores
+		// -requests, the planner's probe reads 0 as the default length,
+		// and -replicas 0 alone keeps the single queue.
+		{"-requests 0 with -trace-in", false, func(f *servingFlags) { f.ws.TraceFile, f.ws.Requests = path, 0 }, ""},
+		{"plan -requests 0", true, func(f *servingFlags) { f.ws.Requests = 0 }, ""},
+		{"-replicas 0 alone", false, func(f *servingFlags) { f.fleet.Replicas = 0 }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := testFlags()
+			f.plan.SLO.MinThroughputRPS = 100
+			tc.edit(&f)
+			_, err := f.request(tc.plan)
+			switch {
+			case tc.refused == "" && err != nil:
+				t.Errorf("refused: %v", err)
+			case tc.refused != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.refused+" ")):
+				t.Errorf("error %v, want one naming %s", err, tc.refused)
+			}
+		})
 	}
 }

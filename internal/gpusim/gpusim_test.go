@@ -175,24 +175,6 @@ func TestPriceAllSumsTimes(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	cfgs := TableII()
-	fast := mustSim(t, cfgs[0])
-	slow := mustSim(t, cfgs[1])
-	ops := []tensor.Op{tensor.NewGEMM(4096, 4096, 512, "g")}
-	sp, err := fast.Speedup(slow, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp <= 1 {
-		t.Errorf("speedup of #1 over #2 = %v, want > 1", sp)
-	}
-	// Clock-bound speedup cannot exceed the clock ratio.
-	if limit := 1.6 / 0.852; sp > limit+1e-9 {
-		t.Errorf("speedup %v exceeds clock ratio %v", sp, limit)
-	}
-}
-
 func TestKernelNameStableAcrossConfigs(t *testing.T) {
 	// All Table II configs are the same chip: kernel dispatch must not
 	// change, or SeqPoints identified on #1 would run different code on

@@ -1,10 +1,6 @@
 package gpusim
 
-import (
-	"fmt"
-
-	"seqpoint/internal/tensor"
-)
+import "seqpoint/internal/tensor"
 
 // Invocation is one priced kernel execution: what ran, for how long, and
 // what the performance counters read. It is the unit of an iteration
@@ -267,15 +263,4 @@ func (s *Simulator) PriceAll(ops []tensor.Op) ([]Invocation, float64) {
 		total += invs[i].TimeUS
 	}
 	return invs, total
-}
-
-// Speedup returns how much faster this simulator's config runs the given
-// ops than other does (time_other / time_self).
-func (s *Simulator) Speedup(other *Simulator, ops []tensor.Op) (float64, error) {
-	_, self := s.PriceAll(ops)
-	_, oth := other.PriceAll(ops)
-	if self == 0 {
-		return 0, fmt.Errorf("gpusim: zero-time workload under config %s", s.cfg.Name)
-	}
-	return oth / self, nil
 }

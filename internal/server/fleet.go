@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"net/http"
 
+	"seqpoint/internal/gpusim"
 	"seqpoint/internal/serving"
+	"seqpoint/internal/trainer"
 )
 
 // Defaults for FleetRequest fields left zero, applied by normalize.
@@ -147,17 +149,28 @@ func (r FleetRequest) autoscaleConfig() *serving.AutoscaleConfig {
 	}
 }
 
-// validateFleet applies the server's request-shape limits on top of
-// the shared workload-envelope checks.
-func (s *Server) validateFleet(r FleetRequest) error {
-	if err := s.validateWorkload(r.WorkloadSpec); err != nil {
+// limits applies the daemon's size limits on top of the envelope's.
+func (r FleetRequest) limits() error {
+	if err := r.WorkloadSpec.limits(); err != nil {
+		return err
+	}
+	if r.Replicas > maxFleetReplicas {
+		return fmt.Errorf("replicas %d exceeds the %d-replica limit", r.Replicas, maxFleetReplicas)
+	}
+	if r.Autoscale != nil && r.Autoscale.Max > maxFleetReplicas {
+		return fmt.Errorf("autoscale max %d exceeds the %d-replica limit", r.Autoscale.Max, maxFleetReplicas)
+	}
+	return nil
+}
+
+// check applies the fleet's shape rules on top of the envelope's.
+func (r FleetRequest) check() error {
+	if err := r.WorkloadSpec.check(); err != nil {
 		return err
 	}
 	switch {
 	case r.Replicas < 1:
 		return fmt.Errorf("replicas must be positive, got %d", r.Replicas)
-	case r.Replicas > maxFleetReplicas:
-		return fmt.Errorf("replicas %d exceeds the %d-replica limit", r.Replicas, maxFleetReplicas)
 	case r.QueueCap < 0:
 		return fmt.Errorf("queue_cap must be non-negative, got %d", r.QueueCap)
 	case r.Parallelism < 0:
@@ -181,9 +194,6 @@ func (s *Server) validateFleet(r FleetRequest) error {
 		return withCode(CodeKVCapacity, fmt.Errorf("kv routing needs the KV model: set kv_capacity_gb"))
 	}
 	if a := r.autoscaleConfig(); a != nil {
-		if a.Max > maxFleetReplicas {
-			return fmt.Errorf("autoscale max %d exceeds the %d-replica limit", a.Max, maxFleetReplicas)
-		}
 		if err := a.Validate(); err != nil {
 			return err
 		}
@@ -192,6 +202,38 @@ func (s *Server) validateFleet(r FleetRequest) error {
 		}
 	}
 	return nil
+}
+
+// Spec resolves the request into the fleet simulator's input and
+// hardware configuration, pricing through src: it fills the defaults,
+// applies the shape rules, builds the arrival trace and the router. It
+// does not apply the daemon's size limits, which /v1/fleet checks
+// first.
+func (r FleetRequest) Spec(src trainer.ProfileSource) (serving.FleetSpec, gpusim.Config, error) {
+	r = r.normalize()
+	if err := r.check(); err != nil {
+		return serving.FleetSpec{}, gpusim.Config{}, err
+	}
+	w, hw, policy, trace, err := buildWorkloadSetup(r.WorkloadSpec)
+	if err != nil {
+		return serving.FleetSpec{}, gpusim.Config{}, err
+	}
+	router, err := serving.ParseRouting(r.Routing, r.Seed)
+	if err != nil {
+		return serving.FleetSpec{}, gpusim.Config{}, err
+	}
+	return serving.FleetSpec{
+		Model:     w.Model,
+		Trace:     trace,
+		Policy:    policy,
+		Router:    router,
+		Replicas:  r.Replicas,
+		QueueCap:  r.QueueCap,
+		Autoscale: r.autoscaleConfig(),
+		Profiles:  src,
+		KV:        r.kvConfig(),
+		Disagg:    r.disaggConfig(),
+	}, hw, nil
 }
 
 // FleetResponse is the fleet-simulation outcome over the wire.
@@ -216,42 +258,29 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.normalize()
-	if err := s.validateFleet(req); err != nil {
+	if err := req.limits(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	workload, hw, policy, trace, err := buildWorkloadSetup(req.WorkloadSpec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	spec, hw, err := req.Spec(s.eng)
+	if err == nil {
+		err = req.traceFileLimit(spec.Trace)
 	}
-	router, err := serving.ParseRouting(req.Routing, req.Seed)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
 	status, body := s.execute(r.Context(), coalesceKey("fleet", req), func() (int, []byte) {
-		res, err := serving.SimulateFleet(serving.FleetSpec{
-			Model:     workload.Model,
-			Trace:     trace,
-			Policy:    policy,
-			Router:    router,
-			Replicas:  req.Replicas,
-			QueueCap:  req.QueueCap,
-			Autoscale: req.autoscaleConfig(),
-			Profiles:  s.eng,
-			KV:        req.kvConfig(),
-			Disagg:    req.disaggConfig(),
-		}, hw)
+		res, err := serving.SimulateFleet(spec, hw)
 		if err != nil {
 			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
 		}
 		return http.StatusOK, marshalBody(FleetResponse{
 			Model:      req.Model,
 			Config:     req.Config,
-			Trace:      trace.Name,
-			Routing:    router.Name(),
+			Trace:      spec.Trace.Name,
+			Routing:    spec.Router.Name(),
 			RatePerSec: req.Rate,
 			Summary:    res.Summary(),
 		})

@@ -7,8 +7,10 @@ import (
 	"net/http"
 
 	"seqpoint/internal/experiments"
+	"seqpoint/internal/gpusim"
 	"seqpoint/internal/planner"
 	"seqpoint/internal/serving"
+	"seqpoint/internal/trainer"
 )
 
 // Defaults and bounds for PlanRequest fields.
@@ -98,10 +100,32 @@ func (r PlanRequest) hasKV() bool {
 	return r.KVCapacityGB != nil || len(r.KVCapacitiesGB) > 0
 }
 
-// validatePlan applies the server's request-shape limits on top of
-// the shared workload-envelope checks.
-func (s *Server) validatePlan(r PlanRequest) error {
-	if err := s.validateWorkload(r.WorkloadSpec); err != nil {
+// limits applies the daemon's size limits on top of the envelope's.
+func (r PlanRequest) limits() error {
+	if err := r.WorkloadSpec.limits(); err != nil {
+		return err
+	}
+	switch {
+	case r.MaxReplicas > maxFleetReplicas:
+		return fmt.Errorf("max_replicas %d exceeds the %d-replica limit", r.MaxReplicas, maxFleetReplicas)
+	case len(r.Routings) > maxPlanAxis:
+		return fmt.Errorf("routings lists %d entries, more than the %d-entry limit", len(r.Routings), maxPlanAxis)
+	case len(r.Policies) > maxPlanAxis:
+		return fmt.Errorf("policies lists %d entries, more than the %d-entry limit", len(r.Policies), maxPlanAxis)
+	case len(r.KVCapacitiesGB) > maxPlanAxis:
+		return fmt.Errorf("kv_capacities_gb lists %d entries, more than the %d-entry limit", len(r.KVCapacitiesGB), maxPlanAxis)
+	}
+	combos := len(r.Routings) * max(1, len(r.Policies)) * max(1, len(r.KVCapacitiesGB))
+	if combos > maxPlanCombos {
+		return fmt.Errorf("routings × policies × kv_capacities_gb spans %d combinations, more than the %d-combination limit",
+			combos, maxPlanCombos)
+	}
+	return nil
+}
+
+// check applies the plan's shape rules on top of the envelope's.
+func (r PlanRequest) check() error {
+	if err := r.WorkloadSpec.check(); err != nil {
 		return err
 	}
 	if err := r.SLO.slo().Validate(); err != nil {
@@ -117,21 +141,8 @@ func (s *Server) validatePlan(r PlanRequest) error {
 	switch {
 	case r.MaxReplicas < 1:
 		return fmt.Errorf("max_replicas must be positive, got %d", r.MaxReplicas)
-	case r.MaxReplicas > maxFleetReplicas:
-		return fmt.Errorf("max_replicas %d exceeds the %d-replica limit", r.MaxReplicas, maxFleetReplicas)
 	case r.QueueCap < 0:
 		return fmt.Errorf("queue_cap must be non-negative, got %d", r.QueueCap)
-	case len(r.Routings) > maxPlanAxis:
-		return fmt.Errorf("routings lists %d entries, more than the %d-entry limit", len(r.Routings), maxPlanAxis)
-	case len(r.Policies) > maxPlanAxis:
-		return fmt.Errorf("policies lists %d entries, more than the %d-entry limit", len(r.Policies), maxPlanAxis)
-	case len(r.KVCapacitiesGB) > maxPlanAxis:
-		return fmt.Errorf("kv_capacities_gb lists %d entries, more than the %d-entry limit", len(r.KVCapacitiesGB), maxPlanAxis)
-	}
-	combos := len(r.Routings) * max(1, len(r.Policies)) * max(1, len(r.KVCapacitiesGB))
-	if combos > maxPlanCombos {
-		return fmt.Errorf("routings × policies × kv_capacities_gb spans %d combinations, more than the %d-combination limit",
-			combos, maxPlanCombos)
 	}
 	for _, rt := range r.Routings {
 		if _, err := serving.ParseRouting(rt, r.Seed); err != nil {
@@ -154,6 +165,67 @@ func (s *Server) validatePlan(r PlanRequest) error {
 	return nil
 }
 
+// Spec resolves the request into the planner's input and hardware
+// configuration: it fills the defaults, applies the shape rules, and
+// builds the probe that prices each candidate fleet through src. It
+// does not apply the daemon's size limits, which /v1/plan checks
+// first, except the trace-file cap: the probe's trace is not returned,
+// so Spec applies that one where it loads the file.
+func (r PlanRequest) Spec(src trainer.ProfileSource) (planner.Spec, gpusim.Config, error) {
+	r = r.normalize()
+	if err := r.check(); err != nil {
+		return planner.Spec{}, gpusim.Config{}, err
+	}
+	// Resolve the envelope exactly as /v1/serve and /v1/fleet do — the
+	// probe re-derives traces per searched rate, but this validates the
+	// model/config/policy/corpus combination up front.
+	w, hw, policy, setupTrace, err := buildWorkloadSetup(r.WorkloadSpec)
+	if err != nil {
+		return planner.Spec{}, gpusim.Config{}, err
+	}
+	w.Batch = r.Batch
+	probeCfg := experiments.PlanProbeConfig{
+		Requests:        r.Requests,
+		QueueCap:        r.QueueCap,
+		KV:              r.kvConfig(),
+		Policy:          policy,
+		PolicyTimeoutUS: *r.TimeoutUS,
+	}
+	switch {
+	case r.TraceFile != "":
+		// The probe rescales the recorded trace per searched rate, so it
+		// needs the unscaled original, not the rate-scaled setup trace.
+		raw, err := loadTraceFile(r.TraceFile, 0)
+		if err == nil {
+			err = r.traceFileLimit(raw)
+		}
+		if err != nil {
+			return planner.Spec{}, gpusim.Config{}, err
+		}
+		probeCfg.Trace = &raw
+	case len(r.Tenants) > 0 || r.Pattern != "":
+		// A generated workload searches the load axis the same way: the
+		// setup trace carries the tenant mix, clumps and diurnal shape,
+		// and the probe compresses or dilates it per probed rate —
+		// substituting a memoryless Poisson process here would erase the
+		// very tenants a tenant_ttft_p99_us SLO targets.
+		probeCfg.Trace = &setupTrace
+	}
+	probe, err := experiments.PlanProbe(src, w, hw, probeCfg)
+	if err != nil {
+		return planner.Spec{}, gpusim.Config{}, err
+	}
+	return planner.Spec{
+		SLO:            r.SLO.slo(),
+		RatePerSec:     r.Rate,
+		MaxReplicas:    r.MaxReplicas,
+		Routings:       r.Routings,
+		Policies:       r.Policies,
+		KVCapacitiesGB: r.KVCapacitiesGB,
+		Probe:          probe,
+	}, hw, nil
+}
+
 // PlanResponse is the planning outcome over the wire.
 type PlanResponse struct {
 	// Model and Config echo the resolved request.
@@ -172,61 +244,18 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.normalize()
-	if err := s.validatePlan(req); err != nil {
+	if err := req.limits(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Resolve the envelope exactly as /v1/serve and /v1/fleet do — the
-	// probe re-derives traces per searched rate, but this validates the
-	// model/config/policy/corpus combination up front as a 400.
-	workload, hw, policy, setupTrace, err := buildWorkloadSetup(req.WorkloadSpec)
+	spec, _, err := req.Spec(s.eng)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	workload.Batch = req.Batch
-	workload.Seed = req.Seed
-	probeCfg := experiments.PlanProbeConfig{
-		Requests:        req.Requests,
-		QueueCap:        req.QueueCap,
-		KV:              req.kvConfig(),
-		Policy:          policy,
-		PolicyTimeoutUS: *req.TimeoutUS,
-	}
-	switch {
-	case req.TraceFile != "":
-		// The probe rescales the recorded trace per searched rate, so it
-		// needs the unscaled original, not the rate-scaled setup trace.
-		raw, err := loadTraceFile(req.TraceFile, 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		probeCfg.Trace = &raw
-	case len(req.Tenants) > 0 || req.Pattern != "":
-		// A generated workload searches the load axis the same way: the
-		// setup trace carries the tenant mix, clumps and diurnal shape,
-		// and the probe compresses or dilates it per probed rate —
-		// substituting a memoryless Poisson process here would erase the
-		// very tenants a tenant_ttft_p99_us SLO targets.
-		probeCfg.Trace = &setupTrace
-	}
-	probe, err := experiments.PlanProbe(s.eng, workload, hw, probeCfg)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 
 	status, body := s.execute(r.Context(), coalesceKey("plan", req), func() (int, []byte) {
-		plan, err := planner.Solve(planner.Spec{
-			SLO:            req.SLO.slo(),
-			RatePerSec:     req.Rate,
-			MaxReplicas:    req.MaxReplicas,
-			Routings:       req.Routings,
-			Policies:       req.Policies,
-			KVCapacitiesGB: req.KVCapacitiesGB,
-			Probe:          probe,
-		})
+		plan, err := planner.Solve(spec)
 		if errors.Is(err, planner.ErrInfeasible) {
 			return http.StatusUnprocessableEntity, errorBody(http.StatusUnprocessableEntity, err)
 		}

@@ -3,7 +3,9 @@ package server
 import (
 	"net/http"
 
+	"seqpoint/internal/gpusim"
 	"seqpoint/internal/serving"
+	"seqpoint/internal/trainer"
 )
 
 // ServeRequest describes one online-serving simulation over the wire:
@@ -20,6 +22,23 @@ type ServeRequest struct {
 func (r ServeRequest) normalize() ServeRequest {
 	r.WorkloadSpec = r.WorkloadSpec.normalize()
 	return r
+}
+
+// Spec resolves the request into the single-queue simulator's input
+// and hardware configuration, pricing through src: it fills the
+// defaults, applies the shape rules and builds the arrival trace. It
+// does not apply the daemon's size limits, which /v1/serve checks
+// first.
+func (r ServeRequest) Spec(src trainer.ProfileSource) (serving.Spec, gpusim.Config, error) {
+	r = r.normalize()
+	if err := r.check(); err != nil {
+		return serving.Spec{}, gpusim.Config{}, err
+	}
+	w, hw, policy, trace, err := buildWorkloadSetup(r.WorkloadSpec)
+	if err != nil {
+		return serving.Spec{}, gpusim.Config{}, err
+	}
+	return serving.Spec{Model: w.Model, Trace: trace, Policy: policy, Profiles: src, KV: r.kvConfig()}, hw, nil
 }
 
 // ServeResponse is the serving-simulation outcome over the wire.
@@ -42,31 +61,28 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.normalize()
-	if err := s.validateWorkload(req.WorkloadSpec); err != nil {
+	if err := req.limits(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	workload, hw, policy, trace, err := buildWorkloadSetup(req.WorkloadSpec)
+	spec, hw, err := req.Spec(s.eng)
+	if err == nil {
+		err = req.traceFileLimit(spec.Trace)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
 	status, body := s.execute(r.Context(), coalesceKey("serve", req), func() (int, []byte) {
-		res, err := serving.Simulate(serving.Spec{
-			Model:    workload.Model,
-			Trace:    trace,
-			Policy:   policy,
-			Profiles: s.eng,
-			KV:       req.kvConfig(),
-		}, hw)
+		res, err := serving.Simulate(spec, hw)
 		if err != nil {
 			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
 		}
 		return http.StatusOK, marshalBody(ServeResponse{
 			Model:      req.Model,
 			Config:     req.Config,
-			Trace:      trace.Name,
+			Trace:      spec.Trace.Name,
 			RatePerSec: req.Rate,
 			Summary:    res.Summary(),
 		})

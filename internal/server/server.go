@@ -45,15 +45,13 @@ import (
 
 	"seqpoint/internal/core"
 	"seqpoint/internal/engine"
+	"seqpoint/internal/experiments"
 )
 
 // Defaults for Options fields left zero.
 const (
 	DefaultMaxInflight    = 32
 	DefaultRequestTimeout = 2 * time.Minute
-	DefaultMaxBatch       = 4096
-	DefaultMaxSweepTasks  = 256
-	DefaultMaxEpochs      = 1000
 )
 
 // Hard request-shape bounds. Simulations cannot be cancelled once
@@ -69,6 +67,12 @@ const (
 	maxSeqLen = 100000
 	// maxSeqLens caps the synthetic-corpus sample count.
 	maxSeqLens = 65536
+	// maxBatch rejects absurd minibatch sizes before they allocate.
+	maxBatch = 4096
+	// maxSweepTasks bounds one sweep request's grid size.
+	maxSweepTasks = 256
+	// maxEpochs bounds one request's simulated epoch count.
+	maxEpochs = 1000
 )
 
 // Options configures a Server; the zero value is fully usable.
@@ -83,15 +87,6 @@ type Options struct {
 	// RequestTimeout bounds one request's wall-clock time; <= 0 uses
 	// DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// MaxBatch rejects absurd minibatch sizes before they allocate; <= 0
-	// uses DefaultMaxBatch.
-	MaxBatch int
-	// MaxSweepTasks bounds one sweep request's grid size; <= 0 uses
-	// DefaultMaxSweepTasks.
-	MaxSweepTasks int
-	// MaxEpochs bounds one request's simulated epoch count; <= 0 uses
-	// DefaultMaxEpochs.
-	MaxEpochs int
 }
 
 func (o Options) withDefaults() Options {
@@ -103,15 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = DefaultRequestTimeout
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.MaxSweepTasks <= 0 {
-		o.MaxSweepTasks = DefaultMaxSweepTasks
-	}
-	if o.MaxEpochs <= 0 {
-		o.MaxEpochs = DefaultMaxEpochs
 	}
 	return o
 }
@@ -279,7 +265,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.normalize()
-	if err := s.validate(req); err != nil {
+	if err := req.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -309,7 +295,7 @@ func (s *Server) handleSeqPoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.SimulateRequest = req.SimulateRequest.normalize()
-	if err := s.validate(req.SimulateRequest); err != nil {
+	if err := req.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -348,13 +334,9 @@ func (s *Server) handleSeqPoint(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
 		}
-		sum, err := run.EpochSummary(0)
+		recs, err := experiments.SLRecords(run, 0)
 		if err != nil {
 			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
-		}
-		recs := make([]core.SLRecord, len(sum))
-		for i, sl := range sum {
-			recs[i] = core.SLRecord{SeqLen: sl.SeqLen, Freq: sl.Count, Stat: sl.IterTimeUS}
 		}
 		sel, err := selectFn(recs)
 		if err != nil {
@@ -387,16 +369,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("sweep needs at least one task"))
 		return
 	}
-	if len(req.Tasks) > s.opts.MaxSweepTasks {
+	if len(req.Tasks) > maxSweepTasks {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sweep of %d tasks exceeds the %d-task limit", len(req.Tasks), s.opts.MaxSweepTasks))
+			fmt.Errorf("sweep of %d tasks exceeds the %d-task limit", len(req.Tasks), maxSweepTasks))
 		return
 	}
 	tasks := make([]engine.SweepTask, len(req.Tasks))
 	for i, tr := range req.Tasks {
 		tr = tr.normalize()
 		req.Tasks[i] = tr
-		if err := s.validate(tr); err != nil {
+		if err := tr.validate(); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("task %d: %w", i, err))
 			return
 		}
@@ -453,17 +435,6 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, dst any) boo
 	return true
 }
 
-// batchBounds applies the minibatch limits shared by every endpoint.
-func (s *Server) batchBounds(batch int) error {
-	if batch <= 0 {
-		return fmt.Errorf("batch must be positive, got %d", batch)
-	}
-	if batch > s.opts.MaxBatch {
-		return fmt.Errorf("batch %d exceeds the server limit %d", batch, s.opts.MaxBatch)
-	}
-	return nil
-}
-
 // seqLenBounds applies the synthetic-SL-pool limits shared by every
 // endpoint that accepts a seqlens list.
 func seqLenBounds(seqLens []int) error {
@@ -479,15 +450,16 @@ func seqLenBounds(seqLens []int) error {
 }
 
 // validate applies the server's request-shape limits.
-func (s *Server) validate(r SimulateRequest) error {
-	if err := s.batchBounds(r.Batch); err != nil {
-		return err
-	}
+func (r SimulateRequest) validate() error {
 	switch {
+	case r.Batch <= 0:
+		return fmt.Errorf("batch must be positive, got %d", r.Batch)
+	case r.Batch > maxBatch:
+		return fmt.Errorf("batch %d exceeds the server limit %d", r.Batch, maxBatch)
 	case r.Epochs <= 0:
 		return fmt.Errorf("epochs must be positive, got %d", r.Epochs)
-	case r.Epochs > s.opts.MaxEpochs:
-		return fmt.Errorf("epochs %d exceeds the server limit %d", r.Epochs, s.opts.MaxEpochs)
+	case r.Epochs > maxEpochs:
+		return fmt.Errorf("epochs %d exceeds the server limit %d", r.Epochs, maxEpochs)
 	case r.GPUs > r.Batch:
 		return fmt.Errorf("gpus %d exceeds batch %d: every replica needs at least one sample", r.GPUs, r.Batch)
 	}

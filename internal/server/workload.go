@@ -170,27 +170,49 @@ func (r WorkloadSpec) normalize() WorkloadSpec {
 	return r
 }
 
-// validateWorkload applies the server's request-shape limits shared by
-// every serving-family endpoint.
-func (s *Server) validateWorkload(r WorkloadSpec) error {
+// limits applies the daemon's size limits to a normalized envelope.
+// They bound one request's work, so the handlers run them before Spec
+// generates anything; Spec does not apply them.
+func (r WorkloadSpec) limits() error {
+	switch {
+	case r.Rate > maxServeRate:
+		return fmt.Errorf("rate must be in (0, %g] requests/s, got %v", float64(maxServeRate), r.Rate)
+	case r.Batch > maxBatch:
+		return fmt.Errorf("batch %d exceeds the server limit %d", r.Batch, maxBatch)
+	case r.Requests > maxSeqLens:
+		return fmt.Errorf("requests %d exceeds the %d-request limit", r.Requests, maxSeqLens)
+	case len(r.Tenants) > maxTenantCohorts:
+		return fmt.Errorf("tenants lists %d cohorts, more than the %d-cohort limit", len(r.Tenants), maxTenantCohorts)
+	}
+	for _, t := range r.Tenants {
+		// The message states the whole range; the generator rejects an
+		// empty cohort for every other caller of Spec.
+		if t.Count < 1 || t.Count > maxTenantsPerCohort {
+			return fmt.Errorf("tenant cohort %q count must be in [1, %d], got %d", t.Class, maxTenantsPerCohort, t.Count)
+		}
+		if err := seqLenBounds(t.SeqLens); err != nil {
+			return fmt.Errorf("tenant cohort %q: %w", t.Class, err)
+		}
+	}
+	return seqLenBounds(r.SeqLens)
+}
+
+// check applies the envelope's shape rules, which every caller of Spec
+// gets.
+func (r WorkloadSpec) check() error {
 	// A replayed trace file carries its own arrivals, so rate becomes an
 	// optional rescaling knob there; everywhere else it is required.
-	if r.TraceFile != "" && r.Rate == 0 {
-		// Replay as recorded.
-	} else if r.Rate <= 0 || math.IsNaN(r.Rate) || r.Rate > maxServeRate {
+	if (r.TraceFile == "" || r.Rate != 0) && (r.Rate <= 0 || math.IsNaN(r.Rate)) {
 		return fmt.Errorf("rate must be in (0, %g] requests/s, got %v", float64(maxServeRate), r.Rate)
 	}
 	if err := r.validateTraceSource(); err != nil {
 		return err
 	}
-	if err := s.batchBounds(r.Batch); err != nil {
-		return err
-	}
 	switch {
+	case r.Batch <= 0:
+		return fmt.Errorf("batch must be positive, got %d", r.Batch)
 	case r.Requests <= 0:
 		return fmt.Errorf("requests must be positive, got %d", r.Requests)
-	case r.Requests > maxSeqLens:
-		return fmt.Errorf("requests %d exceeds the %d-request limit", r.Requests, maxSeqLens)
 	case *r.TimeoutUS < 0 || math.IsNaN(*r.TimeoutUS) || math.IsInf(*r.TimeoutUS, 0):
 		return fmt.Errorf("timeout_us must be a finite non-negative duration, got %v", *r.TimeoutUS)
 	}
@@ -207,7 +229,7 @@ func (s *Server) validateWorkload(r WorkloadSpec) error {
 			}
 		}
 	}
-	return seqLenBounds(r.SeqLens)
+	return nil
 }
 
 // validateTraceSource checks the arrival-source knobs: the trace file,
@@ -240,18 +262,9 @@ func (r WorkloadSpec) validateTraceSource() error {
 	default:
 		return fmt.Errorf("unknown pattern %q (want %s or %s)", r.Pattern, workload.PatternUniform, workload.PatternDiurnal)
 	}
-	if len(r.Tenants) > maxTenantCohorts {
-		return fmt.Errorf("tenants lists %d cohorts, more than the %d-cohort limit", len(r.Tenants), maxTenantCohorts)
-	}
 	for _, t := range r.Tenants {
 		if t.Class == "" {
 			return fmt.Errorf("every tenant cohort needs a class label")
-		}
-		if t.Count < 1 || t.Count > maxTenantsPerCohort {
-			return fmt.Errorf("tenant cohort %q count must be in [1, %d], got %d", t.Class, maxTenantsPerCohort, t.Count)
-		}
-		if err := seqLenBounds(t.SeqLens); err != nil {
-			return fmt.Errorf("tenant cohort %q: %w", t.Class, err)
 		}
 	}
 	return nil
@@ -346,15 +359,21 @@ func loadTraceFile(path string, rate float64) (serving.Trace, error) {
 	if err != nil {
 		return zeroT, codeBadTrace(err)
 	}
-	if len(tr.Requests) > maxSeqLens {
-		return zeroT, fmt.Errorf("trace file holds %d requests, more than the %d-request limit", len(tr.Requests), maxSeqLens)
-	}
 	if rate > 0 {
 		if tr, err = tr.ScaleToRate(rate); err != nil {
 			return zeroT, err
 		}
 	}
 	return tr, nil
+}
+
+// traceFileLimit applies the daemon's cap on a replayed trace file,
+// the one limit that only loading the file can check.
+func (r WorkloadSpec) traceFileLimit(tr serving.Trace) error {
+	if r.TraceFile != "" && len(tr.Requests) > maxSeqLens {
+		return fmt.Errorf("trace file holds %d requests, more than the %d-request limit", len(tr.Requests), maxSeqLens)
+	}
+	return nil
 }
 
 // genSpec maps the wire tenant/pattern knobs to the workload

@@ -46,27 +46,6 @@ func Mean(xs []float64) (float64, error) {
 	return Sum(xs) / float64(len(xs)), nil
 }
 
-// WeightedMean returns sum(w_i * x_i) / sum(w_i). This is Equation 1 of
-// the paper normalized by total weight, used for projecting ratio
-// statistics (throughput, IPC).
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) != len(ws) {
-		return 0, ErrMismatch
-	}
-	var num, den float64
-	for i, x := range xs {
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0, errors.New("stats: zero total weight")
-	}
-	return num / den, nil
-}
-
 // Geomean returns the geometric mean of xs. All samples must be
 // positive; the paper reports projection errors as geomeans across
 // hardware configurations.

@@ -200,39 +200,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	t.Run("equal weights match mean", func(t *testing.T) {
-		xs := []float64{2, 4, 6}
-		got, err := WeightedMean(xs, []float64{1, 1, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 4 {
-			t.Errorf("WeightedMean = %v, want 4", got)
-		}
-	})
-	t.Run("weights shift the mean", func(t *testing.T) {
-		got, err := WeightedMean([]float64{0, 10}, []float64{3, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 2.5 {
-			t.Errorf("WeightedMean = %v, want 2.5", got)
-		}
-	})
-	t.Run("errors", func(t *testing.T) {
-		if _, err := WeightedMean(nil, nil); err != ErrEmpty {
-			t.Errorf("empty error = %v, want ErrEmpty", err)
-		}
-		if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err != ErrMismatch {
-			t.Errorf("mismatch error = %v, want ErrMismatch", err)
-		}
-		if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
-			t.Error("zero total weight should error")
-		}
-	})
-}
-
 func TestGeomean(t *testing.T) {
 	got, err := Geomean([]float64{1, 100})
 	if err != nil {
@@ -418,38 +385,6 @@ func TestQuickNormalizeMaxIsOne(t *testing.T) {
 			return false
 		}
 		return almostEqual(hi, 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickWeightedMeanBounds(t *testing.T) {
-	// A weighted mean with positive weights lies within [min, max].
-	f := func(raw []float64, wraw []float64) bool {
-		xs := positiveSamples(raw)
-		if len(xs) == 0 {
-			return true
-		}
-		ws := make([]float64, len(xs))
-		for i := range ws {
-			ws[i] = 1
-			if i < len(wraw) {
-				ws[i] = 1 + math.Mod(math.Abs(wraw[i]), 10)
-				if math.IsNaN(ws[i]) || math.IsInf(ws[i], 0) {
-					ws[i] = 1
-				}
-			}
-		}
-		wm, err := WeightedMean(xs, ws)
-		if err != nil {
-			return false
-		}
-		lo, hi, err := MinMax(xs)
-		if err != nil {
-			return false
-		}
-		return lo-1e-9 <= wm && wm <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

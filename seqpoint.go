@@ -65,6 +65,7 @@ import (
 	"seqpoint/internal/core"
 	"seqpoint/internal/dataset"
 	"seqpoint/internal/engine"
+	"seqpoint/internal/experiments"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
 	"seqpoint/internal/nn"
@@ -326,15 +327,7 @@ func EngineCacheStats() EngineStats {
 // RecordsFromRun extracts the SeqPoint input — per-unique-SL iteration
 // counts and runtimes — from one epoch of a simulated (or measured) run.
 func RecordsFromRun(run *Run, epoch int) ([]SLRecord, error) {
-	sum, err := run.EpochSummary(epoch)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]SLRecord, len(sum))
-	for i, s := range sum {
-		recs[i] = SLRecord{SeqLen: s.SeqLen, Freq: s.Count, Stat: s.IterTimeUS}
-	}
-	return recs, nil
+	return experiments.SLRecords(run, epoch)
 }
 
 // IterTimesBySL returns each unique SL's single-iteration runtime under

@@ -48,7 +48,6 @@ func main() {
 	model, err := seqpoint.NewCustomModel(
 		"mini-transformer",
 		25_000_000,
-		true, // attention work varies with SL
 		func(batch, seqLen int) seqpoint.Activation {
 			return seqpoint.Activation{Batch: batch, Time: seqLen, Feat: hidden}
 		},

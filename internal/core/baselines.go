@@ -105,12 +105,9 @@ func Worst(records []SLRecord) (Selection, error) {
 	return singlePoint(recs, worstSL), nil
 }
 
-// DefaultPriorSampleCount and DefaultPriorWarmup parameterize the
-// `prior` baseline as in the paper: 50 iterations after a fixed warm-up.
-const (
-	DefaultPriorSampleCount = 50
-	DefaultPriorWarmup      = 10
-)
+// DefaultPriorSampleCount is the `prior` baseline's sample size as in
+// the paper: 50 contiguous iterations after a fixed warm-up.
+const DefaultPriorSampleCount = 50
 
 // Prior samples `count` contiguous iterations starting after `warmup`
 // iterations of the epoch, in execution order, and represents the epoch

@@ -59,15 +59,6 @@ func TotalWeight(points []SeqPoint) float64 {
 	return w
 }
 
-// SeqLens returns the sequence lengths to profile, in ascending order.
-func SeqLens(points []SeqPoint) []int {
-	out := make([]int, len(points))
-	for i, p := range points {
-		out[i] = p.SeqLen
-	}
-	return out
-}
-
 // ProjectThroughput projects training throughput (samples/s) on a target
 // configuration from per-SeqPoint iteration runtimes (microseconds) on
 // that configuration: total samples divided by projected total time.

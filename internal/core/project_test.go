@@ -53,10 +53,6 @@ func TestTotalWeightAndSeqLens(t *testing.T) {
 	if TotalWeight(pts) != 4 {
 		t.Errorf("TotalWeight = %v", TotalWeight(pts))
 	}
-	sls := SeqLens(pts)
-	if len(sls) != 2 || sls[0] != 10 || sls[1] != 20 {
-		t.Errorf("SeqLens = %v", sls)
-	}
 }
 
 func TestProjectThroughput(t *testing.T) {

@@ -32,23 +32,6 @@ type Corpus struct {
 // Size returns the number of samples.
 func (c *Corpus) Size() int { return len(c.Lengths) }
 
-// MinMaxLen returns the shortest and longest sample lengths.
-func (c *Corpus) MinMaxLen() (int, int) {
-	if len(c.Lengths) == 0 {
-		return 0, 0
-	}
-	lo, hi := c.Lengths[0], c.Lengths[0]
-	for _, l := range c.Lengths[1:] {
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	return lo, hi
-}
-
 // Corpus-size and distribution constants. Sizes match the datasets the
 // paper evaluates: LibriSpeech train-clean-100 has 28 539 utterances;
 // IWSLT'15 En-Vi has 133 317 training sentence pairs. Length ranges

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -14,7 +15,7 @@ func TestLibriSpeechShape(t *testing.T) {
 	if c.Vocab != 29 {
 		t.Errorf("vocab = %d, want 29", c.Vocab)
 	}
-	lo, hi := c.MinMaxLen()
+	lo, hi := slices.Min(c.Lengths), slices.Max(c.Lengths)
 	if lo < ds2MinLen || hi > ds2MaxLen {
 		t.Errorf("length range [%d,%d] outside [%d,%d]", lo, hi, ds2MinLen, ds2MaxLen)
 	}
@@ -34,7 +35,7 @@ func TestIWSLTShape(t *testing.T) {
 	if c.Vocab != 36549 {
 		t.Errorf("vocab = %d, want 36549", c.Vocab)
 	}
-	lo, hi := c.MinMaxLen()
+	lo, hi := slices.Min(c.Lengths), slices.Max(c.Lengths)
 	if lo < gnmtMinLen || hi > gnmtMaxLen {
 		t.Errorf("length range [%d,%d] outside [%d,%d]", lo, hi, gnmtMinLen, gnmtMaxLen)
 	}
@@ -124,8 +125,8 @@ func TestSubsample(t *testing.T) {
 		t.Error("subsample must preserve the vocabulary (key observation 6)")
 	}
 	// Every drawn length exists in the source range.
-	lo, hi := c.MinMaxLen()
-	slo, shi := sub.MinMaxLen()
+	lo, hi := slices.Min(c.Lengths), slices.Max(c.Lengths)
+	slo, shi := slices.Min(sub.Lengths), slices.Max(sub.Lengths)
 	if slo < lo || shi > hi {
 		t.Errorf("subsample range [%d,%d] outside source [%d,%d]", slo, shi, lo, hi)
 	}
@@ -370,7 +371,7 @@ func TestQuickPlanEpochSeqLenIsBatchMax(t *testing.T) {
 			if p.Iterations() != len(lengths)/batch {
 				return false
 			}
-			lo, hi := c.MinMaxLen()
+			lo, hi := slices.Min(c.Lengths), slices.Max(c.Lengths)
 			for _, sl := range p.SeqLens {
 				if sl < lo || sl > hi {
 					return false

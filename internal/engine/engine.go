@@ -385,38 +385,9 @@ func (e *Engine) ProfileSLs(hw gpusim.Config, cl gpusim.ClusterConfig, m models.
 		return Key{Model: fp, Config: hw, Cluster: cl, Batch: batch, Phase: phase, SeqLen: sl}
 	}
 
-	workers := e.Parallelism()
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers <= 1 {
-		for _, sl := range uniq {
-			p, err := e.profileKeyed(key(sl), m)
-			if err != nil {
-				return nil, err
-			}
-			out[sl] = p
-		}
-		return out, nil
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				profiles[i], errs[i] = e.profileKeyed(key(uniq[i]), m)
-			}
-		}()
-	}
-	for i := range uniq {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
+	forEach(len(uniq), e.Parallelism(), func(i int) {
+		profiles[i], errs[i] = e.profileKeyed(key(uniq[i]), m)
+	})
 	for i, sl := range uniq {
 		if errs[i] != nil {
 			return nil, errs[i]

@@ -180,7 +180,7 @@ func TestDistinctKeysNeverCollide(t *testing.T) {
 
 func TestFingerprintDistinguishesSameNamedModels(t *testing.T) {
 	build := func(width int) models.Model {
-		m, err := models.NewCustom("same-name", 1_000_000, true,
+		m, err := models.NewCustom("same-name", 1_000_000,
 			func(batch, seqLen int) nn.Activation {
 				return nn.Activation{Batch: batch, Time: seqLen, Feat: 64}
 			},

@@ -50,7 +50,7 @@ func referenceFingerprint(m models.Model) uint64 {
 // code: they key every cache entry and every snapshot on disk, so a
 // change here would turn every persisted profile into a miss.
 func TestFingerprintUnchangedByBlocks(t *testing.T) {
-	custom, err := models.NewCustom("custom-mix", 2_000_000, true,
+	custom, err := models.NewCustom("custom-mix", 2_000_000,
 		func(batch, seqLen int) nn.Activation {
 			return nn.Activation{Batch: batch, Time: seqLen, Feat: 96}
 		},

@@ -51,25 +51,31 @@ func (e *Engine) Sweep(ctx context.Context, tasks []SweepTask, parallelism int) 
 	if workers <= 0 {
 		workers = e.Parallelism()
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-
-	run := func(i int) {
+	forEach(len(tasks), workers, func(i int) {
 		if err := ctx.Err(); err != nil {
 			results[i].Err = err
 			return
 		}
 		results[i].Run, results[i].Err = e.Simulate(tasks[i].Spec, tasks[i].Config)
-	}
+	})
+	return results
+}
 
+// forEach calls fn(i) for every i in [0, n) on at most workers
+// goroutines and returns once every call has finished; at one worker
+// or fewer it calls fn in index order on the caller's goroutine.
+// Callers slot results by index, so the outcome does not depend on
+// workers.
+func forEach(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
 	if workers <= 1 {
-		for i := range tasks {
-			run(i)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return results
+		return
 	}
-
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -77,14 +83,13 @@ func (e *Engine) Sweep(ctx context.Context, tasks []SweepTask, parallelism int) 
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				run(i)
+				fn(i)
 			}
 		}()
 	}
-	for i := range tasks {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return results
 }

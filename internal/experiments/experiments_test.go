@@ -486,8 +486,8 @@ func TestNearestSLs(t *testing.T) {
 
 func TestCNNWorkloadValid(t *testing.T) {
 	w := CNNWorkload(1)
-	if w.Model.SeqLenDependent() {
-		t.Error("CNN workload should be SL-independent")
+	if _, ok := w.Model.(*models.CNN); !ok {
+		t.Errorf("CNN workload serves %s, want the CNN", w.Model.Name())
 	}
 	if w.Train.Size() < w.Batch {
 		t.Error("corpus too small for one batch")

@@ -128,9 +128,6 @@ func TestTransformerAndSeq2SeqWorkloads(t *testing.T) {
 	// run exercises them end to end through the SeqPoint pipeline.
 	for _, mk := range []func(int64) Workload{TransformerWorkload, Seq2SeqWorkload} {
 		w := mk(1)
-		if !w.Model.SeqLenDependent() {
-			t.Errorf("%s must be an SQNN", w.Name)
-		}
 		// Scale down for the test.
 		small := testGNMTWorkload(t)
 		w.Train = small.Train

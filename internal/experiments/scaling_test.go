@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,8 +108,9 @@ func TestLargerCorporaShapes(t *testing.T) {
 		t.Errorf("libri-500 size = %d", l500.Size())
 	}
 	// Same SL range as the 100h set (the paper's observation).
-	lo100, hi100 := dataset.LibriSpeech100h(1).MinMaxLen()
-	lo500, hi500 := l500.MinMaxLen()
+	l100 := dataset.LibriSpeech100h(1)
+	lo100, hi100 := slices.Min(l100.Lengths), slices.Max(l100.Lengths)
+	lo500, hi500 := slices.Min(l500.Lengths), slices.Max(l500.Lengths)
 	if lo500 < lo100-20 || hi500 > hi100+20 {
 		t.Errorf("500h range [%d,%d] should match 100h [%d,%d]", lo500, hi500, lo100, hi100)
 	}

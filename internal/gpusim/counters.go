@@ -25,14 +25,3 @@ func (c *Counters) Add(other Counters) {
 	c.StoreBytes += other.StoreBytes
 	c.MemWriteStallCycles += other.MemWriteStallCycles
 }
-
-// Scale returns the counters multiplied by f (used when replaying a
-// memoized iteration profile f times).
-func (c Counters) Scale(f float64) Counters {
-	return Counters{
-		VALUInsts:           c.VALUInsts * f,
-		LoadBytes:           c.LoadBytes * f,
-		StoreBytes:          c.StoreBytes * f,
-		MemWriteStallCycles: c.MemWriteStallCycles * f,
-	}
-}

@@ -37,9 +37,6 @@ func New(cfg Config) (*Simulator, error) {
 	return &Simulator{cfg: cfg}, nil
 }
 
-// Config returns the hardware configuration the simulator prices for.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // Bandwidth efficiency constants: streaming kernels achieve a high
 // fraction of peak DRAM bandwidth, random gathers much less.
 const (
@@ -251,16 +248,4 @@ func opLabel(op tensor.Op) string {
 	default:
 		return ""
 	}
-}
-
-// PriceAll prices a batch of ops and returns the invocations along with
-// their total time in microseconds.
-func (s *Simulator) PriceAll(ops []tensor.Op) ([]Invocation, float64) {
-	invs := make([]Invocation, len(ops))
-	var total float64
-	for i, op := range ops {
-		invs[i] = s.Price(op)
-		total += invs[i].TimeUS
-	}
-	return invs, total
 }

@@ -44,9 +44,6 @@ func NewCNN() *CNN {
 // Name returns "cnn".
 func (m *CNN) Name() string { return "cnn" }
 
-// SeqLenDependent reports false: every CNN iteration does the same work.
-func (m *CNN) SeqLenDependent() bool { return false }
-
 // ParamCount returns the trainable-parameter count.
 func (m *CNN) ParamCount() int { return cnnParamCount }
 

@@ -14,20 +14,17 @@ import (
 type Custom struct {
 	name       string
 	paramCount int
-	seqDep     bool
 	input      func(batch, seqLen int) nn.Activation
 	build      func(seqLen int) []nn.Layer
 }
 
 // NewCustom defines a model. name labels it in reports; paramCount sizes
-// the optimizer pass; seqLenDependent declares whether iteration work
-// varies with SL (true for any SQNN); input maps (batch, seqLen) to the
-// network's input activation; build returns the layer stack for an
-// iteration at the given SL.
+// the optimizer pass; input maps (batch, seqLen) to the network's input
+// activation; build returns the layer stack for an iteration at the
+// given SL.
 func NewCustom(
 	name string,
 	paramCount int,
-	seqLenDependent bool,
 	input func(batch, seqLen int) nn.Activation,
 	build func(seqLen int) []nn.Layer,
 ) (*Custom, error) {
@@ -44,7 +41,6 @@ func NewCustom(
 	return &Custom{
 		name:       name,
 		paramCount: paramCount,
-		seqDep:     seqLenDependent,
 		input:      input,
 		build:      build,
 	}, nil
@@ -52,9 +48,6 @@ func NewCustom(
 
 // Name returns the model name.
 func (m *Custom) Name() string { return m.name }
-
-// SeqLenDependent reports the declared SL dependence.
-func (m *Custom) SeqLenDependent() bool { return m.seqDep }
 
 // ParamCount returns the declared trainable-parameter count.
 func (m *Custom) ParamCount() int { return m.paramCount }

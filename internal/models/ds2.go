@@ -50,9 +50,6 @@ func NewDS2() *DeepSpeech2 {
 // Name returns "ds2".
 func (m *DeepSpeech2) Name() string { return "ds2" }
 
-// SeqLenDependent reports true: DS2 is an SQNN.
-func (m *DeepSpeech2) SeqLenDependent() bool { return true }
-
 // ParamCount returns the trainable-parameter count.
 func (m *DeepSpeech2) ParamCount() int { return ds2ParamCount }
 

@@ -12,9 +12,6 @@ func TestTransformerSuperLinearInSL(t *testing.T) {
 	// double the attention work, pushing total FLOPs ratio above the
 	// linear regime as SL grows.
 	m := NewTransformer()
-	if !m.SeqLenDependent() {
-		t.Fatal("transformer is an SQNN")
-	}
 	f50 := totalFLOPs(iterationOps(m, 16, 50))
 	f100 := totalFLOPs(iterationOps(m, 16, 100))
 	f200 := totalFLOPs(iterationOps(m, 16, 200))
@@ -53,9 +50,6 @@ func TestTransformerEvalForwardOnly(t *testing.T) {
 
 func TestSeq2SeqLinearInSL(t *testing.T) {
 	m := NewSeq2Seq()
-	if !m.SeqLenDependent() {
-		t.Fatal("seq2seq is an SQNN")
-	}
 	f50 := totalFLOPs(iterationOps(m, 16, 50))
 	f100 := totalFLOPs(iterationOps(m, 16, 100))
 	ratio := f100 / f50
@@ -85,7 +79,7 @@ func TestExtensionModelNames(t *testing.T) {
 }
 
 func TestCustomModelLifecycle(t *testing.T) {
-	m, err := NewCustom("toy", 1000, true,
+	m, err := NewCustom("toy", 1000,
 		func(batch, seqLen int) nn.Activation {
 			return nn.Activation{Batch: batch, Time: seqLen, Feat: 32}
 		},
@@ -98,7 +92,7 @@ func TestCustomModelLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name() != "toy" || !m.SeqLenDependent() {
+	if m.Name() != "toy" {
 		t.Error("identity")
 	}
 	ops := iterationOps(m, 4, 10)
@@ -124,10 +118,10 @@ func TestCustomModelValidation(t *testing.T) {
 		name string
 		fn   func() (*Custom, error)
 	}{
-		{"empty name", func() (*Custom, error) { return NewCustom("", 1, true, input, build) }},
-		{"zero params", func() (*Custom, error) { return NewCustom("x", 0, true, input, build) }},
-		{"nil input", func() (*Custom, error) { return NewCustom("x", 1, true, nil, build) }},
-		{"nil build", func() (*Custom, error) { return NewCustom("x", 1, true, input, nil) }},
+		{"empty name", func() (*Custom, error) { return NewCustom("", 1, input, build) }},
+		{"zero params", func() (*Custom, error) { return NewCustom("x", 0, input, build) }},
+		{"nil input", func() (*Custom, error) { return NewCustom("x", 1, nil, build) }},
+		{"nil build", func() (*Custom, error) { return NewCustom("x", 1, input, nil) }},
 	}
 	for _, tc := range cases {
 		if _, err := tc.fn(); err == nil {

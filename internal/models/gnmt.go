@@ -35,9 +35,6 @@ func NewGNMT() *GNMT { return &GNMT{} }
 // Name returns "gnmt".
 func (m *GNMT) Name() string { return "gnmt" }
 
-// SeqLenDependent reports true: GNMT is an SQNN.
-func (m *GNMT) SeqLenDependent() bool { return true }
-
 // ParamCount returns the trainable-parameter count.
 func (m *GNMT) ParamCount() int { return gnmtParamCount }
 

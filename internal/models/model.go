@@ -30,9 +30,6 @@ type Model interface {
 	// EvalBlocks returns the blocks of one evaluation (forward-only)
 	// pass.
 	EvalBlocks(batch, seqLen int) []tensor.Block
-	// SeqLenDependent reports whether iteration work varies with the
-	// input sequence length (true for SQNNs, false for CNNs).
-	SeqLenDependent() bool
 	// ParamCount is the number of trainable parameters — the quantity
 	// the optimizer pass streams over and the gradient all-reduce of a
 	// data-parallel cluster moves every step.

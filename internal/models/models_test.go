@@ -40,15 +40,6 @@ func TestModelNames(t *testing.T) {
 	}
 }
 
-func TestSeqLenDependence(t *testing.T) {
-	if !NewDS2().SeqLenDependent() || !NewGNMT().SeqLenDependent() {
-		t.Error("SQNNs are SL-dependent")
-	}
-	if NewCNN().SeqLenDependent() {
-		t.Error("CNN iterations are input-independent")
-	}
-}
-
 func TestCNNIterationsHomogeneous(t *testing.T) {
 	// The Fig. 3 premise: CNN work is identical regardless of "SL".
 	m := NewCNN()

@@ -29,9 +29,6 @@ func NewSeq2Seq() *Seq2Seq { return &Seq2Seq{} }
 // Name returns "seq2seq".
 func (m *Seq2Seq) Name() string { return "seq2seq" }
 
-// SeqLenDependent reports true.
-func (m *Seq2Seq) SeqLenDependent() bool { return true }
-
 // ParamCount returns the trainable-parameter count.
 func (m *Seq2Seq) ParamCount() int { return seq2seqParams }
 

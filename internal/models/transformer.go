@@ -33,9 +33,6 @@ func NewTransformer() *Transformer { return &Transformer{} }
 // Name returns "transformer".
 func (m *Transformer) Name() string { return "transformer" }
 
-// SeqLenDependent reports true: attention work scales with SL squared.
-func (m *Transformer) SeqLenDependent() bool { return true }
-
 // ParamCount returns the trainable-parameter count.
 func (m *Transformer) ParamCount() int { return transformerParams }
 

@@ -269,12 +269,3 @@ func Overlap(p, q Breakdown) (common, onlyP, onlyQ int) {
 	}
 	return common, onlyP, onlyQ
 }
-
-// Throughput returns training throughput in samples per second, the
-// paper's speedup metric (Section VI-C).
-func (p IterationProfile) Throughput() float64 {
-	if p.TimeUS == 0 {
-		return 0
-	}
-	return float64(p.Batch) / (p.TimeUS / 1e6)
-}

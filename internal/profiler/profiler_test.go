@@ -171,16 +171,6 @@ func TestTimeShareByKind(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	p := IterationProfile{Batch: 64, TimeUS: 5e5}
-	if got := p.Throughput(); math.Abs(got-128) > 1e-9 {
-		t.Errorf("Throughput = %v, want 128 samples/s", got)
-	}
-	if (IterationProfile{}).Throughput() != 0 {
-		t.Error("zero-time profile throughput should be 0")
-	}
-}
-
 // breakdown is BreakdownStep on one GPU that fails the test on error.
 func breakdown(t *testing.T, s *gpusim.Simulator, m models.Model, batch, seqLen int) Breakdown {
 	t.Helper()

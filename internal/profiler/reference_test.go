@@ -90,7 +90,7 @@ func referenceStep(sim *gpusim.Simulator, cl gpusim.ClusterConfig, m models.Mode
 // kind: a bidirectional GRU, attention over the input and a classifier.
 func customModel(t *testing.T) models.Model {
 	t.Helper()
-	m, err := models.NewCustom("custom-mix", 2_000_000, true,
+	m, err := models.NewCustom("custom-mix", 2_000_000,
 		func(batch, seqLen int) nn.Activation {
 			return nn.Activation{Batch: batch, Time: seqLen, Feat: 96}
 		},

@@ -297,7 +297,8 @@ const (
 	// CodeBadRequest marks a malformed or out-of-bounds request (400).
 	CodeBadRequest = "bad_request"
 	// CodeKVCapacity marks a KV-cache-model misconfiguration: invalid
-	// kv_capacity_gb, or a KV-dependent knob without the model (400).
+	// kv_capacity_gb, a KV-dependent knob without the model, or a
+	// /v1/serve request whose own cache exceeds the capacity (400).
 	CodeKVCapacity = "kv_capacity"
 	// CodeBadTrace marks a malformed arrival trace: a trace_file that is
 	// corrupt, truncated, wrong-version, or whose arrivals are negative

@@ -48,6 +48,7 @@ func TestErrorCodes(t *testing.T) {
 		{"serve bad rate", http.MethodPost, "/v1/serve", `{"model":"gnmt","rate":-1}`, http.StatusBadRequest, CodeBadRequest, ""},
 		{"serve kv knobs without kv model", http.MethodPost, "/v1/serve", `{"model":"gnmt","rate":100,"decode_steps":8}`, http.StatusBadRequest, CodeKVCapacity, ""},
 		{"serve invalid kv capacity", http.MethodPost, "/v1/serve", `{"model":"gnmt","rate":100,"kv_capacity_gb":-2}`, http.StatusBadRequest, CodeKVCapacity, ""},
+		{"serve request above kv capacity", http.MethodPost, "/v1/serve", `{"model":"gnmt","rate":100,"requests":16,"seqlens":[40],"kv_capacity_gb":1e-12}`, http.StatusBadRequest, CodeKVCapacity, ""},
 		{"fleet unknown routing", http.MethodPost, "/v1/fleet", `{"model":"gnmt","rate":100,"routing":"random"}`, http.StatusBadRequest, CodeBadRequest, ""},
 		{"fleet kv routing without kv model", http.MethodPost, "/v1/fleet", `{"model":"gnmt","rate":100,"routing":"kv"}`, http.StatusBadRequest, CodeKVCapacity, ""},
 		{"fleet disagg without kv model", http.MethodPost, "/v1/fleet", `{"model":"gnmt","rate":100,"replicas":3,"disagg":{"prefill":1,"decode":2}}`, http.StatusBadRequest, CodeKVCapacity, ""},

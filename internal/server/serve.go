@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 
 	"seqpoint/internal/gpusim"
@@ -76,6 +77,9 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 
 	status, body := s.execute(r.Context(), coalesceKey("serve", req), func() (int, []byte) {
 		res, err := serving.Simulate(spec, hw)
+		if errors.Is(err, serving.ErrKVCapacity) {
+			return http.StatusBadRequest, errorBody(http.StatusBadRequest, withCode(CodeKVCapacity, err))
+		}
 		if err != nil {
 			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
 		}

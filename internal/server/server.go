@@ -178,9 +178,6 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Engine returns the engine the server simulates on.
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
 // ServeHTTP implements http.Handler. Every registered route passes
 // through the metrics middleware, so per-endpoint request counts and
 // latency histograms cover each handler uniformly.
@@ -201,9 +198,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // (counted as rejected), while already-running computations continue.
 // Drain mode is one-way; a draining server is shutting down.
 func (s *Server) StartDrain() { s.draining.Store(true) }
-
-// Draining reports whether the server is in drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain enters drain mode and waits for every detached computation to
 // finish, bounded by ctx. After a nil return the server is quiescent:

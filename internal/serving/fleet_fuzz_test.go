@@ -32,7 +32,8 @@ import (
 //     untenanted shadow of the trace reproduces the summary byte-for-
 //     byte outside the per-tenant block;
 //   - generalization: a 1-replica round-robin unbounded fleet matches
-//     the single-queue simulator byte-for-byte, KV model included.
+//     the single-queue reference loop request by request, KV model
+//     included.
 func FuzzFleetInvariants(f *testing.F) {
 	f.Add(int64(1), 200.0, uint8(40), uint8(1), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0))
 	f.Add(int64(7), 900.0, uint8(120), uint8(3), uint8(4), uint8(1), uint8(1), false, uint8(0), uint8(3))
@@ -299,15 +300,7 @@ func FuzzFleetInvariants(f *testing.F) {
 			if err != nil {
 				t.Fatalf("referenceSimulate: %v", err)
 			}
-			asServing, err := res.AsServing()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := single.Summary().Serialize()
-			got, _ := asServing.Summary().Serialize()
-			if !bytes.Equal(got, want) {
-				t.Fatalf("1-replica fleet diverged from the reference loop:\n%s\nvs\n%s", got, want)
-			}
+			sameRun(t, single, res)
 		}
 	})
 }

@@ -111,8 +111,8 @@ func TestRouterPicks(t *testing.T) {
 
 // TestFleetSingleReplicaEquivalence is the strict-generalization
 // property: a 1-replica round-robin fleet with an unbounded queue must
-// reproduce the standalone single-queue reference loop byte-for-byte,
-// for every bundled policy and arrival process.
+// reproduce the standalone single-queue reference loop request by
+// request, for every bundled policy and arrival process.
 func TestFleetSingleReplicaEquivalence(t *testing.T) {
 	corpus := dataset.IWSLT15(1)
 	poisson, err := PoissonTrace(corpus, 200, 80, 7)
@@ -149,21 +149,7 @@ func TestFleetSingleReplicaEquivalence(t *testing.T) {
 					Model: models.NewGNMT(), Trace: tc.trace, Policy: pol,
 					Router: NewRoundRobin(), Replicas: 1,
 				})
-				asServing, err := fleet.AsServing()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := single.Summary().Serialize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := asServing.Summary().Serialize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("1-replica fleet diverged from the reference loop:\nfleet: %s\nsingle: %s", got, want)
-				}
+				sameRun(t, single, fleet)
 			})
 		}
 	}
@@ -241,9 +227,6 @@ func TestFleetAdmissionControl(t *testing.T) {
 	}
 	if sum.DropRatePct != 25 {
 		t.Errorf("drop rate %v%%, want 25%%", sum.DropRatePct)
-	}
-	if _, err := res.AsServing(); err == nil {
-		t.Error("AsServing should refuse a run with rejections")
 	}
 }
 
@@ -471,17 +454,6 @@ func TestFleetBuggyRouterRejected(t *testing.T) {
 				t.Fatalf("error %v should name the misbehaving router", err)
 			}
 		})
-	}
-}
-
-func TestAsServingErrors(t *testing.T) {
-	fixed, _ := NewFixedBatch(2)
-	res := fleetSim(t, FleetSpec{
-		Model: models.NewGNMT(), Trace: replay(t, []float64{0, 5}, []int{3, 4}),
-		Policy: fixed, Router: NewRoundRobin(), Replicas: 2,
-	})
-	if _, err := res.AsServing(); err == nil {
-		t.Error("AsServing should refuse a multi-replica fleet")
 	}
 }
 

@@ -2,7 +2,6 @@ package serving
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"seqpoint/internal/stats"
 )
@@ -120,25 +119,64 @@ func (r *FleetResult) Summary() FleetSummary {
 	if s.Served == 0 {
 		return s
 	}
-	lats := make([]float64, len(r.Requests))
+	// xs is this function's own scratch, ranked in place: first the
+	// latencies, then the TTFTs, which overwrite every slot.
+	xs := make([]float64, len(r.Requests))
 	var waitSum float64
 	for i, m := range r.Requests {
-		lats[i] = m.LatencyUS()
+		xs[i] = m.LatencyUS()
 		waitSum += m.WaitUS()
 	}
 	s.MeanWaitUS = waitSum / float64(len(r.Requests))
-	s.MeanLatencyUS = stats.Sum(lats) / float64(len(lats))
-	// lats is this function's own scratch, so rank in place instead of
-	// letting Percentiles duplicate a million-element slice. It only
-	// errors on empty input or p outside [0,100]; neither can happen
-	// here.
-	if ps, err := stats.PercentilesInPlace(lats, 50, 95, 99); err == nil {
-		s.P50LatencyUS, s.P95LatencyUS, s.P99LatencyUS = ps[0], ps[1], ps[2]
-	}
+	s.MeanLatencyUS, s.P50LatencyUS, s.P95LatencyUS, s.P99LatencyUS = digest(xs)
 	if r.KV != nil {
-		s.MeanTTFTUS, s.P50TTFTUS, s.P95TTFTUS, s.P99TTFTUS = ttftDigest(r.Requests)
+		for i, m := range r.Requests {
+			xs[i] = m.TTFTUS()
+		}
+		s.MeanTTFTUS, s.P50TTFTUS, s.P95TTFTUS, s.P99TTFTUS = digest(xs)
 	}
 	return s
+}
+
+// digest returns the mean and nearest-rank p50/p95/p99 of xs. It sorts
+// xs in place, so callers pass their own scratch instead of having a
+// million-element slice copied. xs must be non-empty; the percentiles
+// stay 0 if it holds a non-finite value.
+func digest(xs []float64) (mean, p50, p95, p99 float64) {
+	mean = stats.Sum(xs) / float64(len(xs))
+	if ps, err := stats.PercentilesInPlace(xs, 50, 95, 99); err == nil {
+		p50, p95, p99 = ps[0], ps[1], ps[2]
+	}
+	return mean, p50, p95, p99
+}
+
+// singleQueue projects the digest onto the single-queue Summary: every
+// field the two types share, by name.
+func (s FleetSummary) singleQueue() Summary {
+	return Summary{
+		Config:          s.Config,
+		Policy:          s.Policy,
+		Requests:        s.Requests,
+		Batches:         s.Batches,
+		MeanBatch:       s.MeanBatch,
+		MakespanUS:      s.MakespanUS,
+		BusyUS:          s.BusyUS,
+		UtilizationPct:  s.UtilizationPct,
+		ThroughputRPS:   s.ThroughputRPS,
+		MeanWaitUS:      s.MeanWaitUS,
+		MeanLatencyUS:   s.MeanLatencyUS,
+		P50LatencyUS:    s.P50LatencyUS,
+		P95LatencyUS:    s.P95LatencyUS,
+		P99LatencyUS:    s.P99LatencyUS,
+		MeanTTFTUS:      s.MeanTTFTUS,
+		P50TTFTUS:       s.P50TTFTUS,
+		P95TTFTUS:       s.P95TTFTUS,
+		P99TTFTUS:       s.P99TTFTUS,
+		Preemptions:     s.Preemptions,
+		KVCapacityBytes: s.KVCapacityBytes,
+		KVPeakBytes:     s.KVPeakBytes,
+		PerTenant:       s.PerTenant,
+	}
 }
 
 // Serialize renders the summary as indented JSON with a trailing
@@ -150,30 +188,4 @@ func (s FleetSummary) Serialize() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// AsServing converts a 1-replica, zero-rejection fleet run into the
-// equivalent single-queue Result: the witness that the fleet layer is
-// a strict generalization of Simulate. The returned Result's Summary
-// serializes byte-identically to running Simulate on the same spec.
-func (r *FleetResult) AsServing() (*Result, error) {
-	if r.Replicas != 1 {
-		return nil, fmt.Errorf("serving: AsServing needs a 1-replica fleet, got %d replicas", r.Replicas)
-	}
-	if len(r.Rejections) > 0 {
-		return nil, fmt.Errorf("serving: AsServing needs a rejection-free run, got %d rejections", len(r.Rejections))
-	}
-	out := &Result{
-		Config:     r.Config,
-		Policy:     r.Policy,
-		Requests:   append([]RequestMetric(nil), r.Requests...),
-		Batches:    r.Batches,
-		BusyUS:     r.BusyUS,
-		MakespanUS: r.MakespanUS,
-	}
-	if r.KV != nil {
-		kv := *r.KV
-		out.KV = &kv
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -47,6 +48,11 @@ const (
 // exceeds a replica's capacity: it can never be served, so the fleet
 // rejects it at admission rather than wedging a queue.
 const RejectReasonKVCapacity = "kv_capacity"
+
+// ErrKVCapacity is the typed cause Simulate wraps when a request's own
+// cache footprint exceeds the capacity: the single-queue server has no
+// admission controller to reject it, so it refuses the whole trace.
+var ErrKVCapacity = errors.New("serving: KV capacity exceeded")
 
 // Disagg stage selectors (internal): which phase of a request a fleet
 // stage executes. The zero value is the aggregated both-phase server.

@@ -138,8 +138,8 @@ func TestKVOversizeRequest(t *testing.T) {
 	// Single-queue: an unservable request is a spec error.
 	_, err := Simulate(kvSpec(replay(t, []float64{0}, []int{10}), fixed,
 		&KVConfig{CapacityBytes: 5000, BytesPerToken: 1000}), gpusim.VegaFE())
-	if err == nil || !strings.Contains(err.Error(), "capacity") {
-		t.Fatalf("Simulate error = %v, want a capacity complaint", err)
+	if !errors.Is(err, ErrKVCapacity) || !strings.Contains(err.Error(), "request 0 needs 10000 KV bytes, above the 5000-byte capacity") {
+		t.Fatalf("Simulate error = %v, want ErrKVCapacity naming the request and its bytes", err)
 	}
 
 	// Fleet: the same request is rejected at admission with a typed

@@ -391,6 +391,44 @@ func TestSummaryAccounting(t *testing.T) {
 	}
 }
 
+// TestSingleQueueProjectionIsTotal fills every FleetSummary field with
+// a distinct value and requires the projection to copy each into the
+// Summary field of the same name and JSON tag, so a field added to
+// Summary and not projected fails here instead of serializing as zero.
+func TestSingleQueueProjectionIsTotal(t *testing.T) {
+	var fs FleetSummary
+	fv := reflect.ValueOf(&fs).Elem()
+	for i := 0; i < fv.NumField(); i++ {
+		switch f := fv.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(fmt.Sprintf("field%d", i))
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), i+1, i+1))
+		default:
+			t.Fatalf("FleetSummary.%s: no test value for kind %v", fv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	sv := reflect.ValueOf(fs.singleQueue())
+	for i := 0; i < sv.NumField(); i++ {
+		sf := sv.Type().Field(i)
+		ff, ok := fv.Type().FieldByName(sf.Name)
+		if !ok {
+			t.Errorf("Summary.%s has no FleetSummary field of that name", sf.Name)
+			continue
+		}
+		if got, want := sf.Tag.Get("json"), ff.Tag.Get("json"); got != want {
+			t.Errorf("Summary.%s JSON tag %q, FleetSummary's %q", sf.Name, got, want)
+		}
+		if got, want := sv.Field(i).Interface(), fv.FieldByIndex(ff.Index).Interface(); !reflect.DeepEqual(got, want) {
+			t.Errorf("Summary.%s = %v, want FleetSummary's %v", sf.Name, got, want)
+		}
+	}
+}
+
 // TestSimulateThroughEngineDeterministic runs the same spec through
 // fresh private engines at profiling parallelism 1 and 4 and requires
 // byte-identical summaries — the serving-side determinism contract.

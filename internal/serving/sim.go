@@ -7,7 +7,6 @@ import (
 
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
-	"seqpoint/internal/stats"
 	"seqpoint/internal/trainer"
 )
 
@@ -90,23 +89,10 @@ func (m RequestMetric) TTFTUS() float64 {
 	return m.FirstUS - m.ArrivalUS
 }
 
-// Result is one serving simulation's full outcome.
-type Result struct {
-	// Config is the hardware configuration served on.
-	Config gpusim.Config
-	// Policy is the batching policy's name.
-	Policy string
-	// Requests holds every request's metric in trace (arrival) order.
-	Requests []RequestMetric
-	// Batches is the number of batches launched.
-	Batches int
-	// BusyUS is the summed batch execution time.
-	BusyUS float64
-	// MakespanUS is the completion time of the last batch.
-	MakespanUS float64
-	// KV is the cache model's roll-up; nil when Spec.KV was nil.
-	KV *KVRunStats
-}
+// Result is one serving simulation's full outcome: the 1-replica
+// fleet run Simulate executes. Its own Summary method keeps the
+// single-queue digest.
+type Result FleetResult
 
 // policyConsultSlack bounds policy consultations per dispatched batch
 // beyond the ones legitimately needed to fill it (every wait-consult
@@ -135,8 +121,8 @@ func Simulate(spec Spec, hw gpusim.Config) (*Result, error) {
 		kv := newKVState(spec.KV, spec.Model)
 		for _, r := range spec.Trace.Requests {
 			if need := kv.peakBytes(r); need > kv.capacity {
-				return nil, fmt.Errorf("serving: request %d needs %v KV bytes, above the %v-byte capacity",
-					r.ID, need, kv.capacity)
+				return nil, fmt.Errorf("%w: request %d needs %v KV bytes, above the %v-byte capacity",
+					ErrKVCapacity, r.ID, need, kv.capacity)
 			}
 		}
 	}
@@ -152,15 +138,7 @@ func Simulate(spec Spec, hw gpusim.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Config:     fr.Config,
-		Policy:     fr.Policy,
-		Requests:   fr.Requests,
-		Batches:    fr.Batches,
-		BusyUS:     fr.BusyUS,
-		MakespanUS: fr.MakespanUS,
-		KV:         fr.KV,
-	}, nil
+	return (*Result)(fr), nil
 }
 
 // takeBatch removes the picked indices from the queue and appends the
@@ -241,89 +219,12 @@ type Summary struct {
 	PerTenant []TenantStats `json:"per_tenant,omitempty"`
 }
 
-// ttftDigest ranks per-request TTFTs (arrival → prefill completion)
-// into a mean and nearest-rank p50/p95/p99. metrics must be non-empty
-// and carry FirstUS (a KV-enabled run).
-func ttftDigest(metrics []RequestMetric) (mean, p50, p95, p99 float64) {
-	ttfts := make([]float64, len(metrics))
-	var sum float64
-	for i, m := range metrics {
-		ttfts[i] = m.TTFTUS()
-		sum += ttfts[i]
-	}
-	mean = sum / float64(len(ttfts))
-	if ps, err := stats.PercentilesInPlace(ttfts, 50, 95, 99); err == nil {
-		p50, p95, p99 = ps[0], ps[1], ps[2]
-	}
-	return mean, p50, p95, p99
-}
-
-// Latencies returns every request's end-to-end latency in trace order.
-func (r *Result) Latencies() []float64 {
-	out := make([]float64, len(r.Requests))
-	for i, m := range r.Requests {
-		out[i] = m.LatencyUS()
-	}
-	return out
-}
-
-// Throughput returns served requests per second over the makespan.
-func (r *Result) Throughput() float64 {
-	if r.MakespanUS == 0 {
-		return 0
-	}
-	return float64(len(r.Requests)) / (r.MakespanUS / 1e6)
-}
-
-// Utilization returns the server's busy fraction of the makespan.
-func (r *Result) Utilization() float64 {
-	if r.MakespanUS == 0 {
-		return 0
-	}
-	return r.BusyUS / r.MakespanUS
-}
-
-// Summary digests the run. Percentiles are nearest-rank
-// (stats.Percentile) over per-request end-to-end latencies.
+// Summary digests the run: the fleet digest projected onto the
+// single-queue fields. Simulate refuses a trace with an oversized KV
+// request, so the run rejects nothing, and the loop ends on the last
+// completion, so the replica's live time is the makespan.
 func (r *Result) Summary() Summary {
-	s := Summary{
-		Config:         r.Config.Name,
-		Policy:         r.Policy,
-		Requests:       len(r.Requests),
-		Batches:        r.Batches,
-		MakespanUS:     r.MakespanUS,
-		BusyUS:         r.BusyUS,
-		UtilizationPct: r.Utilization() * 100,
-		ThroughputRPS:  r.Throughput(),
-	}
-	if r.Batches > 0 {
-		s.MeanBatch = float64(len(r.Requests)) / float64(r.Batches)
-	}
-	if len(r.Requests) == 0 {
-		return s
-	}
-	lats := r.Latencies()
-	var waitSum float64
-	for _, m := range r.Requests {
-		waitSum += m.WaitUS()
-	}
-	s.MeanWaitUS = waitSum / float64(len(r.Requests))
-	s.MeanLatencyUS = stats.Sum(lats) / float64(len(lats))
-	// lats is this function's own scratch, so rank in place instead of
-	// letting Percentiles duplicate a million-element slice. It only
-	// errors on empty input or p outside [0,100]; neither can happen
-	// here.
-	if ps, err := stats.PercentilesInPlace(lats, 50, 95, 99); err == nil {
-		s.P50LatencyUS, s.P95LatencyUS, s.P99LatencyUS = ps[0], ps[1], ps[2]
-	}
-	if r.KV != nil {
-		s.Preemptions = r.KV.Preemptions
-		s.KVCapacityBytes = r.KV.CapacityBytes
-		s.KVPeakBytes = r.KV.PeakBytes
-		s.MeanTTFTUS, s.P50TTFTUS, s.P95TTFTUS, s.P99TTFTUS = ttftDigest(r.Requests)
-	}
-	s.PerTenant = perTenantStats(r.Requests, nil, r.KV != nil)
-	return s
+	return (*FleetResult)(r).Summary().singleQueue()
 }
 
 // Serialize renders the summary as indented JSON with a trailing

@@ -3,10 +3,39 @@ package serving
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"testing"
 
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/trainer"
 )
+
+// sameRun fails the test unless the fleet run reproduces the reference
+// loop's run: every request's timeline, then the batch count, busy
+// time, makespan and KV roll-up. That is stricter than comparing
+// summaries, which digest the timelines.
+func sameRun(t *testing.T, ref *Result, fleet *FleetResult) {
+	t.Helper()
+	if len(fleet.Rejections) > 0 {
+		t.Fatalf("1-replica unbounded fleet rejected %d requests", len(fleet.Rejections))
+	}
+	if len(fleet.Requests) != len(ref.Requests) {
+		t.Fatalf("fleet served %d requests, reference %d", len(fleet.Requests), len(ref.Requests))
+	}
+	for i := range ref.Requests {
+		if fleet.Requests[i] != ref.Requests[i] {
+			t.Fatalf("request %d diverged from the reference loop:\nfleet:     %+v\nreference: %+v",
+				i, fleet.Requests[i], ref.Requests[i])
+		}
+	}
+	if fleet.Batches != ref.Batches || fleet.BusyUS != ref.BusyUS || fleet.MakespanUS != ref.MakespanUS {
+		t.Fatalf("fleet batches/busy/makespan %d/%v/%v, reference %d/%v/%v",
+			fleet.Batches, fleet.BusyUS, fleet.MakespanUS, ref.Batches, ref.BusyUS, ref.MakespanUS)
+	}
+	if !reflect.DeepEqual(fleet.KV, ref.KV) {
+		t.Fatalf("fleet KV roll-up %+v, reference %+v", fleet.KV, ref.KV)
+	}
+}
 
 // referenceSimulate is a standalone single-queue event loop — one
 // server, one queue, no heap, router or dirty set — that tests hold

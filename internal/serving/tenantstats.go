@@ -1,10 +1,6 @@
 package serving
 
-import (
-	"sort"
-
-	"seqpoint/internal/stats"
-)
+import "sort"
 
 // TenantStats is one tenant's share of a serving or fleet run: its
 // admission outcome and latency/TTFT tail. Summaries carry a sorted
@@ -99,16 +95,10 @@ func perTenantStats(metrics []RequestMetric, rejections []Rejection, kvOn bool) 
 			ts.DropRatePct = float64(ts.Rejected) / float64(ts.Requests) * 100
 		}
 		if len(a.lats) > 0 {
-			ts.MeanLatencyUS = stats.Sum(a.lats) / float64(len(a.lats))
-			if ps, err := stats.PercentilesInPlace(a.lats, 50, 95, 99); err == nil {
-				ts.P50LatencyUS, ts.P95LatencyUS, ts.P99LatencyUS = ps[0], ps[1], ps[2]
-			}
+			ts.MeanLatencyUS, ts.P50LatencyUS, ts.P95LatencyUS, ts.P99LatencyUS = digest(a.lats)
 		}
 		if kvOn && len(a.ttfts) > 0 {
-			ts.MeanTTFTUS = stats.Sum(a.ttfts) / float64(len(a.ttfts))
-			if ps, err := stats.PercentilesInPlace(a.ttfts, 99); err == nil {
-				ts.P99TTFTUS = ps[0]
-			}
+			ts.MeanTTFTUS, _, _, ts.P99TTFTUS = digest(a.ttfts)
 		}
 		out = append(out, ts)
 	}

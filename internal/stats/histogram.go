@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -133,6 +132,3 @@ func UniqueInts(samples []int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// ErrBadBins reports invalid bin specifications.
-var ErrBadBins = errors.New("stats: invalid bin specification")

@@ -56,16 +56,6 @@ func (g GEMM) Signature() string {
 	return "gemm:" + strconv.Itoa(g.M) + "x" + strconv.Itoa(g.N) + "x" + strconv.Itoa(g.K)
 }
 
-// Transposed returns the GEMM computing the gradient with respect to one
-// operand: the same total work with M/K swapped (dA = dC x B^T) or N/K
-// swapped (dB = A^T x dC). Backward passes emit these.
-func (g GEMM) Transposed(swapMK bool, label string) GEMM {
-	if swapMK {
-		return NewGEMM(g.K, g.N, g.M, label)
-	}
-	return NewGEMM(g.M, g.K, g.N, label)
-}
-
 // Conv2D is a 2-D convolution over an N x C x H x W input with OutC
 // filters of size KH x KW, stride (SH, SW) and padding (PH, PW).
 // DS2's two front-end layers are the only users, but the op supports the

@@ -57,29 +57,6 @@ func TestGEMMInvalidPanics(t *testing.T) {
 	}
 }
 
-func TestGEMMTransposed(t *testing.T) {
-	g := NewGEMM(10, 20, 30, "fwd")
-	dgrad := g.Transposed(true, "dgrad")
-	if dgrad.M != 30 || dgrad.N != 20 || dgrad.K != 10 {
-		t.Errorf("Transposed(swapMK) = %dx%dx%d, want 30x20x10", dgrad.M, dgrad.N, dgrad.K)
-	}
-	wgrad := g.Transposed(false, "wgrad")
-	if wgrad.M != 10 || wgrad.N != 30 || wgrad.K != 20 {
-		t.Errorf("Transposed(swapNK) = %dx%dx%d, want 10x30x20", wgrad.M, wgrad.N, wgrad.K)
-	}
-}
-
-func TestQuickGEMMTransposedPreservesWork(t *testing.T) {
-	// Gradient GEMMs permute dimensions, so total arithmetic is equal.
-	f := func(m, n, k uint8, swap bool) bool {
-		g := NewGEMM(int(m)+1, int(n)+1, int(k)+1, "x")
-		return g.Transposed(swap, "t").FLOPs() == g.FLOPs()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestConv2DGeometry(t *testing.T) {
 	// DS2's first conv: 41x11 kernel, stride 2x2, pad 20x5 over 161xT.
 	c := NewConv2D(64, 1, 161, 500, 32, 41, 11, 2, 2, 20, 5, "conv1")

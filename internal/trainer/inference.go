@@ -101,17 +101,6 @@ func SimulateInference(spec InferenceSpec, hw gpusim.Config) (*InferenceRun, err
 	return run, nil
 }
 
-// Requests returns the number of requests served.
-func (r *InferenceRun) Requests() int { return len(r.BatchSLs) * r.Batch }
-
-// Throughput returns serving throughput in requests per second.
-func (r *InferenceRun) Throughput() float64 {
-	if r.TotalUS == 0 {
-		return 0
-	}
-	return float64(r.Requests()) / (r.TotalUS / 1e6)
-}
-
 // LatencyPercentiles returns the p50, p90 and p99 per-batch latency in
 // microseconds over the serving run — the tail metrics SL heterogeneity
 // distorts when inference is characterized from arbitrary requests.

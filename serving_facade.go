@@ -24,7 +24,8 @@ type (
 	ServingTrace = workload.Trace
 	// ServingSpec describes one online-serving simulation.
 	ServingSpec = serving.Spec
-	// ServingResult is a serving simulation's full outcome.
+	// ServingResult is a serving simulation's full outcome: the
+	// 1-replica fleet run, whose Summary is the single-queue digest.
 	ServingResult = serving.Result
 	// ServingSummary is the deterministic serving roll-up (the unit of
 	// the serving golden tests).
@@ -46,8 +47,10 @@ type (
 // queues reject overload as typed drops, and an optional reactive
 // autoscaler grows and shrinks the live fleet on queue depth, with
 // replica-seconds as the cost proxy. SimulateServing is this simulator
-// with one round-robin replica and an unbounded queue, so
-// FleetResult.AsServing of such a run equals SimulateServing's result.
+// with one round-robin replica and an unbounded queue: its
+// ServingResult is that run's FleetResult under the single-queue
+// type, and its ServingSummary projects the fleet digest onto the
+// single-queue fields.
 type (
 	// FleetSpec describes one multi-replica serving simulation. Its
 	// Parallelism field is deprecated and ignored: fleets advance

@@ -124,26 +124,6 @@ func TestFleetFacadeEndToEnd(t *testing.T) {
 	if len(sum.PerReplica) != 3 {
 		t.Fatalf("per-replica rows = %d, want 3 (autoscale max)", len(sum.PerReplica))
 	}
-
-	// The 1-replica round-robin fleet is the single-queue simulator.
-	single, err := seqpoint.SimulateFleet(seqpoint.FleetSpec{
-		Model:    seqpoint.NewGNMT(),
-		Trace:    trace,
-		Policy:   policy,
-		Router:   seqpoint.NewRoundRobin(),
-		Replicas: 1,
-		Profiles: eng,
-	}, seqpoint.VegaFE())
-	if err != nil {
-		t.Fatal(err)
-	}
-	asServing, err := single.AsServing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asServing.Summary().Requests != 64 {
-		t.Errorf("AsServing lost requests: %+v", asServing.Summary())
-	}
 }
 
 func TestFleetFacadeHTTP(t *testing.T) {

@@ -20,31 +20,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
+
+	"seqpoint/internal/benchdoc"
 )
-
-// Result mirrors cmd/benchjson's Result. The two commands are both
-// package main, so the shape is duplicated here; TestMirrorsBenchjson
-// pins the fields against drift by round-tripping benchjson output.
-type Result struct {
-	Package    string             `json:"package,omitempty"`
-	Name       string             `json:"name"`
-	Procs      int                `json:"procs"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op,omitempty"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-// Document mirrors cmd/benchjson's Document.
-type Document struct {
-	Goos    string   `json:"goos,omitempty"`
-	Goarch  string   `json:"goarch,omitempty"`
-	Results []Result `json:"results"`
-}
 
 // delta is one benchmark metric's baseline-to-current comparison.
 type delta struct {
@@ -86,11 +68,11 @@ func main() {
 // Gate loads both documents and evaluates the regression thresholds,
 // returning a human-readable report and whether the gate passed.
 func Gate(basePath, currPath string, thresholdPct, allocThresholdPct float64) (string, bool, error) {
-	base, err := load(basePath)
+	base, err := benchdoc.Load(basePath)
 	if err != nil {
 		return "", false, err
 	}
-	curr, err := load(currPath)
+	curr, err := benchdoc.Load(currPath)
 	if err != nil {
 		return "", false, err
 	}
@@ -102,7 +84,7 @@ func Gate(basePath, currPath string, thresholdPct, allocThresholdPct float64) (s
 // or a baseline benchmark vanished; new benchmarks are listed and
 // skipped. allocs/op is compared only for benchmarks where both runs
 // report it — a baseline without b.ReportAllocs data can't gate.
-func Compare(base, curr Document, thresholdPct, allocThresholdPct float64) (string, bool, error) {
+func Compare(base, curr benchdoc.Document, thresholdPct, allocThresholdPct float64) (string, bool, error) {
 	baseNs := index(base, "ns/op")
 	currNs := index(curr, "ns/op")
 	baseAllocs := index(base, "allocs/op")
@@ -173,7 +155,7 @@ func Compare(base, curr Document, thresholdPct, allocThresholdPct float64) (stri
 // index keys every result carrying the named metric by
 // package/name-procs. For ns/op, the top-level ns_per_op field is
 // preferred over the metrics map when present.
-func index(doc Document, metric string) map[string]float64 {
+func index(doc benchdoc.Document, metric string) map[string]float64 {
 	m := make(map[string]float64, len(doc.Results))
 	for _, r := range doc.Results {
 		v := r.Metrics[metric]
@@ -186,17 +168,4 @@ func index(doc Document, metric string) map[string]float64 {
 		m[fmt.Sprintf("%s/%s-%d", r.Package, r.Name, r.Procs)] = v
 	}
 	return m
-}
-
-// load reads one benchjson document from disk.
-func load(path string) (Document, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return Document{}, err
-	}
-	var doc Document
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		return Document{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc, nil
 }

@@ -1,26 +1,27 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"seqpoint/internal/benchdoc"
 )
 
-func doc(results ...Result) Document {
-	return Document{Goos: "linux", Goarch: "amd64", Results: results}
+func doc(results ...benchdoc.Result) benchdoc.Document {
+	return benchdoc.Document{Goos: "linux", Goarch: "amd64", Results: results}
 }
 
-func res(pkg, name string, ns float64) Result {
-	return Result{
+func res(pkg, name string, ns float64) benchdoc.Result {
+	return benchdoc.Result{
 		Package: pkg, Name: name, Procs: 1, Iterations: 1, NsPerOp: ns,
 		Metrics: map[string]float64{"ns/op": ns},
 	}
 }
 
 // resAllocs is res plus an allocs/op measurement.
-func resAllocs(pkg, name string, ns, allocs float64) Result {
+func resAllocs(pkg, name string, ns, allocs float64) benchdoc.Result {
 	r := res(pkg, name, ns)
 	r.Metrics["allocs/op"] = allocs
 	return r
@@ -100,8 +101,8 @@ func TestCompareEmptyDocumentsError(t *testing.T) {
 func TestCompareAllocGate(t *testing.T) {
 	cases := []struct {
 		name     string
-		base     Result
-		curr     Result
+		base     benchdoc.Result
+		curr     benchdoc.Result
 		wantOK   bool
 		wantFrag string
 	}{
@@ -216,32 +217,5 @@ func TestGateCommittedBaseline(t *testing.T) {
 	report, ok, err = Gate(pr9, pr10, 25, 10)
 	if err != nil || !ok {
 		t.Fatalf("PR 10 numbers regressed against PR 9; ok=%v err=%v\n%s", ok, err, report)
-	}
-}
-
-// TestMirrorsBenchjson pins this command's duplicated Result/Document
-// shape against cmd/benchjson's JSON output format.
-func TestMirrorsBenchjson(t *testing.T) {
-	sample := `{
-  "goos": "linux",
-  "goarch": "amd64",
-  "results": [
-    {
-      "package": "seqpoint/internal/serving",
-      "name": "BenchmarkServingHotPath",
-      "procs": 1,
-      "iterations": 1,
-      "ns_per_op": 40639250,
-      "metrics": {"B/op": 15053728, "allocs/op": 27355, "ns/op": 40639250}
-    }
-  ]
-}`
-	var d Document
-	if err := json.Unmarshal([]byte(sample), &d); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Results) != 1 || d.Results[0].Name != "BenchmarkServingHotPath" ||
-		d.Results[0].NsPerOp != 40639250 || d.Results[0].Metrics["allocs/op"] != 27355 {
-		t.Fatalf("benchjson document did not round-trip: %+v", d)
 	}
 }

@@ -205,9 +205,8 @@ func TestGoldenServingDeterminism(t *testing.T) {
 const goldenFleetPath = "testdata/golden_fleet_summary.json"
 
 // goldenFleetSpec stresses every fleet-only subsystem at once: seeded
-// po2 routing, a bounded admission queue, a heterogeneous replica (2
-// GPUs), and the reactive autoscaler — so a byte drift in any of them
-// shows up in the pinned summary.
+// po2 routing, a bounded admission queue and the reactive autoscaler —
+// so a byte drift in any of them shows up in the pinned summary.
 func goldenFleetSpec(t *testing.T, eng *seqpoint.Engine) seqpoint.FleetSpec {
 	t.Helper()
 	lengths := make([]int, 192)
@@ -232,11 +231,6 @@ func goldenFleetSpec(t *testing.T, eng *seqpoint.Engine) seqpoint.FleetSpec {
 		Policy:   policy,
 		Router:   seqpoint.NewPowerOfTwo(42),
 		Replicas: 1,
-		Clusters: []seqpoint.ClusterConfig{
-			seqpoint.SingleGPU(),
-			seqpoint.DefaultCluster(2),
-			seqpoint.SingleGPU(),
-		},
 		QueueCap: 24,
 		Autoscale: &seqpoint.FleetAutoscale{
 			Min: 1, Max: 3, UpDepth: 8, DownDepth: 2, CooldownUS: 10000,

@@ -163,7 +163,7 @@ func sqDist(a, b []float64) float64 {
 
 // NearestToCentroid returns, for each cluster, the index of the member
 // point closest to the centroid — the k-means analogue of picking a
-// SimPoint/SeqPoint representative. Clusters with no members map to -1.
+// SimPoint/SeqPoint representative. An empty cluster maps to -1.
 func (r Result) NearestToCentroid(points [][]float64) []int {
 	reps := make([]int, len(r.Centroids))
 	best := make([]float64, len(r.Centroids))

@@ -226,20 +226,12 @@ func (w Workload) Task(cfg gpusim.Config) engine.SweepTask {
 // the expensive inputs every experiment shares. It is a thin wrapper
 // over the engine's Sweep — the engine dedupes and parallelizes the
 // underlying profiling, the lab additionally memoizes whole *Run
-// aggregates with singleflight semantics, so concurrent callers asking
-// for the same run wait for one simulation instead of duplicating it.
-// It is safe for concurrent use.
+// aggregates. It is safe for concurrent use, though two callers that
+// miss on the same run at once both simulate it.
 type Lab struct {
-	eng     *engine.Engine
-	mu      sync.Mutex
-	flights map[string]*labFlight
-}
-
-// labFlight is one memoized (possibly in-flight) simulation.
-type labFlight struct {
-	done chan struct{}
-	run  *trainer.Run
-	err  error
+	eng  *engine.Engine
+	mu   sync.Mutex
+	runs map[string]*trainer.Run
 }
 
 // NewLab returns a lab backed by the process-wide shared engine, so
@@ -250,7 +242,7 @@ func NewLab() *Lab {
 
 // NewLabWith returns a lab backed by the given engine.
 func NewLabWith(eng *engine.Engine) *Lab {
-	return &Lab{eng: eng, flights: make(map[string]*labFlight)}
+	return &Lab{eng: eng, runs: make(map[string]*trainer.Run)}
 }
 
 // Engine returns the engine backing this lab.
@@ -271,52 +263,42 @@ func (l *Lab) Run(w Workload, cfg gpusim.Config) (*trainer.Run, error) {
 }
 
 // RunAll simulates w on every config and returns the runs keyed by
-// config name. Uncached configs are claimed under one lock and swept
-// through the engine with its configured parallelism; configs another
-// goroutine is already simulating are waited on, never recomputed.
+// config name. Uncached configs are swept through the engine with its
+// configured parallelism; every successful run is cached, and the
+// first failure in config order is returned. Failures are not cached,
+// so a later call retries them.
 func (l *Lab) RunAll(w Workload, cfgs []gpusim.Config) (map[string]*trainer.Run, error) {
-	flights := make([]*labFlight, len(cfgs))
+	out := make(map[string]*trainer.Run, len(cfgs))
 	var tasks []engine.SweepTask
-	var claimed []*labFlight
-
 	l.mu.Lock()
-	for i, cfg := range cfgs {
-		key := runKey(w, cfg)
-		f, ok := l.flights[key]
-		if !ok {
-			f = &labFlight{done: make(chan struct{})}
-			l.flights[key] = f
-			claimed = append(claimed, f)
+	for _, cfg := range cfgs {
+		if run, ok := l.runs[runKey(w, cfg)]; ok {
+			out[cfg.Name] = run
+		} else {
 			tasks = append(tasks, w.Task(cfg))
 		}
-		flights[i] = f
 	}
 	l.mu.Unlock()
-
-	if len(tasks) > 0 {
-		for i, res := range l.eng.Sweep(context.Background(), tasks, 0) {
-			f := claimed[i]
-			f.run = res.Run
-			if res.Err != nil {
-				f.err = fmt.Errorf("experiments: simulating %s on %s: %w",
-					w.Name, res.Task.Config.Name, res.Err)
-				// Failed flights are not cached: waiters get the error,
-				// but later callers retry instead of being pinned to it.
-				l.mu.Lock()
-				delete(l.flights, runKey(w, res.Task.Config))
-				l.mu.Unlock()
-			}
-			close(f.done)
-		}
+	if len(tasks) == 0 {
+		return out, nil
 	}
 
-	out := make(map[string]*trainer.Run, len(cfgs))
-	for i, cfg := range cfgs {
-		<-flights[i].done
-		if flights[i].err != nil {
-			return nil, flights[i].err
+	results := l.eng.Sweep(context.Background(), tasks, 0)
+	var firstErr error
+	l.mu.Lock()
+	for _, res := range results {
+		if res.Err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("experiments: simulating %s on %s: %w", w.Name, res.Task.Config.Name, res.Err)
+			}
+			continue
 		}
-		out[cfg.Name] = flights[i].run
+		l.runs[runKey(w, res.Task.Config)] = res.Run
+		out[res.Task.Config.Name] = res.Run
+	}
+	l.mu.Unlock()
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return out, nil
 }

@@ -37,11 +37,28 @@ func fixtureRequests() map[string]struct {
 		Seed:     7,
 		SeqLens:  []int{4, 7, 9, 12},
 	}
+	kvCapacityGB := 0.02
 	return map[string]struct {
 		path string
 		req  any
 	}{
 		"serve": {"/v1/serve", ServeRequest{WorkloadSpec: workload}},
+		// serve_kv pins a KV-enabled single-queue summary: TTFT
+		// percentiles, preemptions and per-tenant TTFT tails.
+		"serve_kv": {"/v1/serve", ServeRequest{WorkloadSpec: WorkloadSpec{
+			Model:        "gnmt",
+			Rate:         300,
+			Batch:        8,
+			Policy:       "wfq",
+			Requests:     48,
+			Seed:         7,
+			KVCapacityGB: &kvCapacityGB,
+			DecodeSteps:  16,
+			Tenants: []TenantSpec{
+				{Class: "chat", Count: 2, Weight: 3, SeqLens: []int{4, 7, 9}},
+				{Class: "bulk", Count: 1, Weight: 1, SeqLens: []int{12, 20}, Burst: 4},
+			},
+		}}},
 		"fleet": {"/v1/fleet", FleetRequest{
 			WorkloadSpec: workload,
 			Replicas:     2,
@@ -127,8 +144,8 @@ func TestWireFixtures(t *testing.T) {
 				}
 				return marshalFixture(t, dst)
 			}
-			switch name {
-			case "serve":
+			switch fx.path {
+			case "/v1/serve":
 				var req ServeRequest
 				var resp ServeResponse
 				if got := roundTrip(wantReq, &req); !bytes.Equal(got, wantReq) {
@@ -137,7 +154,7 @@ func TestWireFixtures(t *testing.T) {
 				if got := roundTrip(wantResp, &resp); !bytes.Equal(got, wantResp) {
 					t.Errorf("serve response round-trip changed:\n%s\nvs\n%s", got, wantResp)
 				}
-			case "fleet":
+			case "/v1/fleet":
 				var req FleetRequest
 				var resp FleetResponse
 				if got := roundTrip(wantReq, &req); !bytes.Equal(got, wantReq) {
@@ -146,7 +163,7 @@ func TestWireFixtures(t *testing.T) {
 				if got := roundTrip(wantResp, &resp); !bytes.Equal(got, wantResp) {
 					t.Errorf("fleet response round-trip changed:\n%s\nvs\n%s", got, wantResp)
 				}
-			case "plan":
+			case "/v1/plan":
 				var req PlanRequest
 				var resp PlanResponse
 				if got := roundTrip(wantReq, &req); !bytes.Equal(got, wantReq) {

@@ -31,8 +31,7 @@ import (
 // DisaggConfig splits a fleet into prefill and decode pools.
 type DisaggConfig struct {
 	// PrefillReplicas and DecodeReplicas size the two pools; their sum
-	// must equal FleetSpec.Replicas, and with per-replica Clusters the
-	// first PrefillReplicas entries form the prefill pool.
+	// must equal FleetSpec.Replicas.
 	PrefillReplicas int
 	DecodeReplicas  int
 }
@@ -57,9 +56,6 @@ func simulateDisagg(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	kvPre := *spec.KV
 	kvPre.phase = phasePrefill
 	pre.KV = &kvPre
-	if len(spec.Clusters) > 0 {
-		pre.Clusters = spec.Clusters[:P]
-	}
 	preRes, err := SimulateFleet(pre, hw)
 	if err != nil {
 		return nil, err
@@ -110,9 +106,6 @@ func simulateDisagg(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		kvDec := *spec.KV
 		kvDec.phase = phaseDecode
 		dec.KV = &kvDec
-		if len(spec.Clusters) > 0 {
-			dec.Clusters = spec.Clusters[P:]
-		}
 		if decRes, err = SimulateFleet(dec, hw); err != nil {
 			return nil, err
 		}
@@ -190,11 +183,7 @@ func simulateDisagg(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		// An all-rejected trace still allocated the decode pool; its
 		// replicas idled for the whole (empty) run.
 		for i := 0; i < D; i++ {
-			gpus := 1
-			if len(spec.Clusters) > 0 {
-				gpus = spec.Clusters[P+i].GPUs
-			}
-			res.ReplicaStats = append(res.ReplicaStats, ReplicaStats{Replica: P + i, GPUs: gpus})
+			res.ReplicaStats = append(res.ReplicaStats, ReplicaStats{Replica: P + i, GPUs: 1})
 		}
 	}
 	res.KV = kvs

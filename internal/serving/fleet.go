@@ -75,11 +75,6 @@ type FleetSpec struct {
 	// Replicas is the replica count — with autoscaling, the initial
 	// live count (within [Autoscale.Min, Autoscale.Max]).
 	Replicas int
-	// Clusters optionally makes the fleet heterogeneous: one
-	// data-parallel gpusim.ClusterConfig per allocated replica (length
-	// Replicas, or Autoscale.Max when autoscaling). Empty means every
-	// replica is a single GPU.
-	Clusters []gpusim.ClusterConfig
 	// QueueCap bounds each replica's admission queue; arrivals finding
 	// every live replica full are rejected. 0 means unbounded.
 	QueueCap int
@@ -116,9 +111,9 @@ func (s FleetSpec) allocated() int {
 func (s FleetSpec) Validate() error {
 	switch {
 	case s.Model == nil:
-		return fmt.Errorf("serving: fleet spec needs a model")
+		return fmt.Errorf("serving: spec needs a model")
 	case s.Policy == nil:
-		return fmt.Errorf("serving: fleet spec needs a batching policy")
+		return fmt.Errorf("serving: spec needs a batching policy")
 	case s.Policy.MaxBatch() <= 0:
 		return fmt.Errorf("serving: policy %q has non-positive max batch", s.Policy.Name())
 	case s.Router == nil:
@@ -163,17 +158,6 @@ func (s FleetSpec) Validate() error {
 				s.Disagg.PrefillReplicas, s.Disagg.DecodeReplicas)
 		}
 	}
-	if len(s.Clusters) > 0 {
-		if len(s.Clusters) != s.allocated() {
-			return fmt.Errorf("serving: %d per-replica clusters for %d allocated replicas",
-				len(s.Clusters), s.allocated())
-		}
-		for i, cl := range s.Clusters {
-			if err := cl.Validate(); err != nil {
-				return fmt.Errorf("serving: replica %d cluster: %w", i, err)
-			}
-		}
-	}
 	return s.Trace.Validate()
 }
 
@@ -200,7 +184,8 @@ type Rejection struct {
 type ReplicaStats struct {
 	// Replica is the replica's fleet index.
 	Replica int `json:"replica"`
-	// GPUs is the replica's data-parallel width.
+	// GPUs is the replica's width: always 1, since a replica is one
+	// GPU. The field stays so the wire shape does not change.
 	GPUs int `json:"gpus"`
 	// Served and Batches count the requests and batches the replica
 	// completed.
@@ -259,10 +244,8 @@ type FleetResult struct {
 
 // fleetReplica is one replica's mutable event-loop state.
 type fleetReplica struct {
-	id         int
-	cluster    gpusim.ClusterConfig
-	clusterIdx int // index into the price table's distinct clusters
-	live       bool
+	id   int
+	live bool
 
 	queue     []Request
 	busy      bool
@@ -302,8 +285,8 @@ type fleetReplica struct {
 // heap in (time, replica ID) order, arrivals are routed in trace
 // order, and the only randomness (po2 routing) is seeded. Profiling
 // parallelism changes how fast the answer is computed, never an output
-// byte. Each distinct replica cluster prefetches the trace's unique
-// SLs at the policy's max batch in one bulk ProfileSource call.
+// byte. Every replica is one GPU, so one bulk ProfileSource call
+// prefetches the trace's unique SLs at the policy's max batch.
 func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -332,27 +315,12 @@ func runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		kv = newKVState(spec.KV, spec.Model)
 	}
 
-	// Distinct clusters in first-occurrence order index the price
-	// table (and fix the prefetch call order, which engine caching can
-	// observe).
-	var clusters []gpusim.ClusterConfig
-	clusterIdx := make(map[gpusim.ClusterConfig]int)
 	replicas := make([]*fleetReplica, allocated)
 	for i := range replicas {
-		cl := gpusim.SingleGPU()
-		if len(spec.Clusters) > 0 {
-			cl = spec.Clusters[i].Normalized()
-		}
-		ci, ok := clusterIdx[cl]
-		if !ok {
-			ci = len(clusters)
-			clusters = append(clusters, cl)
-			clusterIdx[cl] = ci
-		}
-		replicas[i] = &fleetReplica{id: i, cluster: cl, clusterIdx: ci, live: i < spec.Replicas, wakeAt: math.Inf(1)}
+		replicas[i] = &fleetReplica{id: i, live: i < spec.Replicas, wakeAt: math.Inf(1)}
 	}
 
-	prices, err := newPriceTable(src, hw, spec.Model, maxBatch, clusters, spec.Trace.UniqueSLs(), kv != nil)
+	prices, err := newPriceTable(src, hw, spec.Model, maxBatch, spec.Trace.UniqueSLs(), kv != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -544,9 +512,8 @@ func (f *fleetRun) dispatchDirty() error {
 // on the compute-only path, a prefill/decode wave plan under the KV
 // model (which may evict part of the pick back to the queue).
 func (f *fleetRun) launch(r *fleetReplica, pick []int) error {
-	// res.Policy is the name formatted once per run: the bundled
-	// policies build Name with fmt.Sprintf, so calling it per dispatch
-	// would allocate on every batch.
+	// res.Policy is the name read once per run, so a user policy whose
+	// Name formats a string does not allocate on every batch.
 	batch, scratch, err := takeBatch(r.inflight, &r.queue, pick, f.pickScratch, f.maxBatch, f.res.Policy)
 	f.pickScratch = scratch
 	if err != nil {
@@ -561,12 +528,12 @@ func (f *fleetRun) launch(r *fleetReplica, pick []int) error {
 				paddedSL = q.SeqLen
 			}
 		}
-		if lat, err = f.prices.latency(r.clusterIdx, len(batch), paddedSL); err != nil {
+		if lat, err = f.prices.latency(len(batch), paddedSL); err != nil {
 			return err
 		}
 		r.paddedSL = paddedSL
 	} else {
-		plan, times, err := f.kv.plan(f.prices, r.clusterIdx, batch, r.launchTimes)
+		plan, times, err := f.kv.plan(f.prices, batch, r.launchTimes)
 		r.launchTimes = times
 		if err != nil {
 			return err
@@ -881,7 +848,7 @@ func (f *fleetRun) finalize() {
 	for i, r := range f.replicas {
 		f.res.ReplicaStats[i] = ReplicaStats{
 			Replica:     i,
-			GPUs:        r.cluster.GPUs,
+			GPUs:        1,
 			Served:      r.served,
 			Batches:     r.batches,
 			BusyUS:      r.busyUS,

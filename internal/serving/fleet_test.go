@@ -11,27 +11,8 @@ import (
 	"seqpoint/internal/dataset"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
-	"seqpoint/internal/profiler"
 	"seqpoint/internal/workload"
 )
-
-// clusterStub prices a batch at sequence length sl as sl*100 µs divided
-// by the replica cluster's GPU count: a hermetic stand-in for
-// data-parallel serving replicas, so heterogeneous-fleet tests are
-// hand-computable.
-type clusterStub struct{}
-
-func (clusterStub) TrainProfiles(hw gpusim.Config, cl gpusim.ClusterConfig, m models.Model, batch int, seqLens []int) (map[int]profiler.IterationProfile, error) {
-	return clusterStub{}.EvalProfiles(hw, cl, m, batch, seqLens)
-}
-
-func (clusterStub) EvalProfiles(hw gpusim.Config, cl gpusim.ClusterConfig, m models.Model, batch int, seqLens []int) (map[int]profiler.IterationProfile, error) {
-	out := make(map[int]profiler.IterationProfile, len(seqLens))
-	for _, sl := range seqLens {
-		out[sl] = profiler.IterationProfile{SeqLen: sl, Batch: batch, TimeUS: float64(sl) * 100 / float64(cl.Normalized().GPUs)}
-	}
-	return out, nil
-}
 
 // fleetSim runs a fleet spec with the stub pricer and fails the test on
 // error.
@@ -169,8 +150,6 @@ func TestFleetSpecValidation(t *testing.T) {
 		"zero replicas":    func(s *FleetSpec) { s.Replicas = 0 },
 		"replica overflow": func(s *FleetSpec) { s.Replicas = MaxFleetReplicas + 1 },
 		"negative cap":     func(s *FleetSpec) { s.QueueCap = -1 },
-		"cluster mismatch": func(s *FleetSpec) { s.Clusters = []gpusim.ClusterConfig{gpusim.SingleGPU()} },
-		"bad cluster":      func(s *FleetSpec) { s.Clusters = []gpusim.ClusterConfig{{GPUs: 2}, {GPUs: 2}} },
 		"empty trace":      func(s *FleetSpec) { s.Trace = Trace{} },
 		"autoscale min":    func(s *FleetSpec) { s.Autoscale = &AutoscaleConfig{Min: 0, Max: 4, UpDepth: 4} },
 		"autoscale max":    func(s *FleetSpec) { s.Autoscale = &AutoscaleConfig{Min: 2, Max: 1, UpDepth: 4} },
@@ -227,40 +206,6 @@ func TestFleetAdmissionControl(t *testing.T) {
 	}
 	if sum.DropRatePct != 25 {
 		t.Errorf("drop rate %v%%, want 25%%", sum.DropRatePct)
-	}
-}
-
-// TestFleetHeterogeneousReplicas gives one replica two GPUs: under
-// least-outstanding routing it must serve more requests than the
-// single-GPU replica, because each of its batches finishes twice as
-// fast.
-func TestFleetHeterogeneousReplicas(t *testing.T) {
-	fixed, _ := NewFixedBatch(1)
-	n := 64
-	arrivals := make([]float64, n)
-	sls := make([]int, n)
-	for i := range arrivals {
-		arrivals[i] = float64(i) * 300
-		sls[i] = 10 // 1000 µs on 1 GPU, 500 µs on 2
-	}
-	res := fleetSim(t, FleetSpec{
-		Model:    models.NewGNMT(),
-		Trace:    replay(t, arrivals, sls),
-		Policy:   fixed,
-		Router:   NewLeastOutstanding(),
-		Replicas: 2,
-		Clusters: []gpusim.ClusterConfig{gpusim.SingleGPU(), gpusim.DefaultCluster(2)},
-		Profiles: clusterStub{},
-	})
-	slow, fast := res.ReplicaStats[0], res.ReplicaStats[1]
-	if slow.GPUs != 1 || fast.GPUs != 2 {
-		t.Fatalf("replica GPUs %d/%d, want 1/2", slow.GPUs, fast.GPUs)
-	}
-	if fast.Served <= slow.Served {
-		t.Errorf("2-GPU replica served %d <= 1-GPU replica's %d", fast.Served, slow.Served)
-	}
-	if got := slow.Served + fast.Served; got != n {
-		t.Errorf("replicas served %d, want %d", got, n)
 	}
 }
 

@@ -212,7 +212,7 @@ type kvPlan struct {
 // scratch slice; the returned slice holds one kvReqTime per kept
 // request. Requests individually over capacity are the caller's to
 // screen out; hitting one here is an error.
-func (k *kvState) plan(prices *priceTable, clusterIdx int, batch []Request, times []kvReqTime) (kvPlan, []kvReqTime, error) {
+func (k *kvState) plan(prices *priceTable, batch []Request, times []kvReqTime) (kvPlan, []kvReqTime, error) {
 	p := kvPlan{keep: len(batch)}
 	times = times[:0]
 	var off float64 // busy-period offset of the current wave
@@ -236,13 +236,13 @@ func (k *kvState) plan(prices *priceTable, clusterIdx int, batch []Request, time
 		var prefill float64
 		if k.phase != phaseDecode {
 			var err error
-			if prefill, err = prices.latency(clusterIdx, len(wave), paddedSL); err != nil {
+			if prefill, err = prices.latency(len(wave), paddedSL); err != nil {
 				return err
 			}
 		}
 		waveLat := prefill
 		if maxSteps > 0 {
-			step, err := prices.decodeLatency(clusterIdx, len(wave))
+			step, err := prices.decodeLatency(len(wave))
 			if err != nil {
 				return err
 			}

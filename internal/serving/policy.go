@@ -29,12 +29,104 @@ type Decision struct {
 // nextArrivalUS is +Inf (nothing else will ever wake the server), and
 // must never return an empty Pick with Dispatch set.
 type Policy interface {
-	// Name labels the policy in reports ("fixed(8)", "dynamic(8,500µs)").
+	// Name labels the policy in reports ("fixed(8)", "dynamic(8,500us)").
 	Name() string
 	// MaxBatch is the largest batch the policy will ever form.
 	MaxBatch() int
 	// Decide renders the verdict for the current queue state.
 	Decide(queue []Request, nowUS, nextArrivalUS float64) Decision
+}
+
+// batcher is every bundled batching policy: one gate and one pick.
+// The gate launches once a full batch is queued, once the oldest
+// queued request has waited timeoutUS, or at trace drain; fixed and
+// length never time out (timeoutUS is +Inf), so below a full batch
+// they wait for arrivals. With pad-to-max batching the longest member
+// sets a batch's cost, so the policies differ only in pick: which n of
+// the oldest window queued requests share a batch. The value is
+// immutable, so one policy may serve concurrent simulations.
+type batcher struct {
+	name      string
+	size      int
+	timeoutUS float64
+	pick      func(queue []Request, n, window int) []int
+}
+
+func (b batcher) Name() string  { return b.name }
+func (b batcher) MaxBatch() int { return b.size }
+
+func (b batcher) Decide(queue []Request, nowUS, nextArrivalUS float64) Decision {
+	if len(queue) < b.size && !math.IsInf(nextArrivalUS, 1) {
+		if deadline := queue[0].ArrivalUS + b.timeoutUS; nowUS < deadline {
+			return Decision{WaitUntilUS: deadline}
+		}
+	}
+	return Decision{Dispatch: true, Pick: b.pick(queue, min(b.size, len(queue)), max(16*b.size, minPickWindow))}
+}
+
+// minPickWindow is the least number of oldest queued requests a
+// selective pick (closest SL, tenant round-robin) considers; the
+// window is otherwise 16 batches. Without the bound, a deep backlog
+// (burst traces, overload) makes every dispatch sort or bucket the
+// whole queue — superlinear total work in the trace length; with it,
+// each dispatch is O(window log window) and older requests still
+// drain first.
+const minPickWindow = 128
+
+func checkSize(label string, size int) error {
+	if size <= 0 {
+		return fmt.Errorf("serving: %s batch size must be positive, got %d", label, size)
+	}
+	return nil
+}
+
+func checkTimeout(label string, timeoutUS float64) error {
+	if timeoutUS < 0 || math.IsNaN(timeoutUS) || math.IsInf(timeoutUS, 0) {
+		return fmt.Errorf("serving: %s batch timeout must be a finite non-negative duration, got %v", label, timeoutUS)
+	}
+	return nil
+}
+
+// NewFixedBatch returns the fixed-size batching policy: it waits until
+// a full batch is queued, then launches it in FIFO order. Simple and
+// throughput-friendly, but at low arrival rates the first request of a
+// batch can wait unboundedly — the pathology the dynamic policy exists
+// to fix. The trace drain launches partial batches.
+func NewFixedBatch(size int) (Policy, error) {
+	if err := checkSize("fixed", size); err != nil {
+		return nil, err
+	}
+	return batcher{name: fmt.Sprintf("fixed(%d)", size), size: size, timeoutUS: math.Inf(1), pick: firstN}, nil
+}
+
+// NewDynamicBatch returns timeout-bounded dynamic batching (the
+// vLLM-style default): launch as soon as a full batch is queued, or
+// when the oldest queued request has waited timeoutUS — whichever
+// comes first. The timeout caps queueing delay at low load; the size
+// cap keeps batches efficient at high load.
+func NewDynamicBatch(size int, timeoutUS float64) (Policy, error) {
+	if err := checkSize("dynamic", size); err != nil {
+		return nil, err
+	}
+	if err := checkTimeout("dynamic", timeoutUS); err != nil {
+		return nil, err
+	}
+	return batcher{name: fmt.Sprintf("dynamic(%d,%.4gus)", size, timeoutUS), size: size, timeoutUS: timeoutUS, pick: firstN}, nil
+}
+
+// NewLengthAware returns the greedy SL-histogram-exploiting batcher:
+// it gates like the fixed policy, but instead of the FIFO prefix it
+// groups the oldest request with the queued requests whose sequence
+// lengths are closest to it. With pad-to-max batching the batch's cost
+// is dictated by its longest member, so co-scheduling similar lengths
+// cuts padding waste — the serving-side use of the paper's
+// observation that SL dictates work. The oldest request is always
+// included, so no request starves.
+func NewLengthAware(size int) (Policy, error) {
+	if err := checkSize("length-aware", size); err != nil {
+		return nil, err
+	}
+	return batcher{name: fmt.Sprintf("length(%d)", size), size: size, timeoutUS: math.Inf(1), pick: closestSL}, nil
 }
 
 // fifoPrefix is the shared immutable 0..n-1 index table behind
@@ -50,9 +142,9 @@ var fifoPrefix = func() []int {
 	return out
 }()
 
-// firstN returns the indices 0..n-1: the FIFO prefix of the queue.
+// firstN picks the indices 0..n-1: the FIFO prefix of the queue.
 // The result aliases a shared table and must not be mutated.
-func firstN(n int) []int {
+func firstN(_ []Request, n, _ int) []int {
 	if n <= len(fifoPrefix) {
 		return fifoPrefix[:n]
 	}
@@ -63,111 +155,10 @@ func firstN(n int) []int {
 	return out
 }
 
-// fixedBatch waits until a full batch is queued, then launches it in
-// FIFO order. Simple and throughput-friendly, but at low arrival rates
-// the first request of a batch can wait unboundedly — the pathology
-// the dynamic policy exists to fix. The trace drain launches partial
-// batches.
-type fixedBatch struct{ size int }
-
-// NewFixedBatch returns the fixed-size batching policy.
-func NewFixedBatch(size int) (Policy, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("serving: fixed batch size must be positive, got %d", size)
-	}
-	return fixedBatch{size: size}, nil
-}
-
-func (p fixedBatch) Name() string  { return fmt.Sprintf("fixed(%d)", p.size) }
-func (p fixedBatch) MaxBatch() int { return p.size }
-
-func (p fixedBatch) Decide(queue []Request, nowUS, nextArrivalUS float64) Decision {
-	if len(queue) >= p.size {
-		return Decision{Dispatch: true, Pick: firstN(p.size)}
-	}
-	if math.IsInf(nextArrivalUS, 1) {
-		return Decision{Dispatch: true, Pick: firstN(len(queue))}
-	}
-	return Decision{WaitUntilUS: math.Inf(1)}
-}
-
-// dynamicBatch is timeout-bounded dynamic batching (the vLLM-style
-// default): launch as soon as a full batch is queued, or when the
-// oldest queued request has waited timeoutUS — whichever comes first.
-// The timeout caps queueing delay at low load; the size cap keeps
-// batches efficient at high load.
-type dynamicBatch struct {
-	size      int
-	timeoutUS float64
-}
-
-// NewDynamicBatch returns the timeout-bounded dynamic batching policy.
-func NewDynamicBatch(size int, timeoutUS float64) (Policy, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("serving: dynamic batch size must be positive, got %d", size)
-	}
-	if timeoutUS < 0 || math.IsNaN(timeoutUS) || math.IsInf(timeoutUS, 0) {
-		return nil, fmt.Errorf("serving: dynamic batch timeout must be a finite non-negative duration, got %v", timeoutUS)
-	}
-	return dynamicBatch{size: size, timeoutUS: timeoutUS}, nil
-}
-
-func (p dynamicBatch) Name() string  { return fmt.Sprintf("dynamic(%d,%.4gus)", p.size, p.timeoutUS) }
-func (p dynamicBatch) MaxBatch() int { return p.size }
-
-func (p dynamicBatch) Decide(queue []Request, nowUS, nextArrivalUS float64) Decision {
-	if len(queue) >= p.size {
-		return Decision{Dispatch: true, Pick: firstN(p.size)}
-	}
-	deadline := queue[0].ArrivalUS + p.timeoutUS
-	if nowUS >= deadline || math.IsInf(nextArrivalUS, 1) {
-		return Decision{Dispatch: true, Pick: firstN(len(queue))}
-	}
-	return Decision{WaitUntilUS: deadline}
-}
-
-// lengthAware is the greedy SL-histogram-exploiting batcher: it gates
-// like the fixed policy (launch when a full batch is queued), but
-// instead of the FIFO prefix it groups the oldest request with the
-// queued requests whose sequence lengths are closest to it. With
-// pad-to-max batching the batch's cost is dictated by its longest
-// member, so co-scheduling similar lengths cuts padding waste — the
-// serving-side use of the paper's observation that SL dictates work.
-// The oldest request is always included, so no request starves.
-type lengthAware struct{ size int }
-
-// NewLengthAware returns the greedy length-aware batching policy.
-func NewLengthAware(size int) (Policy, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("serving: length-aware batch size must be positive, got %d", size)
-	}
-	return lengthAware{size: size}, nil
-}
-
-func (p lengthAware) Name() string  { return fmt.Sprintf("length(%d)", p.size) }
-func (p lengthAware) MaxBatch() int { return p.size }
-
-// candidateWindow bounds how deep into the queue the length-aware
-// picker looks: the oldest window of requests, never fewer than
-// minLengthAwareWindow. Without the bound, a deep backlog (burst
-// traces, overload) makes every dispatch sort the whole queue —
-// superlinear total work in the trace length; with it, each dispatch
-// is O(window log window) and older requests still drain first.
-const minLengthAwareWindow = 128
-
-func (p lengthAware) candidateWindow() int {
-	w := 16 * p.size
-	if w < minLengthAwareWindow {
-		w = minLengthAwareWindow
-	}
-	return w
-}
-
 // laSorter orders candidate queue indices by SL distance from the
 // anchor, ties toward earlier arrival. It lives in a sync.Pool so a
 // length-aware dispatch costs no sort scratch or comparison-closure
-// allocation; the policy value itself stays stateless, which keeps
-// Decide safe to call from concurrent simulations sharing one policy.
+// allocation.
 type laSorter struct {
 	idx    []int
 	queue  []Request
@@ -187,29 +178,17 @@ func (s *laSorter) Less(a, b int) bool {
 
 var laSorterPool = sync.Pool{New: func() any { return new(laSorter) }}
 
-func (p lengthAware) Decide(queue []Request, nowUS, nextArrivalUS float64) Decision {
-	if len(queue) < p.size && !math.IsInf(nextArrivalUS, 1) {
-		return Decision{WaitUntilUS: math.Inf(1)}
-	}
-	n := p.size
-	if len(queue) < n {
-		n = len(queue)
-	}
-	// Anchor on the oldest request, then greedily add the n-1 queued
-	// requests with the closest SLs among the oldest candidateWindow
-	// entries; ties break toward earlier arrival so the pick is
-	// deterministic and FIFO-biased.
-	anchor := queue[0].SeqLen
-	limit := len(queue)
-	if w := p.candidateWindow(); limit > w {
-		limit = w
-	}
+// closestSL anchors on the oldest request, then greedily adds the n-1
+// requests with the closest SLs among the oldest window; ties break
+// toward earlier arrival so the pick is deterministic and FIFO-biased.
+func closestSL(queue []Request, n, window int) []int {
 	s := laSorterPool.Get().(*laSorter)
 	s.idx = s.idx[:0]
+	limit := min(len(queue), window)
 	for i := 1; i < limit; i++ {
 		s.idx = append(s.idx, i)
 	}
-	s.queue, s.anchor = queue, anchor
+	s.queue, s.anchor = queue, queue[0].SeqLen
 	sort.Sort(s)
 	pick := make([]int, 0, n)
 	pick = append(pick, 0)
@@ -217,7 +196,7 @@ func (p lengthAware) Decide(queue []Request, nowUS, nextArrivalUS float64) Decis
 	s.queue = nil
 	laSorterPool.Put(s)
 	sort.Ints(pick)
-	return Decision{Dispatch: true, Pick: pick}
+	return pick
 }
 
 func absInt(v int) int {

@@ -23,18 +23,19 @@ var ErrNonFinitePrice = errors.New("serving: profile source returned non-finite 
 // cost of a decode batch is the eval profile at SL 1.
 const decodeSL = 1
 
-// priceTable is the flat per-(cluster, batch, SL) batch-latency table
-// the event loop prices against. It replaces the map-keyed memo the
+// priceTable is the flat per-(batch, SL) batch-latency table the
+// event loop prices against. Every replica is one GPU, so one table
+// serves the whole fleet. It replaces the map-keyed memo the
 // simulators were built with: the memo hashed a composite key on every
 // launch, where the table is one integer offset into a dense float64
-// slice. The maxBatch row of every distinct cluster is prefetched in
-// one bulk ProfileSource call (full batches are the hot case, and the
-// padded SL of any batch is one of the trace's SLs); partial-batch
-// sizes fill their slots on first use.
+// slice. The maxBatch row is prefetched in one bulk ProfileSource call
+// (full batches are the hot case, and the padded SL of any batch is
+// one of the trace's SLs); partial-batch sizes fill their slots on
+// first use.
 //
-// With the KV model enabled the table additionally holds a decode row
-// per cluster: the per-decode-step latency at each batch size, priced
-// at SL 1 through the same ProfileSource seam. KV-off runs never touch
+// With the KV model enabled the table additionally holds a decode row:
+// the per-decode-step latency at each batch size, priced at SL 1
+// through the same ProfileSource seam. KV-off runs never touch
 // (or prefetch) the decode row, so their profile-source call sequence
 // is byte-for-byte the pre-KV one.
 //
@@ -43,14 +44,9 @@ const decodeSL = 1
 // needs no side bitmap. A table belongs to one run, whose event loop
 // advances serially, so reads and fills take no lock.
 type priceTable struct {
-	src      trainer.ProfileSource
-	hw       gpusim.Config
-	model    models.Model
-	maxBatch int
-
-	// clusters are the distinct replica clusters in first-occurrence
-	// order; replicas address them by index.
-	clusters []gpusim.ClusterConfig
+	src   trainer.ProfileSource
+	hw    gpusim.Config
+	model models.Model
 
 	// slDense maps a sequence length to its 1-based table index (0 =
 	// unknown SL) when the trace's max SL is small enough for a dense
@@ -59,8 +55,8 @@ type priceTable struct {
 	slSparse map[int]int
 	numSL    int
 
-	prices []float64 // [cluster][batch-1][slIdx], NaN = unfilled
-	decode []float64 // [cluster][batch-1] per-decode-step latency; nil when KV is off
+	prices []float64 // [batch-1][slIdx], NaN = unfilled
+	decode []float64 // [batch-1] per-decode-step latency; nil when KV is off
 }
 
 // maxDenseSL bounds the dense SL-index array: traces with longer
@@ -75,19 +71,12 @@ func checkFinite(us float64, batch, sl int) error {
 	return nil
 }
 
-// newPriceTable builds the table over the distinct clusters and the
-// trace's unique SLs, prefetching every cluster's maxBatch row — and,
-// with withDecode, its maxBatch decode-step price.
+// newPriceTable builds the table over the trace's unique SLs,
+// prefetching the maxBatch row — and, with withDecode, the maxBatch
+// decode-step price.
 func newPriceTable(src trainer.ProfileSource, hw gpusim.Config, model models.Model,
-	maxBatch int, clusters []gpusim.ClusterConfig, uniqueSLs []int, withDecode bool) (*priceTable, error) {
-	t := &priceTable{
-		src:      src,
-		hw:       hw,
-		model:    model,
-		maxBatch: maxBatch,
-		clusters: clusters,
-		numSL:    len(uniqueSLs),
-	}
+	maxBatch int, uniqueSLs []int, withDecode bool) (*priceTable, error) {
+	t := &priceTable{src: src, hw: hw, model: model, numSL: len(uniqueSLs)}
 	maxSL := 0
 	for _, sl := range uniqueSLs {
 		if sl > maxSL {
@@ -105,34 +94,30 @@ func newPriceTable(src trainer.ProfileSource, hw gpusim.Config, model models.Mod
 			t.slSparse[sl] = i + 1
 		}
 	}
-	t.prices = make([]float64, len(clusters)*maxBatch*t.numSL)
+	t.prices = make([]float64, maxBatch*t.numSL)
 	for i := range t.prices {
 		t.prices[i] = math.NaN()
 	}
+	profiles, err := src.EvalProfiles(hw, gpusim.SingleGPU(), model, maxBatch, uniqueSLs)
+	if err != nil {
+		return nil, err
+	}
+	base := (maxBatch - 1) * t.numSL
+	for sl, prof := range profiles {
+		if si := t.slIndex(sl); si > 0 {
+			if err := checkFinite(prof.TimeUS, maxBatch, sl); err != nil {
+				return nil, err
+			}
+			t.prices[base+si-1] = prof.TimeUS
+		}
+	}
 	if withDecode {
-		t.decode = make([]float64, len(clusters)*maxBatch)
+		t.decode = make([]float64, maxBatch)
 		for i := range t.decode {
 			t.decode[i] = math.NaN()
 		}
-	}
-	for ci, cl := range clusters {
-		profiles, err := src.EvalProfiles(hw, cl, model, maxBatch, uniqueSLs)
-		if err != nil {
+		if _, err := t.decodeLatency(maxBatch); err != nil {
 			return nil, err
-		}
-		base := (ci*maxBatch + maxBatch - 1) * t.numSL
-		for sl, prof := range profiles {
-			if si := t.slIndex(sl); si > 0 {
-				if err := checkFinite(prof.TimeUS, maxBatch, sl); err != nil {
-					return nil, err
-				}
-				t.prices[base+si-1] = prof.TimeUS
-			}
-		}
-		if withDecode {
-			if _, err := t.decodeLatency(ci, maxBatch); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return t, nil
@@ -150,23 +135,22 @@ func (t *priceTable) slIndex(sl int) int {
 	return t.slSparse[sl]
 }
 
-// latency prices one batch of the given size padded to sl on cluster
-// clusterIdx. The fast path is a single indexed load; misses (partial
-// batch sizes, first use) fall through to the profile source and fill
-// the slot.
-func (t *priceTable) latency(clusterIdx, batch, sl int) (float64, error) {
+// latency prices one batch of the given size padded to sl. The fast
+// path is a single indexed load; misses (partial batch sizes, first
+// use) fall through to the profile source and fill the slot.
+func (t *priceTable) latency(batch, sl int) (float64, error) {
 	si := t.slIndex(sl)
 	if si == 0 {
 		// A padded SL outside the trace's SL set cannot arise from the
 		// bundled event loops (the padded SL is some request's SL), but a
 		// direct uncached price keeps hypothetical callers correct.
-		return t.fetch(clusterIdx, batch, sl)
+		return t.fetch(batch, sl)
 	}
-	off := (clusterIdx*t.maxBatch+batch-1)*t.numSL + si - 1
+	off := (batch-1)*t.numSL + si - 1
 	if us := t.prices[off]; !math.IsNaN(us) {
 		return us, nil
 	}
-	us, err := t.fetch(clusterIdx, batch, sl)
+	us, err := t.fetch(batch, sl)
 	if err != nil {
 		return 0, err
 	}
@@ -174,26 +158,25 @@ func (t *priceTable) latency(clusterIdx, batch, sl int) (float64, error) {
 	return us, nil
 }
 
-// decodeLatency prices one decode step of a batch on cluster
-// clusterIdx: the forward cost of one new token per sequence, filled on
-// first use. Only valid on tables built with withDecode.
-func (t *priceTable) decodeLatency(clusterIdx, batch int) (float64, error) {
-	off := clusterIdx*t.maxBatch + batch - 1
-	if us := t.decode[off]; !math.IsNaN(us) {
+// decodeLatency prices one decode step of a batch: the forward cost
+// of one new token per sequence, filled on first use. Only valid on
+// tables built with withDecode.
+func (t *priceTable) decodeLatency(batch int) (float64, error) {
+	if us := t.decode[batch-1]; !math.IsNaN(us) {
 		return us, nil
 	}
-	us, err := t.fetch(clusterIdx, batch, decodeSL)
+	us, err := t.fetch(batch, decodeSL)
 	if err != nil {
 		return 0, err
 	}
-	t.decode[off] = us
+	t.decode[batch-1] = us
 	return us, nil
 }
 
-// fetch prices one (cluster, batch, SL) through the profile source,
-// rejecting non-finite results at the fill boundary.
-func (t *priceTable) fetch(clusterIdx, batch, sl int) (float64, error) {
-	profiles, err := t.src.EvalProfiles(t.hw, t.clusters[clusterIdx], t.model, batch, []int{sl})
+// fetch prices one (batch, SL) through the profile source, rejecting
+// non-finite results at the fill boundary.
+func (t *priceTable) fetch(batch, sl int) (float64, error) {
+	profiles, err := t.src.EvalProfiles(t.hw, gpusim.SingleGPU(), t.model, batch, []int{sl})
 	if err != nil {
 		return 0, err
 	}

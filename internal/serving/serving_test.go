@@ -306,6 +306,45 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
+// TestPolicyGates pins each bundled policy's exact verdict in the four
+// gate states: one request before its deadline, at its deadline, at
+// trace drain, and a full queue.
+func TestPolicyGates(t *testing.T) {
+	one := []Request{{ID: 0, ArrivalUS: 50, SeqLen: 8}}
+	var full []Request
+	for i, sl := range []int{8, 30, 9, 7, 8, 40} {
+		full = append(full, Request{ID: i, ArrivalUS: 50, SeqLen: sl})
+	}
+	inf := math.Inf(1)
+	wait := func(us float64) Decision { return Decision{WaitUntilUS: us} }
+	pick := func(idx ...int) Decision { return Decision{Dispatch: true, Pick: idx} }
+	for _, tc := range []struct {
+		policy string
+		want   [4]Decision
+	}{
+		{PolicyFixed, [4]Decision{wait(inf), wait(inf), pick(0), pick(0, 1, 2, 3)}},
+		{PolicyDynamic, [4]Decision{wait(150), pick(0), pick(0), pick(0, 1, 2, 3)}},
+		{PolicyLength, [4]Decision{wait(inf), wait(inf), pick(0), pick(0, 2, 3, 4)}},
+		{PolicyWFQ, [4]Decision{wait(150), pick(0), pick(0), pick(0, 1, 2, 3)}},
+	} {
+		p, err := ParsePolicy(tc.policy, 4, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]Decision{
+			p.Decide(one, 60, 500),
+			p.Decide(one, 150, 500),
+			p.Decide(one, 60, inf),
+			p.Decide(full, 60, 500),
+		}
+		for i, state := range []string{"before deadline", "at deadline", "at drain", "full queue"} {
+			if !reflect.DeepEqual(got[i], tc.want[i]) {
+				t.Errorf("%s %s: %+v, want %+v", tc.policy, state, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
 	tr := replay(t, []float64{0}, []int{5})
 	p, _ := NewFixedBatch(2)
@@ -318,8 +357,9 @@ func TestSpecValidate(t *testing.T) {
 		{"empty trace", Spec{Model: models.NewGNMT(), Policy: p}},
 	}
 	for _, tc := range cases {
-		if err := tc.spec.Validate(); err == nil {
-			t.Errorf("%s: Validate() = nil, want error", tc.name)
+		tc.spec.Profiles = &stubSource{}
+		if _, err := Simulate(tc.spec, gpusim.VegaFE()); err == nil {
+			t.Errorf("%s: Simulate = nil error, want a validation error", tc.name)
 		}
 	}
 }

@@ -27,24 +27,6 @@ type Spec struct {
 	Profiles trainer.ProfileSource
 }
 
-// Validate reports whether the spec is complete.
-func (s Spec) Validate() error {
-	switch {
-	case s.Model == nil:
-		return fmt.Errorf("serving: spec needs a model")
-	case s.Policy == nil:
-		return fmt.Errorf("serving: spec needs a batching policy")
-	case s.Policy.MaxBatch() <= 0:
-		return fmt.Errorf("serving: policy %q has non-positive max batch", s.Policy.Name())
-	}
-	if s.KV != nil {
-		if err := s.KV.Validate(); err != nil {
-			return err
-		}
-	}
-	return s.Trace.Validate()
-}
-
 // RequestMetric is one request's realized timeline.
 type RequestMetric struct {
 	// ID is the request's trace index.
@@ -103,12 +85,22 @@ const policyConsultSlack = 64
 
 // Simulate runs the serving trace on hw: one server with an unbounded
 // queue, which is the fleet event loop with a single round-robin
-// replica. Per-batch latencies come from the profile source's eval
-// (forward-only) profiles; the trace's unique SLs are prefetched at
-// the policy's max batch size in one bulk ProfileSource call. Output
-// is byte-identical at any profiling parallelism.
+// replica, validated as that fleet. Per-batch latencies come from the
+// profile source's eval (forward-only) profiles; the trace's unique
+// SLs are prefetched at the policy's max batch size in one bulk
+// ProfileSource call. Output is byte-identical at any profiling
+// parallelism.
 func Simulate(spec Spec, hw gpusim.Config) (*Result, error) {
-	if err := spec.Validate(); err != nil {
+	fs := FleetSpec{
+		Model:    spec.Model,
+		Trace:    spec.Trace,
+		Policy:   spec.Policy,
+		Router:   NewRoundRobin(),
+		Replicas: 1,
+		KV:       spec.KV,
+		Profiles: spec.Profiles,
+	}
+	if err := fs.Validate(); err != nil {
 		return nil, err
 	}
 	if err := hw.Validate(); err != nil {
@@ -126,15 +118,7 @@ func Simulate(spec Spec, hw gpusim.Config) (*Result, error) {
 			}
 		}
 	}
-	fr, err := runFleet(FleetSpec{
-		Model:    spec.Model,
-		Trace:    spec.Trace,
-		Policy:   spec.Policy,
-		Router:   NewRoundRobin(),
-		Replicas: 1,
-		KV:       spec.KV,
-		Profiles: spec.Profiles,
-	}, hw)
+	fr, err := runFleet(fs, hw)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,8 @@ func sameRun(t *testing.T, ref *Result, fleet *FleetResult) {
 // shares the price table, the KV planner and takeBatch with the fleet,
 // but none of the fleet's scheduling.
 func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
-	if err := spec.Validate(); err != nil {
+	fs := FleetSpec{Model: spec.Model, Trace: spec.Trace, Policy: spec.Policy, Router: NewRoundRobin(), Replicas: 1, KV: spec.KV}
+	if err := fs.Validate(); err != nil {
 		return nil, err
 	}
 	if err := hw.Validate(); err != nil {
@@ -77,8 +78,7 @@ func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
 	// batch size (every full batch's padded SL is one of the trace's
 	// SLs) and prices each dispatch by integer offset; partial-batch
 	// sizes fill their slots on first use.
-	prices, err := newPriceTable(src, hw, spec.Model, maxBatch,
-		[]gpusim.ClusterConfig{gpusim.SingleGPU()}, spec.Trace.UniqueSLs(), kv != nil)
+	prices, err := newPriceTable(src, hw, spec.Model, maxBatch, spec.Trace.UniqueSLs(), kv != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
 							paddedSL = r.SeqLen
 						}
 					}
-					lat, err := prices.latency(0, len(batch), paddedSL)
+					lat, err := prices.latency(len(batch), paddedSL)
 					if err != nil {
 						return nil, err
 					}
@@ -161,7 +161,7 @@ func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
 						done++
 					}
 				} else {
-					plan, times, err := kv.plan(prices, 0, batch, kvTimes)
+					plan, times, err := kv.plan(prices, batch, kvTimes)
 					kvTimes = times
 					if err != nil {
 						return nil, err

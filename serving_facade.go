@@ -22,7 +22,8 @@ type (
 	ServingRequest = workload.Request
 	// ServingTrace is an arrival-ordered request sequence.
 	ServingTrace = workload.Trace
-	// ServingSpec describes one online-serving simulation.
+	// ServingSpec describes one online-serving simulation;
+	// SimulateServing validates it as a 1-replica FleetSpec.
 	ServingSpec = serving.Spec
 	// ServingResult is a serving simulation's full outcome: the
 	// 1-replica fleet run, whose Summary is the single-queue digest.
@@ -40,17 +41,16 @@ type (
 )
 
 // Fleet simulation (internal/serving): the multi-replica
-// generalization of the single-queue serving simulator. N replicas —
-// optionally heterogeneous via per-replica ClusterConfig — sit behind
-// a routing policy (round-robin, least-outstanding,
-// join-shortest-queue, power-of-two-choices), bounded per-replica
-// queues reject overload as typed drops, and an optional reactive
-// autoscaler grows and shrinks the live fleet on queue depth, with
-// replica-seconds as the cost proxy. SimulateServing is this simulator
-// with one round-robin replica and an unbounded queue: its
-// ServingResult is that run's FleetResult under the single-queue
-// type, and its ServingSummary projects the fleet digest onto the
-// single-queue fields.
+// generalization of the single-queue serving simulator. N replicas,
+// each one GPU, sit behind a routing policy (round-robin,
+// least-outstanding, join-shortest-queue, power-of-two-choices, KV
+// pressure), bounded per-replica queues reject overload as typed
+// drops, and an optional reactive autoscaler grows and shrinks the
+// live fleet on queue depth, with replica-seconds as the cost proxy.
+// SimulateServing is this simulator with one round-robin replica and
+// an unbounded queue: its ServingResult is that run's FleetResult
+// under the single-queue type, and its ServingSummary projects the
+// fleet digest onto the single-queue fields.
 type (
 	// FleetSpec describes one multi-replica serving simulation. Its
 	// Parallelism field is deprecated and ignored: fleets advance
@@ -179,9 +179,11 @@ var (
 	// ReplayTrace builds a trace from explicit arrival offsets and
 	// sequence lengths.
 	ReplayTrace = workload.ReplayTrace
-	// NewFixedBatch, NewDynamicBatch and NewLengthAware build the three
-	// bundled batching policies: fixed-size FIFO, timeout-bounded
-	// dynamic batching, and greedy length-aware grouping.
+	// NewFixedBatch, NewDynamicBatch and NewLengthAware build three of
+	// the four bundled batching policies (NewWFQBatch is the fourth):
+	// fixed-size FIFO, timeout-bounded dynamic batching, and greedy
+	// length-aware grouping. All four share one gate and differ in
+	// which queued requests they pick.
 	NewFixedBatch   = serving.NewFixedBatch
 	NewDynamicBatch = serving.NewDynamicBatch
 	NewLengthAware  = serving.NewLengthAware

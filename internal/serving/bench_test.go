@@ -13,6 +13,7 @@ package serving
 // at millions of requests GC pressure dominates wall time.
 
 import (
+	"fmt"
 	"testing"
 
 	"seqpoint/internal/dataset"
@@ -162,6 +163,54 @@ func BenchmarkServingHotPath(b *testing.B) {
 		sum := res.Summary()
 		if sum.Requests != requests {
 			b.Fatalf("summary requests %d, want %d", sum.Requests, requests)
+		}
+	}
+}
+
+// BenchmarkServingBacklog measures the dispatch layer under a growing
+// backlog: one replica offered about twice its stub capacity, so the
+// queue deepens for the whole run and every dispatch sees it. A
+// dispatch that rebuilt the whole queue made the cost per request grow
+// with the trace length; with the sliding queue, ns/request should not
+// grow from 8,192 to 32,768 requests. wfq spreads the trace over four
+// interleaved tenants, so its pick chains a full window each dispatch.
+func BenchmarkServingBacklog(b *testing.B) {
+	const rate = 7_000 // req/s: about 2× the stub server's capacity at batch 16
+	tenants := []string{"t0", "t1", "t2", "t3"}
+	for _, policy := range []string{PolicyDynamic, PolicyWFQ} {
+		for _, requests := range []int{8_192, 32_768} {
+			b.Run(fmt.Sprintf("%s/requests=%d", policy, requests), func(b *testing.B) {
+				trace, err := PoissonTrace(benchCorpus(b), requests, rate, 11)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if policy == PolicyWFQ {
+					for i := range trace.Requests {
+						trace.Requests[i].Tenant = tenants[i%len(tenants)]
+					}
+				}
+				p, err := ParsePolicy(policy, 16, 2_000)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := Simulate(Spec{
+						Model:    models.NewGNMT(),
+						Trace:    trace,
+						Policy:   p,
+						Profiles: &stubSource{},
+					}, gpusim.VegaFE())
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := len(res.Requests); got != requests {
+						b.Fatalf("served %d of %d requests", got, requests)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/request")
+			})
 		}
 	}
 }

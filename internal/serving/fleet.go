@@ -247,7 +247,9 @@ type fleetReplica struct {
 	id   int
 	live bool
 
-	queue     []Request
+	// queue slides over an array the replica reuses for the whole run,
+	// so a dispatch moves only its batch (see requestQueue, takeBatch).
+	queue     requestQueue
 	busy      bool
 	startedAt float64
 	doneAt    float64
@@ -452,7 +454,7 @@ func (f *fleetRun) refreshKey(r *fleetReplica) {
 	if r.live {
 		if r.busy {
 			key = r.doneAt
-		} else if len(r.queue) > 0 {
+		} else if r.queue.size() > 0 {
 			key = r.wakeAt
 		}
 	}
@@ -471,11 +473,11 @@ func (f *fleetRun) dispatchDirty() error {
 	for _, id := range f.dirty {
 		f.inDirty[id] = false
 		r := f.replicas[id]
-		if !r.live || r.busy || len(r.queue) == 0 {
+		if !r.live || r.busy || r.queue.size() == 0 {
 			continue
 		}
 		for r.needConsult || f.clock >= r.wakeAt {
-			d := f.spec.Policy.Decide(r.queue, f.clock, nextArrival)
+			d := f.spec.Policy.Decide(r.queue.reqs(), f.clock, nextArrival)
 			if d.Dispatch {
 				if err := f.launch(r, d.Pick); err != nil {
 					return err
@@ -486,7 +488,7 @@ func (f *fleetRun) dispatchDirty() error {
 			wake := math.Min(d.WaitUntilUS, nextArrival)
 			if math.IsInf(wake, 1) && f.busyCount == 0 {
 				return fmt.Errorf("serving: policy %q refused to dispatch with no future event (replica %d, queue %d, clock %v)",
-					f.res.Policy, r.id, len(r.queue), f.clock)
+					f.res.Policy, r.id, r.queue.size(), f.clock)
 			}
 			if !math.IsInf(d.WaitUntilUS, 1) && d.WaitUntilUS <= f.clock {
 				return fmt.Errorf("serving: policy %q asked to wait until the past (%v at clock %v)",
@@ -541,7 +543,7 @@ func (f *fleetRun) launch(r *fleetReplica, pick []int) error {
 		if plan.keep < len(batch) {
 			// Eviction: the displaced suffix rejoins the queue front so
 			// recomputation does not also mean starvation.
-			r.queue = prependRequests(r.queue, batch[plan.keep:])
+			r.queue.prepend(batch[plan.keep:])
 			r.inflight = batch[:plan.keep]
 		}
 		lat = plan.totalLat
@@ -643,7 +645,7 @@ func (f *fleetRun) completeReplica(r *fleetReplica) {
 		f.res.MakespanUS = r.doneAt
 	}
 	f.busyCount--
-	r.needConsult = len(r.queue) > 0
+	r.needConsult = r.queue.size() > 0
 	if r.needConsult {
 		f.markDirty(r.id)
 	}
@@ -705,7 +707,7 @@ func (f *fleetRun) routeArrivals() error {
 				ErrBadRoute, f.spec.Router.Name(), id, req.ID, req.ArrivalUS, eligible)
 		}
 		r := f.replicas[id]
-		r.queue = append(r.queue, req)
+		r.queue.push(req)
 		r.needConsult = true
 		r.consults = 0
 		f.markDirty(id)
@@ -716,7 +718,7 @@ func (f *fleetRun) routeArrivals() error {
 			r.kvQueued += need
 			views[id].KVBytes += need
 		}
-		if f.spec.QueueCap != 0 && len(r.queue) >= f.spec.QueueCap {
+		if f.spec.QueueCap != 0 && r.queue.size() >= f.spec.QueueCap {
 			if views[id].eligible() {
 				eligible--
 			}
@@ -727,7 +729,7 @@ func (f *fleetRun) routeArrivals() error {
 		// Trace drained: policies waiting for more arrivals must be
 		// re-consulted so partial batches flush.
 		for _, r := range f.replicas {
-			if r.live && !r.busy && len(r.queue) > 0 {
+			if r.live && !r.busy && r.queue.size() > 0 {
 				r.needConsult = true
 				f.markDirty(r.id)
 			}
@@ -746,7 +748,7 @@ func (f *fleetRun) quietUntil(t float64) bool {
 		return false
 	}
 	for _, id := range f.dirty {
-		if r := f.replicas[id]; r.live && !r.busy && len(r.queue) > 0 {
+		if r := f.replicas[id]; r.live && !r.busy && r.queue.size() > 0 {
 			return false
 		}
 	}
@@ -763,9 +765,9 @@ func (f *fleetRun) views() ([]ReplicaView, int) {
 		views[i] = ReplicaView{
 			ID:       i,
 			Live:     r.live,
-			Queued:   len(r.queue),
+			Queued:   r.queue.size(),
 			InFlight: len(r.inflight),
-			HasRoom:  f.spec.QueueCap == 0 || len(r.queue) < f.spec.QueueCap,
+			HasRoom:  f.spec.QueueCap == 0 || r.queue.size() < f.spec.QueueCap,
 		}
 		if f.kv != nil {
 			views[i].KVBytes = r.kvQueued + r.kvInflight
@@ -788,7 +790,7 @@ func (f *fleetRun) autoscale() {
 	for _, r := range f.replicas {
 		if r.live {
 			live++
-			queued += len(r.queue)
+			queued += r.queue.size()
 		}
 	}
 	depth := float64(queued) / float64(live)
@@ -812,7 +814,7 @@ func (f *fleetRun) autoscale() {
 		// empty queue; if none qualifies, skip this evaluation.
 		for i := len(f.replicas) - 1; i >= 0; i-- {
 			r := f.replicas[i]
-			if r.live && !r.busy && len(r.queue) == 0 {
+			if r.live && !r.busy && r.queue.size() == 0 {
 				r.live = false
 				r.liveUS += f.clock - r.liveSince
 				f.res.ScaleDowns++

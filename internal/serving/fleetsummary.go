@@ -138,10 +138,12 @@ func (r *FleetResult) Summary() FleetSummary {
 	return s
 }
 
-// digest returns the mean and nearest-rank p50/p95/p99 of xs. It sorts
-// xs in place, so callers pass their own scratch instead of having a
-// million-element slice copied. xs must be non-empty; the percentiles
-// stay 0 if it holds a non-finite value.
+// digest returns the mean and nearest-rank p50/p95/p99 of xs. The mean
+// sums xs in its given order; the ranks are then selected in place
+// (stats.PercentilesInPlace), which reorders xs in O(len(xs)) rather
+// than sorting it, so callers pass their own scratch instead of having
+// a million-element slice copied. xs must be non-empty; the
+// percentiles stay 0 if it holds a non-finite value.
 func digest(xs []float64) (mean, p50, p95, p99 float64) {
 	mean = stats.Sum(xs) / float64(len(xs))
 	if ps, err := stats.PercentilesInPlace(xs, 50, 95, 99); err == nil {

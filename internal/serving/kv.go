@@ -166,19 +166,6 @@ func (k *kvState) peakBytes(r Request) float64 {
 	return float64(tokens) * k.bpt
 }
 
-// prependRequests returns queue with reqs inserted at the front,
-// preserving both orders — how evicted requests rejoin the line ahead
-// of later arrivals, so recomputation cannot starve them. reqs must
-// not alias queue's backing array (it is an in-flight batch buffer at
-// every call site).
-func prependRequests(queue, reqs []Request) []Request {
-	n, old := len(reqs), len(queue)
-	queue = append(queue, reqs...)
-	copy(queue[n:], queue[:old])
-	copy(queue[:n], reqs)
-	return queue
-}
-
 // kvReqTime is one launched request's timing within its busy period,
 // as offsets from the launch instant: batch-start, first-token
 // (prefill completion) and completion, plus the wave it ran in.

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,21 +22,51 @@ func kvSpec(tr Trace, p Policy, kv *KVConfig) Spec {
 	}
 }
 
+// TestPrependRequests pins eviction's queue order on both paths of the
+// replica queue's prepend: evicted requests rejoin ahead of the queued
+// ones with both orders kept, whether the queue has room before its
+// head (after a take, the only case the event loop produces) or has to
+// make it.
 func TestPrependRequests(t *testing.T) {
-	queue := []Request{{ID: 3}, {ID: 4}}
-	evicted := []Request{{ID: 1}, {ID: 2}}
-	got := prependRequests(queue, evicted)
-	want := []int{1, 2, 3, 4}
-	for i, r := range got {
-		if r.ID != want[i] {
-			t.Fatalf("prepend order %v, want IDs %v", got, want)
+	queueOf := func(ids ...int) *requestQueue {
+		q := &requestQueue{}
+		for _, id := range ids {
+			q.push(Request{ID: id})
+		}
+		return q
+	}
+	ids := func(q *requestQueue) []int {
+		var out []int
+		for _, r := range q.reqs() {
+			out = append(out, r.ID)
+		}
+		return out
+	}
+	room := queueOf(7, 8, 3, 4)
+	if _, _, err := takeBatch(nil, room, []int{0, 1}, nil, 2, "test"); err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]*requestQueue{"room before head": room, "no room": queueOf(3, 4)} {
+		hadRoom := q.head >= 2
+		first := &q.reqs()[0]
+		q.prepend([]Request{{ID: 1}, {ID: 2}})
+		if got := ids(q); fmt.Sprint(got) != "[1 2 3 4]" {
+			t.Fatalf("%s: prepend order %v, want IDs [1 2 3 4]", name, got)
+		}
+		// With room, the queued requests stay where they were.
+		if moved := &q.reqs()[2] != first; moved == hadRoom {
+			t.Fatalf("%s: room before the head %v, queued requests moved %v", name, hadRoom, moved)
 		}
 	}
-	if out := prependRequests(nil, []Request{{ID: 9}}); len(out) != 1 || out[0].ID != 9 {
-		t.Fatalf("prepend into empty queue = %v", out)
+	empty := queueOf()
+	empty.prepend([]Request{{ID: 9}})
+	if got := ids(empty); fmt.Sprint(got) != "[9]" {
+		t.Fatalf("prepend into empty queue = %v", got)
 	}
-	if out := prependRequests([]Request{{ID: 9}}, nil); len(out) != 1 || out[0].ID != 9 {
-		t.Fatalf("prepend nothing = %v", out)
+	one := queueOf(9)
+	one.prepend(nil)
+	if got := ids(one); fmt.Sprint(got) != "[9]" {
+		t.Fatalf("prepend nothing = %v", got)
 	}
 }
 

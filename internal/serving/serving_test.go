@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -511,10 +512,10 @@ func TestSimulateThroughEngineDeterministic(t *testing.T) {
 // picks fail; valid picks extract in queue order and preserve the
 // remaining queue's order.
 func TestTakeBatchScratch(t *testing.T) {
-	mkQueue := func() []Request {
-		q := make([]Request, 6)
-		for i := range q {
-			q[i] = Request{ID: i, SeqLen: 10 + i}
+	mkQueue := func() *requestQueue {
+		q := &requestQueue{}
+		for i := 0; i < 6; i++ {
+			q.push(Request{ID: i, SeqLen: 10 + i})
 		}
 		return q
 	}
@@ -522,15 +523,15 @@ func TestTakeBatchScratch(t *testing.T) {
 	var dst []Request
 
 	queue := mkQueue()
-	batch, scratch, err := takeBatch(dst[:0], &queue, []int{4, 0, 2}, scratch, 8, "test")
+	batch, scratch, err := takeBatch(dst[:0], queue, []int{4, 0, 2}, scratch, 8, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(batch[0].ID, batch[1].ID, batch[2].ID) != "0 2 4" {
 		t.Fatalf("batch order %v, want IDs 0 2 4", batch)
 	}
-	if fmt.Sprint(queue[0].ID, queue[1].ID, queue[2].ID) != "1 3 5" || len(queue) != 3 {
-		t.Fatalf("remaining queue %v, want IDs 1 3 5", queue)
+	if rest := queue.reqs(); len(rest) != 3 || fmt.Sprint(rest[0].ID, rest[1].ID, rest[2].ID) != "1 3 5" {
+		t.Fatalf("remaining queue %v, want IDs 1 3 5", rest)
 	}
 
 	for name, pick := range map[string][]int{
@@ -541,13 +542,103 @@ func TestTakeBatchScratch(t *testing.T) {
 		"oversized":  {0, 1, 2},
 		"dup_spread": {2, 0, 2},
 	} {
-		queue := mkQueue()
 		max := 8
 		if name == "oversized" {
 			max = 2
 		}
-		if _, _, err := takeBatch(batch[:0], &queue, pick, scratch, max, "test"); err == nil {
+		if _, _, err := takeBatch(batch[:0], mkQueue(), pick, scratch, max, "test"); err == nil {
 			t.Fatalf("%s pick accepted", name)
+		}
+	}
+}
+
+// TestReplicaQueueMatchesSlice drives the replica queue through random
+// runs of enqueues, FIFO takes, selective takes and prepends, checking
+// it against a plain-slice model after every operation. A FIFO take
+// must leave the remaining requests where they were, and the backing
+// array must stay within a constant factor of the peak live length:
+// the array grows only when its free slots are fewer than a quarter of
+// the live count or than a prepend needs, so the array it replaces held
+// under 1.25 peaks, which growth doubles and size-class rounding raises
+// by at most an eighth — under three peaks.
+func TestReplicaQueueMatchesSlice(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var (
+			q       requestQueue
+			model   []Request
+			scratch []int
+			nextID  int
+			peak    int
+		)
+		fresh := func(n int) []Request {
+			out := make([]Request, n)
+			for i := range out {
+				out[i] = Request{ID: nextID, SeqLen: 1 + nextID%50}
+				nextID++
+			}
+			return out
+		}
+		// Each run leans toward growing or draining, so queues reach a
+		// few hundred requests and empty out again.
+		pushWeight := 2 + rng.Intn(4)
+		for op := 0; op < 400; op++ {
+			var what string
+			switch c := rng.Intn(pushWeight + 4); {
+			case c < pushWeight:
+				what = "push"
+				for _, r := range fresh(1 + rng.Intn(6)) {
+					q.push(r)
+					model = append(model, r)
+				}
+			case c == pushWeight && len(model) > 0:
+				what = "fifo take"
+				n := min(len(model), 1+rng.Intn(16))
+				before := q.reqs()
+				batch, s, err := takeBatch(nil, &q, firstN(nil, n, 0), scratch, 16, "test")
+				scratch = s
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(batch, model[:n]) {
+					t.Fatalf("seed %d op %d: fifo batch %v, want %v", seed, op, batch, model[:n])
+				}
+				if rest := q.reqs(); len(rest) > 0 && &rest[0] != &before[n] {
+					t.Fatalf("seed %d op %d: a FIFO take moved the queue", seed, op)
+				}
+				model = append([]Request(nil), model[n:]...)
+			case c == pushWeight+1 && len(model) > 0:
+				what = "selective take"
+				window := min(len(model), minPickWindow)
+				pick := rng.Perm(window)[:min(window, 1+rng.Intn(16))]
+				batch, s, err := takeBatch(nil, &q, pick, scratch, 16, "test")
+				scratch = s
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := referenceTake(nil, &model, pick, 16, "test")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(batch, want) {
+					t.Fatalf("seed %d op %d: pick %v took %v, want %v", seed, op, pick, batch, want)
+				}
+			case c == pushWeight+2:
+				what = "prepend"
+				evicted := fresh(1 + rng.Intn(8))
+				q.prepend(evicted)
+				model = prependRequests(model, evicted)
+			default:
+				continue
+			}
+			if got := q.reqs(); !(len(got) == 0 && len(model) == 0) && !reflect.DeepEqual(got, model) {
+				t.Fatalf("seed %d op %d (%s): queue %v, model %v", seed, op, what, got, model)
+			}
+			peak = max(peak, len(model))
+			if len(q.buf) > 3*peak+16 {
+				t.Fatalf("seed %d op %d (%s): backing array of %d for a peak of %d requests",
+					seed, op, what, len(q.buf), peak)
+			}
 		}
 	}
 }

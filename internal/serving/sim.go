@@ -125,15 +125,80 @@ func Simulate(spec Spec, hw gpusim.Config) (*Result, error) {
 	return (*Result)(fr), nil
 }
 
+// requestQueue is a replica's admission queue, oldest first: the
+// window buf[head:tail] over a backing array the queue owns and reuses
+// for the whole run (len(buf) == cap(buf)). takeBatch slides the head
+// past each batch, so a FIFO take moves no request. push and prepend
+// make room only when the array has none at that end: they move the
+// live window within the array when enough of it is free, and
+// otherwise double the array.
+type requestQueue struct {
+	buf        []Request
+	head, tail int
+}
+
+// reqs is the live window, oldest first — the queue a policy decides on.
+// It aliases the backing array and is only valid until the next push,
+// prepend or take.
+func (q *requestQueue) reqs() []Request { return q.buf[q.head:q.tail] }
+
+// size is the number of queued requests.
+func (q *requestQueue) size() int { return q.tail - q.head }
+
+// push enqueues r at the tail.
+func (q *requestQueue) push(r Request) {
+	if q.tail == len(q.buf) {
+		q.relocate(0, 1)
+	}
+	q.buf[q.tail] = r
+	q.tail++
+}
+
+// prepend puts reqs in front of the queue, both orders kept — how
+// evicted requests rejoin the line ahead of later arrivals, so
+// recomputation cannot starve them. After a take there is room before
+// the head for the batch it took, so an eviction from that batch costs
+// O(evicted). reqs must not alias the queue's array.
+func (q *requestQueue) prepend(reqs []Request) {
+	if q.head < len(reqs) {
+		q.relocate(len(reqs), 0)
+	}
+	q.head -= len(reqs)
+	copy(q.buf[q.head:], reqs)
+}
+
+// relocate moves the live window to buf[front:], leaving at least
+// front free slots before it and back after it. It reuses the array
+// when the free slots cover both and are at least a quarter of the
+// live count, so the O(live) move is paid for by that many cheap
+// operations. Otherwise it doubles the array's own capacity (not the
+// window's, which is smaller once the head has slid), rounded up to
+// the allocator's size class as append rounds: append's own rule
+// grows large arrays by about a quarter a step, so a deep backlog
+// would reallocate, and copy, several times per doubling.
+func (q *requestQueue) relocate(front, back int) {
+	live := q.size()
+	free := len(q.buf) - live
+	buf := q.buf
+	if free < front+back || free < live/4 {
+		buf = append([]Request(nil), make([]Request, max(2*len(q.buf), live+front+back))...)
+		buf = buf[:cap(buf)]
+	}
+	copy(buf[front:], q.buf[q.head:q.tail])
+	q.buf, q.head, q.tail = buf, front, front+live
+}
+
 // takeBatch removes the picked indices from the queue and appends the
 // picked requests to dst in queue order, validating the policy's pick.
 // scratch is a reusable index buffer (the sorted copy of pick); both
 // dst and the possibly-grown scratch are returned so callers can
-// recycle them across dispatches — this runs once per batch on the
-// hot path, and the old per-call copy + map allocation dominated its
-// cost.
-func takeBatch(dst []Request, queue *[]Request, pick []int, scratch []int, maxBatch int, policy string) ([]Request, []int, error) {
-	q := *queue
+// recycle them across dispatches. The unpicked requests in front of the
+// last pick shift rightwards over the picked slots, and the queue's
+// head moves len(pick) later: a dispatch costs O(batch + the last
+// pick's index), which a FIFO prefix makes O(batch) and a selective
+// pick bounds by its window, whatever the backlog.
+func takeBatch(dst []Request, queue *requestQueue, pick []int, scratch []int, maxBatch int, policy string) ([]Request, []int, error) {
+	q := queue.reqs()
 	if len(pick) == 0 {
 		return dst, scratch, fmt.Errorf("serving: policy %q dispatched an empty batch", policy)
 	}
@@ -152,18 +217,18 @@ func takeBatch(dst []Request, queue *[]Request, pick []int, scratch []int, maxBa
 		}
 		dst = append(dst, q[idx])
 	}
-	// Sweep the queue once, skipping the sorted picked indices — no
-	// taken-set needed.
-	rest := q[:0]
-	pi := 0
-	for i, r := range q {
-		if pi < len(scratch) && i == scratch[pi] {
-			pi++
+	// Walk back from the last pick, moving each unpicked request to the
+	// highest free slot; the picked slots end up the first len(pick).
+	w, pi := scratch[len(scratch)-1], len(scratch)-1
+	for i := w; i >= 0; i-- {
+		if pi >= 0 && i == scratch[pi] {
+			pi--
 			continue
 		}
-		rest = append(rest, r)
+		q[w] = q[i]
+		w--
 	}
-	*queue = rest
+	queue.head += len(pick)
 	return dst, scratch, nil
 }
 

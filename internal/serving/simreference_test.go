@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"seqpoint/internal/gpusim"
@@ -42,8 +43,9 @@ func sameRun(t *testing.T, ref *Result, fleet *FleetResult) {
 // the fleet loop against: the single-replica equivalence test and the
 // fuzz generalization block compare a 1-replica SimulateFleet with it,
 // so the fleet is not only compared with Simulate, which wraps it. It
-// shares the price table, the KV planner and takeBatch with the fleet,
-// but none of the fleet's scheduling.
+// shares the price table and the KV planner with the fleet, but none
+// of the fleet's scheduling or queue code: its queue is a plain slice
+// with its own removal (referenceTake) and prepend (prependRequests).
 func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
 	fs := FleetSpec{Model: spec.Model, Trace: spec.Trace, Policy: spec.Policy, Router: NewRoundRobin(), Replicas: 1, KV: spec.KV}
 	if err := fs.Validate(); err != nil {
@@ -99,9 +101,8 @@ func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
 		queue []Request // admitted, unserved requests, oldest first
 		done  int       // completed requests
 
-		batchBuf    []Request   // reused takeBatch destination
-		pickScratch []int       // reused takeBatch index scratch
-		kvTimes     []kvReqTime // reused KV-plan timing scratch
+		batchBuf []Request   // reused batch buffer
+		kvTimes  []kvReqTime // reused KV-plan timing scratch
 	)
 	admit := func() {
 		for next < len(trace) && trace[next].ArrivalUS <= clock {
@@ -126,8 +127,8 @@ func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
 			}
 			d := spec.Policy.Decide(queue, clock, nextArrival)
 			if d.Dispatch {
-				batch, scratch, err := takeBatch(batchBuf[:0], &queue, d.Pick, pickScratch, maxBatch, spec.Policy.Name())
-				batchBuf, pickScratch = batch, scratch
+				batch, err := referenceTake(batchBuf[:0], &queue, d.Pick, maxBatch, spec.Policy.Name())
+				batchBuf = batch
 				if err != nil {
 					return nil, err
 				}
@@ -215,4 +216,52 @@ func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// referenceTake is the reference loop's batch removal on a plain-slice
+// queue: validate the pick, append the picked requests to dst in queue
+// order, then sweep the queue once, keeping the unpicked requests in
+// order.
+func referenceTake(dst []Request, queue *[]Request, pick []int, maxBatch int, policy string) ([]Request, error) {
+	q := *queue
+	if len(pick) == 0 {
+		return dst, fmt.Errorf("serving: policy %q dispatched an empty batch", policy)
+	}
+	if len(pick) > maxBatch {
+		return dst, fmt.Errorf("serving: policy %q dispatched %d requests, above its max batch %d",
+			policy, len(pick), maxBatch)
+	}
+	sorted := append([]int(nil), pick...)
+	sort.Ints(sorted)
+	for i, idx := range sorted {
+		if idx < 0 || idx >= len(q) {
+			return dst, fmt.Errorf("serving: policy %q picked queue index %d of %d", policy, idx, len(q))
+		}
+		if i > 0 && idx == sorted[i-1] {
+			return dst, fmt.Errorf("serving: policy %q picked queue index %d twice", policy, idx)
+		}
+		dst = append(dst, q[idx])
+	}
+	rest := q[:0]
+	pi := 0
+	for i, r := range q {
+		if pi < len(sorted) && i == sorted[pi] {
+			pi++
+			continue
+		}
+		rest = append(rest, r)
+	}
+	*queue = rest
+	return dst, nil
+}
+
+// prependRequests returns queue with reqs inserted at the front,
+// preserving both orders: the reference loop's eviction. reqs must not
+// alias queue's backing array.
+func prependRequests(queue, reqs []Request) []Request {
+	n, old := len(reqs), len(queue)
+	queue = append(queue, reqs...)
+	copy(queue[n:], queue[:old])
+	copy(queue[:n], reqs)
+	return queue
 }

@@ -78,6 +78,48 @@ func TestWFQDecidePicksRoundRobin(t *testing.T) {
 	}
 }
 
+// TestWFQDecideAllocs pins that a wfq dispatch allocates only its
+// returned pick, as a length-aware one does: the per-tenant chains
+// and the tenant map live in pooled scratch, whether the window holds
+// four interleaved tenants or one untenanted run.
+func TestWFQDecideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	wfq, err := NewWFQBatch(8, 5e4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	length, err := NewLengthAware(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenanted := make([]Request, 64)
+	untenanted := make([]Request, 64)
+	for i := range tenanted {
+		tenanted[i] = Request{ID: i, SeqLen: 4 + i%48, Tenant: []string{"a", "b", "c", "d"}[i%4]}
+		untenanted[i] = Request{ID: i, SeqLen: 4 + i%48}
+	}
+	for _, c := range []struct {
+		name   string
+		policy Policy
+		queue  []Request
+	}{
+		{"wfq, 4 tenants", wfq, tenanted},
+		{"wfq, untenanted", wfq, untenanted},
+		{"length", length, tenanted},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if d := c.policy.Decide(c.queue, 0, 1); !d.Dispatch || len(d.Pick) != 8 {
+				t.Fatalf("%s: decision %+v, want a dispatch of 8", c.name, d)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: %v allocations per Decide, want 1 (the pick)", c.name, allocs)
+		}
+	}
+}
+
 // TestWFQGatesLikeDynamic: under-full queues wait for the oldest
 // request's timeout, dispatch at the deadline, and always dispatch at
 // trace drain.

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -91,7 +92,7 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return out[0], nil
 }
 
-// Percentiles returns the nearest-rank percentile for each p, sorting
+// Percentiles returns the nearest-rank percentile for each p, ranking
 // one copy of the input once — the bulk form tail roll-ups (p50, p95,
 // p99 over the same samples) should use.
 func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
@@ -103,13 +104,18 @@ func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
 }
 
 // PercentilesInPlace is Percentiles without the defensive copy: it
-// sorts xs in place and reads every rank from that one scratch slice.
-// Callers that already own a throwaway sample buffer (the serving
-// summaries build per-request latency slices only to rank them) use
-// this to avoid duplicating million-element slices on the hot path.
-// Non-finite samples are rejected with ErrNonFinite before sorting:
-// sort.Float64s over NaN is not a total order, so its output — and
-// every rank read from it — would vary run to run.
+// reorders xs in place and reads every rank from that one scratch
+// slice. Callers that already own a throwaway sample buffer (the
+// serving summaries build per-request latency slices only to rank
+// them) use this to avoid duplicating million-element slices on the
+// hot path. Each rank is selected, not sorted for: the ranks are
+// placed in ascending order, each by an introselect over the part of
+// xs to the right of the previous one, so a few ranks of n samples
+// cost O(n) expected and O(n log n) at worst. xs ends up a permutation
+// of its input, in no documented order. Non-finite samples are
+// rejected with ErrNonFinite before any rank is placed: comparisons
+// are not a total order over NaN, so a rank read past one would vary
+// with the input's order.
 func PercentilesInPlace(xs []float64, ps ...float64) ([]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
@@ -119,15 +125,107 @@ func PercentilesInPlace(xs []float64, ps ...float64) ([]float64, error) {
 			return nil, fmt.Errorf("%w: xs[%d] = %v", ErrNonFinite, i, x)
 		}
 	}
-	sort.Float64s(xs)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
+	// ranks holds each p's 0-based position; the array keeps the usual
+	// handful of ps off the heap.
+	var rankBuf [8]int
+	ranks := rankBuf[:0]
+	for _, p := range ps {
 		if p < 0 || p > 100 || math.IsNaN(p) {
 			return nil, fmt.Errorf("stats: percentile %v outside [0, 100]", p)
 		}
-		out[i] = xs[nearestRank(len(xs), p)-1]
+		ranks = append(ranks, nearestRank(len(xs), p)-1)
+	}
+	// Place the ranks in ascending order. Selecting k leaves xs[:k] <=
+	// xs[k] <= xs[k+1:], so each later rank is selected in xs[lo:] alone
+	// and an earlier placement never moves again.
+	for lo := 0; ; {
+		k := len(xs)
+		for _, r := range ranks {
+			if r >= lo && r < k {
+				k = r
+			}
+		}
+		if k == len(xs) {
+			break
+		}
+		selectRank(xs[lo:], k-lo)
+		lo = k + 1
+	}
+	out := make([]float64, len(ps))
+	for i, r := range ranks {
+		out[i] = xs[r]
 	}
 	return out, nil
+}
+
+// selectCutoff is the range length at or below which selectRank
+// finishes with an insertion sort.
+const selectCutoff = 16
+
+// selectRank reorders xs so that xs[k] holds the value sort.Float64s
+// would put there, with xs[:k] <= xs[k] <= xs[k+1:]. It is introselect:
+// quickselect on median-of-three pivots, an insertion sort on short
+// ranges, and, once about 2·log2(n) partitions have not finished the
+// job (input built to defeat the pivot rule), sort.Float64s on the
+// range still open, so no input costs more than O(n log n). xs must
+// hold no NaN.
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > selectCutoff; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo:hi])
+			return
+		}
+		p := partition(xs, lo, hi)
+		switch {
+		case k < p:
+			hi = p
+		case k > p:
+			lo = p + 1
+		default:
+			return
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
+// partition splits xs[lo:hi] (at least three samples) around the
+// median of its first, middle and last samples and returns the pivot's
+// final index p: xs[lo:p] <= xs[p] <= xs[p+1:hi]. Both scans stop on
+// samples equal to the pivot, so runs of duplicates split evenly
+// instead of degrading to one-sided partitions.
+func partition(xs []float64, lo, hi int) int {
+	mid, last := lo+(hi-lo)/2, hi-1
+	if xs[mid] < xs[lo] {
+		xs[mid], xs[lo] = xs[lo], xs[mid]
+	}
+	if xs[last] < xs[lo] {
+		xs[last], xs[lo] = xs[lo], xs[last]
+	}
+	if xs[last] < xs[mid] {
+		xs[last], xs[mid] = xs[mid], xs[last]
+	}
+	// xs[lo] <= pivot <= xs[last] now bound both scans; the pivot waits
+	// at last-1 until its final slot is known.
+	pivot := xs[mid]
+	xs[mid], xs[last-1] = xs[last-1], xs[mid]
+	i, j := lo, last-1
+	for {
+		for i++; xs[i] < pivot; i++ {
+		}
+		for j--; xs[j] > pivot; j-- {
+		}
+		if i >= j {
+			break
+		}
+		xs[i], xs[j] = xs[j], xs[i]
+	}
+	xs[i], xs[last-1] = xs[last-1], xs[i]
+	return i
 }
 
 // nearestRank maps a percentile onto a 1-based rank in a sorted

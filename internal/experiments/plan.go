@@ -48,8 +48,12 @@ type PlanProbeConfig struct {
 // simulates one candidate fleet against a Poisson trace at the asked
 // rate (regenerated — and cached — per distinct rate, all from
 // w.Seed), under the candidate's routing, batching-policy and
-// KV-capacity overrides. The returned probe is deterministic but keeps
-// unsynchronized caches, matching planner.Probe's sequential contract.
+// KV-capacity overrides. Each call is a pure function of its candidate
+// and rate: it caches only immutable traces and policies, and builds a
+// fresh router per call, so po2's RNG and rr's cursor start over and a
+// probe's answer is what /v1/fleet reports for the same fleet. The
+// caches are unsynchronized, matching planner.Probe's sequential
+// contract.
 func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc PlanProbeConfig) (planner.Probe, error) {
 	if pc.Requests <= 0 {
 		pc.Requests = DefaultServeRequests
@@ -67,7 +71,6 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 	}
 	traces := make(map[float64]serving.Trace)
 	policies := map[string]serving.Policy{"": base}
-	routers := make(map[string]serving.Router)
 	return func(c planner.Candidate, ratePerSec float64) (serving.FleetSummary, error) {
 		var zero serving.FleetSummary
 		trace, ok := traces[ratePerSec]
@@ -81,9 +84,6 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 			if err != nil {
 				return zero, err
 			}
-			if err := trace.Validate(); err != nil {
-				return zero, err
-			}
 			traces[ratePerSec] = trace
 		}
 		policy, ok := policies[c.Policy]
@@ -95,14 +95,9 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 			}
 			policies[c.Policy] = policy
 		}
-		router, ok := routers[c.Routing]
-		if !ok {
-			var err error
-			router, err = serving.ParseRouting(c.Routing, w.Seed)
-			if err != nil {
-				return zero, err
-			}
-			routers[c.Routing] = router
+		router, err := serving.ParseRouting(c.Routing, w.Seed)
+		if err != nil {
+			return zero, err
 		}
 		kv := pc.KV
 		if c.KVCapacityGB > 0 {

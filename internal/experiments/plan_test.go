@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,32 +9,64 @@ import (
 	"seqpoint/internal/engine"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/planner"
+	"seqpoint/internal/serving"
 )
 
 // TestPlanProbeDeterminism pins the probe seam's caching contract:
-// repeated calls for the same candidate and rate return identical
-// summaries, and candidate overrides (routing, policy, KV capacity)
-// actually reach the simulation.
+// each call is a pure function of its candidate and rate — under every
+// routing, however calls for other candidates interleave, it answers
+// what a fresh probe answers — and candidate overrides (routing,
+// policy, KV capacity) actually reach the simulation.
 func TestPlanProbeDeterminism(t *testing.T) {
 	lab := NewLabWith(engine.New())
 	w := sweepWorkload()
-	probe, err := PlanProbe(lab.Engine(), w, gpusim.VegaFE(), PlanProbeConfig{Requests: 96, QueueCap: 32})
+	// 97 requests leave rr's cursor off zero after most runs, and three
+	// replicas give po2's RNG a real choice.
+	pc := PlanProbeConfig{Requests: 97, QueueCap: 32}
+	probe, err := PlanProbe(lab.Engine(), w, gpusim.VegaFE(), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := planner.Candidate{Replicas: 2, Routing: "rr"}
-	first, err := probe(c, 300)
+	var cands []planner.Candidate
+	for _, routing := range []string{"rr", "least", "jsq", "po2", "kv"} {
+		for _, replicas := range []int{3, 2} {
+			c := planner.Candidate{Replicas: replicas, Routing: routing}
+			if routing == "kv" {
+				c.KVCapacityGB = 1
+			}
+			cands = append(cands, c)
+		}
+	}
+	rates := []float64{300, 500}
+	want := make(map[string]serving.FleetSummary)
+	for round := 0; round < 2; round++ {
+		for _, c := range cands {
+			for _, rate := range rates {
+				key := fmt.Sprintf("%d×%s@%v", c.Replicas, c.Routing, rate)
+				if round == 0 {
+					fresh, err := PlanProbe(lab.Engine(), w, gpusim.VegaFE(), pc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want[key], err = fresh(c, rate); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := probe(c, rate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want[key]) {
+					t.Errorf("round %d: %s depends on the probes before it:\n%+v\nvs a fresh probe's\n%+v", round, key, got, want[key])
+				}
+			}
+		}
+	}
+	first, err := probe(planner.Candidate{Replicas: 2, Routing: "rr"}, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := probe(c, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("probe is not deterministic for a repeated candidate:\n%+v\nvs\n%+v", first, second)
-	}
-	if first.Requests != 96 || first.Replicas != 2 {
+	if first.Requests != 97 || first.Replicas != 2 {
 		t.Errorf("probe config did not reach the simulation: %+v", first)
 	}
 

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -243,5 +245,45 @@ func TestPlanResponseShape(t *testing.T) {
 	}
 	if resp.Plan.Summary.Served == 0 {
 		t.Errorf("plan summary served nothing: %+v", resp.Plan.Summary)
+	}
+}
+
+// TestPlanSummaryIsFleetSummary holds a plan's evidence to /v1/fleet:
+// the summary a plan reports must be the one /v1/fleet returns for the
+// chosen fleet on the same workload. A probe that carried router state
+// from one candidate to the next (po2's RNG, rr's cursor) answered for
+// a router the fleet endpoint never builds. 97 requests leave rr's
+// cursor off zero after most probes, and three replicas give po2 a
+// real choice.
+func TestPlanSummaryIsFleetSummary(t *testing.T) {
+	s := testServer(Options{})
+	const workload = `"model":"gnmt","rate":800,"batch":4,"requests":97,"seqlens":[4,7,7,9,12,12,12,15,4,9,21,21]`
+	for _, routing := range []string{"rr", "po2"} {
+		t.Run(routing, func(t *testing.T) {
+			w := postJSON(t, s, "/v1/plan", fmt.Sprintf(`{%s,"routings":[%q],"max_replicas":8,"slo":{"latency_p99_us":120000}}`, workload, routing))
+			if w.Code != http.StatusOK {
+				t.Fatalf("plan status = %d: %s", w.Code, w.Body.String())
+			}
+			var plan PlanResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &plan); err != nil {
+				t.Fatal(err)
+			}
+			if plan.Plan.Replicas != 3 {
+				t.Fatalf("plan chose %d replicas, want the 3 this case is built around", plan.Plan.Replicas)
+			}
+			w = postJSON(t, s, "/v1/fleet", fmt.Sprintf(`{%s,"routing":%q,"replicas":%d}`, workload, routing, plan.Plan.Replicas))
+			if w.Code != http.StatusOK {
+				t.Fatalf("fleet status = %d: %s", w.Code, w.Body.String())
+			}
+			var fleet FleetResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &fleet); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := plan.Plan.Summary.Serialize()
+			want, _ := fleet.Summary.Serialize()
+			if !bytes.Equal(got, want) {
+				t.Errorf("plan summary differs from /v1/fleet's for the chosen fleet:\nplan:\n%s\nfleet:\n%s", got, want)
+			}
+		})
 	}
 }

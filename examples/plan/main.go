@@ -63,6 +63,7 @@ func main() {
 			Replicas: c.Replicas,
 			QueueCap: queueCap,
 			Profiles: eng,
+			Stop:     c.Stop,
 		}, seqpoint.VegaFE())
 		if err != nil {
 			return seqpoint.FleetSummary{}, err

@@ -81,6 +81,7 @@ func goldenPlanProbe(t testing.TB, eng *seqpoint.Engine) seqpoint.PlanProbeFunc 
 			Replicas: c.Replicas,
 			QueueCap: goldenPlanQueueCap,
 			Profiles: eng,
+			Stop:     c.Stop,
 		}, seqpoint.VegaFE())
 		if err != nil {
 			return seqpoint.FleetSummary{}, err

@@ -117,6 +117,7 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 			QueueCap: pc.QueueCap,
 			Profiles: eng,
 			KV:       kv,
+			Stop:     c.Stop,
 		}, cfg)
 		if err != nil {
 			return zero, fmt.Errorf("experiments: plan probe %s ×%d %s: %w", w.Name, c.Replicas, c.Routing, err)

@@ -141,3 +141,49 @@ func TestPlanSweepMonotonicity(t *testing.T) {
 		t.Errorf("CSV has %d lines, want %d", got, len(res.Rows)+1)
 	}
 }
+
+// BenchmarkPlanCapacity is the planner layer at the shape of a
+// capacity plan: GNMT at batch 16 over 1,500 requests, offered 3.5× one
+// replica's measured capacity, planned for a p99 of four full-batch
+// service times with at most 1% drops, over two routings and up to 16
+// replicas, through PlanProbe on a warm engine. probes/op counts the
+// fleet simulations one plan costs; ns/op is their price, and it drops
+// when verdict-only probes stop at a certain miss.
+func BenchmarkPlanCapacity(b *testing.B) {
+	lab := NewLabWith(engine.New())
+	w := sweepWorkload()
+	w.Batch = 16
+	cfg := gpusim.VegaFE()
+	run, capacity, err := calibratedRunner(lab, w, cfg, 1500)
+	if err != nil {
+		b.Fatal(err)
+	}
+	probe, err := PlanProbe(run.eng, w, cfg, PlanProbeConfig{Requests: 1500, Policy: run.policy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	drop := 1.0
+	spec := planner.Spec{
+		SLO:         planner.SLO{LatencyP99US: 4 * float64(w.Batch) / capacity * 1e6, MaxDropRatePct: &drop},
+		RatePerSec:  3.5 * capacity,
+		MaxReplicas: 16,
+		Routings:    []string{serving.RoutingRoundRobin, serving.RoutingPowerOfTwo},
+		Probe:       probe,
+	}
+	// One plan warms the profile cache, so iterations measure the search
+	// and its simulations, not first-touch profiling.
+	if _, err := planner.Solve(spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	probes := 0
+	for i := 0; i < b.N; i++ {
+		plan, err := planner.Solve(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes += plan.Evaluations
+	}
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+}

@@ -17,10 +17,17 @@
 // policy, KV capacity) combination in O(log MaxReplicas) probes
 // instead of MaxReplicas.
 //
-// Determinism: Solve is a pure function of its Spec. Given a
-// deterministic probe (the fleet simulator is, at any profiling
-// parallelism), the same spec yields a byte-identical Plan — pinned by
-// the committed golden in testdata/golden_plan.json.
+// Most probes are read only for their verdict — the knee probes, the
+// bisection mid-points, and each ceiling probe once some combination is
+// feasible — so Solve hands those candidates the SLO's latency and drop
+// caps as a serving.StopRule, and a probe that passes it to the fleet
+// simulator ends the run once the SLO is certainly missed.
+//
+// Determinism: Solve is a pure function of its Spec. Given a pure
+// probe (the fleet simulator is, at any profiling parallelism), the
+// same spec yields a byte-identical Plan, whether or not the probe
+// stops verdict-only runs early — pinned by the committed golden in
+// testdata/golden_plan.json.
 package planner
 
 import (
@@ -227,12 +234,22 @@ type Candidate struct {
 	// KVCapacityGB optionally overrides the probe's per-replica KV
 	// capacity (decimal gigabytes); zero keeps the base.
 	KVCapacityGB float64 `json:"kv_capacity_gb,omitempty"`
+	// Stop marks a verdict-only call: Solve will read only whether the
+	// summary meets the SLO, so the probe may pass the rule on as
+	// serving.FleetSpec.Stop and let the run end once it certainly
+	// misses the SLO's latency or drop cap. nil asks for the full run.
+	// A probe that ignores it stays correct, only slower.
+	Stop *serving.StopRule `json:"-"`
 }
 
 // Probe prices one candidate fleet at one offered Poisson rate. It
-// must be deterministic — the planner's output is only as reproducible
-// as its probe — and is called sequentially, so it may keep
-// unsynchronized caches.
+// must be a pure function of its candidate and rate: the same call
+// returns the same summary whatever was probed before it, so the
+// planner's output is as reproducible as its probe, and the chosen
+// plan's summary is the one a direct simulation of that fleet reports.
+// It is called sequentially, so it may keep unsynchronized caches of
+// immutable inputs (traces, policies), but not of stateful ones such
+// as a router.
 type Probe func(c Candidate, ratePerSec float64) (serving.FleetSummary, error)
 
 // Spec is one planning problem.
@@ -404,6 +421,20 @@ type evaluation struct {
 type solver struct {
 	spec  Spec
 	evals int
+	// stop is the rule verdict-only probes carry; nil when the SLO caps
+	// neither latency nor drops.
+	stop *serving.StopRule
+}
+
+// stopRule is the SLO's latency and drop caps as a fleet stop rule, or
+// nil when it sets neither: only those caps can be certainly missed
+// before a run ends. The other targets never stop a run, and since a
+// run that misses one cap misses the SLO, they never prevent a stop.
+func (s SLO) stopRule() *serving.StopRule {
+	if s.LatencyP99US == 0 && s.MaxDropRatePct == nil {
+		return nil
+	}
+	return &serving.StopRule{P99LatencyUS: s.LatencyP99US, MaxDropRatePct: s.MaxDropRatePct}
 }
 
 // probe prices one candidate and checks it against the SLO.
@@ -417,6 +448,9 @@ func (sv *solver) probe(c Candidate, rate float64) (evaluation, error) {
 		return evaluation{}, fmt.Errorf("%s target needs the KV capacity model, but the probe simulates without one", DimTTFTP99)
 	}
 	dims, ok := sv.spec.SLO.Check(sum)
+	if ok && sum.Stopped {
+		return evaluation{}, fmt.Errorf("probing %d×%s at %.6g rps: a run its stop rule ended early meets the SLO", c.Replicas, c.Routing, rate)
+	}
 	return evaluation{sum: sum, dims: dims, ok: ok}, nil
 }
 
@@ -431,7 +465,7 @@ func Solve(spec Spec) (Plan, error) {
 	if err := spec.validate(); err != nil {
 		return Plan{}, fmt.Errorf("planner: %w", err)
 	}
-	sv := &solver{spec: spec}
+	sv := &solver{spec: spec, stop: spec.SLO.stopRule()}
 
 	type winner struct {
 		cand Candidate
@@ -457,8 +491,14 @@ func Solve(spec Spec) (Plan, error) {
 					continue
 				}
 				// Feasibility is monotone in replicas: check the ceiling
-				// once, then binary-search the boundary.
+				// once, then binary-search the boundary. Until some
+				// combination is feasible, a failing ceiling's summary may
+				// be the closest one the infeasibility error names, so
+				// only then does the ceiling run to the end.
 				cand.Replicas = hi
+				if best != nil {
+					cand.Stop = sv.stop
+				}
 				top, err := sv.probe(cand, spec.RatePerSec)
 				if err != nil {
 					return Plan{}, fmt.Errorf("planner: %w", err)
@@ -469,6 +509,9 @@ func Solve(spec Spec) (Plan, error) {
 					}
 					continue
 				}
+				// Every mid-point is read for its verdict alone: a feasible
+				// one ran to the end, since a stopped run is infeasible.
+				cand.Stop = sv.stop
 				lo, hiR := 1, hi
 				found := map[int]evaluation{hi: top}
 				for lo < hiR {
@@ -550,8 +593,10 @@ func (sv *solver) saturation(cand Candidate, chosen evaluation) (Saturation, err
 	// Knee: bisect the load factor in [1, KneeFactorMax] for the
 	// highest rate the chosen fleet still meets the SLO at. The factor
 	// range is fixed and the iteration count is, too, so the probed
-	// rates — and therefore the result — are deterministic.
+	// rates — and therefore the result — are deterministic. Each knee
+	// probe is read for its verdict alone.
 	spec := sv.spec
+	cand.Stop = sv.stop
 	top, err := sv.probe(cand, spec.RatePerSec*spec.KneeFactorMax)
 	if err != nil {
 		return Saturation{}, err

@@ -396,3 +396,92 @@ func TestProbeErrorPropagates(t *testing.T) {
 		t.Error("a probe failure is not an infeasibility")
 	}
 }
+
+// TestSolveMarksVerdictOnlyProbes pins which probes may stop early:
+// every knee probe, every bisection mid-point, and a ceiling probe only
+// once some combination is feasible — before that, a failing ceiling's
+// summary may be the closest one the infeasibility error names. The
+// rule carries the SLO's latency and drop caps, and an SLO with neither
+// stops nothing.
+func TestSolveMarksVerdictOnlyProbes(t *testing.T) {
+	noDrops := 0.0
+	type call struct {
+		c    planner.Candidate
+		rate float64
+	}
+	solve := func(slo planner.SLO) []call {
+		var calls []call
+		_, err := planner.Solve(planner.Spec{
+			SLO:         slo,
+			RatePerSec:  300,
+			MaxReplicas: 8,
+			// fakeProbe's "fixed" is ten times slower, so both fixed
+			// combinations fail at the ceiling before "" finds a plan.
+			Policies: []string{"fixed", ""},
+			Routings: []string{serving.RoutingRoundRobin, serving.RoutingJSQ},
+			Probe: func(c planner.Candidate, rate float64) (serving.FleetSummary, error) {
+				calls = append(calls, call{c, rate})
+				return fakeProbe(c, rate)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return calls
+	}
+
+	calls := solve(planner.SLO{LatencyP99US: 2500, MaxDropRatePct: &noDrops, MinThroughputRPS: 100})
+	searched := make(map[[2]string]bool)
+	var ceilings, stopped int
+	for i, cl := range calls {
+		// A combination's first probe at the planned rate is its
+		// ceiling. The first three (fixed/rr, fixed/jsq, then ""/rr,
+		// which finds the first plan) come before any plan exists.
+		combo := [2]string{cl.c.Policy, cl.c.Routing}
+		ceiling := cl.rate == 300 && !searched[combo]
+		searched[combo] = true
+		fullRun := ceiling && ceilings < 3
+		if ceiling {
+			ceilings++
+		}
+		switch {
+		case fullRun && cl.c.Stop != nil:
+			t.Errorf("call %d (%d×%s %q at %v rps) is a ceiling before any plan, but carries a stop rule", i, cl.c.Replicas, cl.c.Routing, cl.c.Policy, cl.rate)
+		case !fullRun && cl.c.Stop == nil:
+			t.Errorf("call %d (%d×%s %q at %v rps) is read for its verdict alone, but carries no stop rule", i, cl.c.Replicas, cl.c.Routing, cl.c.Policy, cl.rate)
+		case cl.c.Stop != nil:
+			stopped++
+			if cl.c.Stop.P99LatencyUS != 2500 || cl.c.Stop.MaxDropRatePct == nil || *cl.c.Stop.MaxDropRatePct != 0 {
+				t.Errorf("call %d stop rule %+v, want the SLO's 2500 µs and 0%% caps", i, *cl.c.Stop)
+			}
+		}
+	}
+	if ceilings != 4 || stopped == 0 {
+		t.Fatalf("saw %d ceiling probes and %d verdict-only ones in %d calls; the search shape changed", ceilings, stopped, len(calls))
+	}
+
+	for i, cl := range solve(planner.SLO{MinThroughputRPS: 100}) {
+		if cl.c.Stop != nil {
+			t.Errorf("call %d carries a stop rule, but the SLO caps neither latency nor drops", i)
+		}
+	}
+}
+
+// TestSolveRefusesStoppedPlan: a stopped run must miss the SLO, so a
+// probe returning a stopped summary that meets it is a broken probe, not
+// a plan.
+func TestSolveRefusesStoppedPlan(t *testing.T) {
+	_, err := planner.Solve(planner.Spec{
+		SLO:        planner.SLO{LatencyP99US: 2500},
+		RatePerSec: 300,
+		Routings:   []string{serving.RoutingRoundRobin},
+		Probe: func(c planner.Candidate, rate float64) (serving.FleetSummary, error) {
+			sum, err := fakeProbe(c, rate)
+			sum.Stopped = c.Stop != nil
+			return sum, err
+		},
+	})
+	if err == nil || errors.Is(err, planner.ErrInfeasible) || !strings.Contains(err.Error(), "stop rule") {
+		t.Fatalf("err = %v, want a refusal naming the stop rule", err)
+	}
+}

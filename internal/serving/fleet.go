@@ -7,6 +7,7 @@ import (
 
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
+	"seqpoint/internal/stats"
 	"seqpoint/internal/trainer"
 )
 
@@ -96,6 +97,39 @@ type FleetSpec struct {
 	// Profiles overrides the profile source; nil uses the process
 	// default (the shared engine when internal/engine is linked).
 	Profiles trainer.ProfileSource
+	// Stop ends the run at the first event instant after which its
+	// summary is certain to miss one of the rule's caps, for callers
+	// that read only that verdict; the result is then marked Stopped.
+	// nil runs the whole trace, as does a run that meets the caps.
+	// Disaggregated fleets refuse a rule.
+	Stop *StopRule
+}
+
+// StopRule is a latency and drop-rate envelope a fleet run may stop at
+// once it certainly misses it. Of a trace of n requests, the run stops
+// when more than n - stats.NearestRank(n, 99) served requests took
+// longer than P99LatencyUS, or when rejected/n*100 exceeds
+// MaxDropRatePct. The summary of what the run resolved by then, and of
+// the whole run, both fail the same cap: a smaller sample absorbs no
+// more late requests above its p99 (n - NearestRank(n, 99) is
+// floor(n/100), which never decreases), and a drop rate over fewer
+// requests is no lower. A run that meets the envelope never stops.
+type StopRule struct {
+	// P99LatencyUS caps the p99 end-to-end latency; 0 sets no cap.
+	P99LatencyUS float64
+	// MaxDropRatePct caps the drop rate in percent; nil sets no cap.
+	MaxDropRatePct *float64
+}
+
+// validate rejects a cap no summary could be compared with.
+func (r StopRule) validate() error {
+	if v := r.P99LatencyUS; v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("serving: stop rule p99 latency cap must be a finite non-negative duration, got %v", v)
+	}
+	if d := r.MaxDropRatePct; d != nil && (*d < 0 || *d > 100 || math.IsNaN(*d)) {
+		return fmt.Errorf("serving: stop rule drop cap must be in [0, 100], got %v", *d)
+	}
+	return nil
 }
 
 // allocated is the number of replica slots the simulation provisions:
@@ -136,6 +170,11 @@ func (s FleetSpec) Validate() error {
 				s.Replicas, s.Autoscale.Min, s.Autoscale.Max)
 		}
 	}
+	if s.Stop != nil {
+		if err := s.Stop.validate(); err != nil {
+			return err
+		}
+	}
 	if s.KV != nil {
 		if err := s.KV.Validate(); err != nil {
 			return err
@@ -152,6 +191,8 @@ func (s FleetSpec) Validate() error {
 			return fmt.Errorf("serving: a disaggregated fleet needs the KV model — the prefill/decode split is what the pools disaggregate")
 		case s.Autoscale != nil:
 			return fmt.Errorf("serving: disaggregated fleets do not autoscale")
+		case s.Stop != nil:
+			return fmt.Errorf("serving: disaggregated fleets do not stop early")
 		case s.Replicas != s.Disagg.PrefillReplicas+s.Disagg.DecodeReplicas:
 			return fmt.Errorf("serving: %d replicas but disagg pools sum to %d (prefill %d + decode %d)",
 				s.Replicas, s.Disagg.PrefillReplicas+s.Disagg.DecodeReplicas,
@@ -240,6 +281,11 @@ type FleetResult struct {
 	// Disagg labels a disaggregated run's topology
 	// ("prefill=P,decode=D"); empty on aggregated fleets.
 	Disagg string
+	// Stopped reports that FleetSpec.Stop ended the run early. Requests
+	// and Rejections then hold only what was resolved by the stop, the
+	// batch counts only completed batches, and the busy time every
+	// launched one.
+	Stopped bool
 }
 
 // fleetReplica is one replica's mutable event-loop state.
@@ -347,6 +393,9 @@ func runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		served:      make([]RequestMetric, len(spec.Trace.Requests)),
 		lastScaleAt: math.Inf(-1),
 	}
+	if spec.Stop != nil {
+		f.stop = newStopCheck(*spec.Stop, len(spec.Trace.Requests))
+	}
 	if err := f.run(); err != nil {
 		return nil, err
 	}
@@ -381,11 +430,48 @@ type fleetRun struct {
 
 	served      []RequestMetric
 	lastScaleAt float64
+
+	// stop is the spec's stop rule compiled for this trace; nil without
+	// one.
+	stop *stopCheck
+}
+
+// stopCheck is a StopRule compiled for an n-request trace: a cap the
+// rule leaves unset is +Inf, which nothing exceeds.
+type stopCheck struct {
+	lateUS    float64 // latency cap
+	lateLimit int     // late completions the trace's p99 can absorb
+	late      int     // served requests slower than lateUS so far
+	dropPct   float64 // drop-rate cap
+	n         float64 // trace length
+}
+
+func newStopCheck(rule StopRule, n int) *stopCheck {
+	c := &stopCheck{lateUS: math.Inf(1), dropPct: math.Inf(1), n: float64(n)}
+	if rule.P99LatencyUS > 0 {
+		c.lateUS = rule.P99LatencyUS
+		c.lateLimit = n - stats.NearestRank(n, 99)
+	}
+	if rule.MaxDropRatePct != nil {
+		c.dropPct = *rule.MaxDropRatePct
+	}
+	return c
+}
+
+// missed reports whether the run is certain to miss a cap, given its
+// rejections so far. The drop rate is the summary's formula over the
+// whole trace.
+func (c *stopCheck) missed(rejected int) bool {
+	return c.late > c.lateLimit || float64(rejected)/c.n*100 > c.dropPct
 }
 
 func (f *fleetRun) run() error {
 	trace := f.spec.Trace.Requests
 	for f.done < len(trace) {
+		if f.stop != nil && f.stop.missed(len(f.res.Rejections)) {
+			f.res.Stopped = true
+			break
+		}
 		if err := f.dispatchDirty(); err != nil {
 			return err
 		}
@@ -634,6 +720,13 @@ func (f *fleetRun) completeReplica(r *fleetReplica) {
 		waves = r.launchWaves
 		r.kvInflight = 0
 	}
+	if f.stop != nil {
+		for _, q := range r.inflight {
+			if f.served[q.ID].LatencyUS() > f.stop.lateUS {
+				f.stop.late++
+			}
+		}
+	}
 	n := len(r.inflight)
 	r.served += n
 	r.batches += waves
@@ -829,14 +922,30 @@ func (f *fleetRun) autoscale() {
 // result. Served metrics sit at their trace IDs, so the buffer is
 // compacted in place by skipping the rejected IDs (Rejections is in
 // trace order), and the result borrows it instead of copying a second
-// multi-million-entry slice. A run without rejections needs no pass.
+// multi-million-entry slice. A run without rejections needs no pass. A
+// stopped run also skips the requests it left queued or in flight,
+// marked by a negative ID, and those it never routed.
 func (f *fleetRun) finalize() {
 	served := f.served
-	if rej := f.res.Rejections; len(rej) > 0 {
+	if f.res.Stopped {
+		for _, r := range f.replicas {
+			for _, q := range r.queue.reqs() {
+				served[q.ID].ID = -1
+			}
+			for _, q := range r.inflight {
+				served[q.ID].ID = -1
+			}
+		}
+		served = served[:f.next]
+	}
+	if rej := f.res.Rejections; len(rej) > 0 || f.res.Stopped {
 		k := 0
 		for id := range served {
 			if len(rej) > 0 && rej[0].ID == id {
 				rej = rej[1:]
+				continue
+			}
+			if served[id].ID < 0 {
 				continue
 			}
 			served[k] = served[id]

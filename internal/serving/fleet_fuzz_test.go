@@ -33,7 +33,11 @@ import (
 //     byte outside the per-tenant block;
 //   - generalization: a 1-replica round-robin unbounded fleet matches
 //     the single-queue reference loop request by request, KV model
-//     included.
+//     included;
+//   - early stop: under stop rules whose caps sit at, just below and
+//     well below the full run's own p99 and drop rate, a run misses a
+//     cap exactly when the full run does. A stopped run is a prefix of
+//     the full run; one that did not stop is the full run.
 func FuzzFleetInvariants(f *testing.F) {
 	f.Add(int64(1), 200.0, uint8(40), uint8(1), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0))
 	f.Add(int64(7), 900.0, uint8(120), uint8(3), uint8(4), uint8(1), uint8(1), false, uint8(0), uint8(3))
@@ -290,6 +294,22 @@ func FuzzFleetInvariants(f *testing.F) {
 			}
 		}
 
+		// Early stop: each rule's verdict is the full run's.
+		for _, rule := range stopRules(sum) {
+			srouter, err := ParseRouting(routerNames[int(routing)%len(routerNames)], seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sspec := spec
+			sspec.Router = srouter
+			sspec.Stop = &rule
+			sres, err := SimulateFleet(sspec, gpusim.VegaFE())
+			if err != nil {
+				t.Fatalf("SimulateFleet with %+v: %v", rule, err)
+			}
+			checkStoppedRun(t, rule, res, sres)
+		}
+
 		// Generalization: the 1-replica unbounded round-robin fleet is
 		// the single-queue simulator, as the standalone reference loop
 		// implements it.
@@ -303,6 +323,87 @@ func FuzzFleetInvariants(f *testing.F) {
 			sameRun(t, single, res)
 		}
 	})
+}
+
+// stopRules draws stop rules from a full run's own summary: caps at
+// its p99 and drop rate (met), one step below them (missed by the
+// fewest requests possible), and well below them (missed early), alone
+// and together. A run that served nothing gets no latency cap, since 0
+// sets none.
+func stopRules(full FleetSummary) []StopRule {
+	var rules []StopRule
+	drops := []float64{full.DropRatePct, math.Nextafter(full.DropRatePct, -1), full.DropRatePct / 2}
+	for i := range drops {
+		if drops[i] >= 0 {
+			rules = append(rules, StopRule{MaxDropRatePct: &drops[i]})
+		}
+	}
+	if full.Served == 0 {
+		return rules
+	}
+	for _, p99 := range []float64{full.P99LatencyUS, math.Nextafter(full.P99LatencyUS, 0), full.P50LatencyUS / 2} {
+		if p99 > 0 {
+			rules = append(rules, StopRule{P99LatencyUS: p99})
+			rules = append(rules, StopRule{P99LatencyUS: p99, MaxDropRatePct: &drops[0]})
+		}
+	}
+	return rules
+}
+
+// meetsStopRule reports whether a summary meets the rule's caps, as the
+// planner checks them: a latency cap needs something served.
+func meetsStopRule(s FleetSummary, rule StopRule) bool {
+	if rule.P99LatencyUS > 0 && (s.Served == 0 || s.P99LatencyUS > rule.P99LatencyUS) {
+		return false
+	}
+	return rule.MaxDropRatePct == nil || s.DropRatePct <= *rule.MaxDropRatePct
+}
+
+// checkStoppedRun holds a run under a stop rule to the full run: it
+// misses the rule exactly when the full run does; if it stopped, each
+// request it resolved was resolved the same way in the full run, and it
+// resolved fewer; if not, it is the full run, summary bytes included.
+func checkStoppedRun(t *testing.T, rule StopRule, full, stopped *FleetResult) {
+	t.Helper()
+	fullSum, stoppedSum := full.Summary(), stopped.Summary()
+	if got, want := meetsStopRule(stoppedSum, rule), meetsStopRule(fullSum, rule); got != want {
+		t.Fatalf("rule %+v: run with the rule meets it = %v (stopped %v), full run = %v",
+			rule, got, stopped.Stopped, want)
+	}
+	if stoppedSum.Stopped != stopped.Stopped {
+		t.Fatalf("summary Stopped = %v, result Stopped = %v", stoppedSum.Stopped, stopped.Stopped)
+	}
+	if !stopped.Stopped {
+		sameRun(t, (*Result)(full), stopped)
+		got, _ := stoppedSum.Serialize()
+		want, _ := fullSum.Serialize()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("rule %+v did not stop the run but changed its summary:\n%s\nvs\n%s", rule, got, want)
+		}
+		return
+	}
+	if len(stopped.Requests)+len(stopped.Rejections) >= len(full.Requests)+len(full.Rejections) {
+		t.Fatalf("rule %+v: stopped run resolved %d+%d requests, the full run %d+%d", rule,
+			len(stopped.Requests), len(stopped.Rejections), len(full.Requests), len(full.Rejections))
+	}
+	servedAt := make(map[int]RequestMetric, len(full.Requests))
+	for _, m := range full.Requests {
+		servedAt[m.ID] = m
+	}
+	for _, m := range stopped.Requests {
+		if servedAt[m.ID] != m {
+			t.Fatalf("rule %+v: stopped run served request %d as %+v, the full run as %+v", rule, m.ID, m, servedAt[m.ID])
+		}
+	}
+	rejected := make(map[Rejection]bool, len(full.Rejections))
+	for _, r := range full.Rejections {
+		rejected[r] = true
+	}
+	for _, r := range stopped.Rejections {
+		if !rejected[r] {
+			t.Fatalf("rule %+v: stopped run rejected %+v, the full run did not", rule, r)
+		}
+	}
 }
 
 // fuzzLengths derives a small deterministic SL pool from the fuzz seed

@@ -161,6 +161,12 @@ func TestFleetSpecValidation(t *testing.T) {
 			s.Replicas = 8
 			s.Autoscale = &AutoscaleConfig{Min: 1, Max: 4, UpDepth: 4}
 		},
+		"negative stop latency": func(s *FleetSpec) { s.Stop = &StopRule{P99LatencyUS: -1} },
+		"NaN stop latency":      func(s *FleetSpec) { s.Stop = &StopRule{P99LatencyUS: math.NaN()} },
+		"stop drop above 100": func(s *FleetSpec) {
+			d := 101.0
+			s.Stop = &StopRule{MaxDropRatePct: &d}
+		},
 	} {
 		spec := base
 		mutate(&spec)
@@ -206,6 +212,65 @@ func TestFleetAdmissionControl(t *testing.T) {
 	}
 	if sum.DropRatePct != 25 {
 		t.Errorf("drop rate %v%%, want 25%%", sum.DropRatePct)
+	}
+}
+
+// TestStopRuleTimeline pins the early stop by hand on one fixed(1)
+// replica serving SL 10 (1000 µs per batch under the stub pricer) to
+// 200 requests arriving at once, so request i finishes at (i+1)×1000
+// µs. Of 200 requests the p99 absorbs 200 - NearestRank(200, 99) = 2
+// late ones: under a 2500 µs cap requests 0 and 1 are on time, 2 and 3
+// are the absorbed late ones, and request 4's completion at 5000 µs
+// settles the verdict. A capped queue of 150 rejects 50 arrivals, a
+// 25% drop rate. The rule is checked between event instants, so a 20%
+// drop cap stops the run once the instant that routes every arrival is
+// done, with nothing served; under a 25% cap it runs to the end.
+func TestStopRuleTimeline(t *testing.T) {
+	fixed, _ := NewFixedBatch(1)
+	arrivals := make([]float64, 200)
+	sls := make([]int, 200)
+	for i := range sls {
+		sls[i] = 10
+	}
+	spec := FleetSpec{
+		Model: models.NewGNMT(), Trace: replay(t, arrivals, sls), Policy: fixed,
+		Router: NewRoundRobin(), Replicas: 1,
+	}
+	full := fleetSim(t, spec)
+
+	late := spec
+	late.Stop = &StopRule{P99LatencyUS: 2500}
+	res := fleetSim(t, late)
+	if !res.Stopped || len(res.Requests) != 5 || len(res.Rejections) != 0 {
+		t.Fatalf("latency stop: stopped %v after %d served, %d rejected; want a stop after 5 served",
+			res.Stopped, len(res.Requests), len(res.Rejections))
+	}
+	for i, m := range res.Requests {
+		if m != full.Requests[i] {
+			t.Errorf("request %d served as %+v, the full run as %+v", i, m, full.Requests[i])
+		}
+	}
+	if sum := res.Summary(); !sum.Stopped || sum.P99LatencyUS != 5000 {
+		t.Errorf("stopped summary: Stopped %v, p99 %v µs; want a marked summary with p99 5000 µs", sum.Stopped, sum.P99LatencyUS)
+	}
+
+	spec.QueueCap = 150
+	full = fleetSim(t, spec)
+	if len(full.Rejections) != 50 {
+		t.Fatalf("capped queue rejected %d, want 50", len(full.Rejections))
+	}
+	for _, tc := range []struct {
+		capPct  float64
+		stopped bool
+		served  int
+	}{{20, true, 0}, {25, false, 150}} {
+		drops := spec
+		drops.Stop = &StopRule{MaxDropRatePct: &tc.capPct}
+		res := fleetSim(t, drops)
+		if res.Stopped != tc.stopped || len(res.Requests) != tc.served || len(res.Rejections) != 50 {
+			t.Errorf("drop cap %v%%: stopped %v with %d served and %d rejected, want %v with %d served and 50 rejected",
+				tc.capPct, res.Stopped, len(res.Requests), len(res.Rejections), tc.stopped, tc.served)
+		}
 	}
 }
 

@@ -59,6 +59,11 @@ type FleetSummary struct {
 	PerTenant []TenantStats `json:"per_tenant,omitempty"`
 
 	PerReplica []ReplicaStats `json:"per_replica"`
+
+	// Stopped marks the digest of a run its stop rule ended early: it
+	// covers only the requests resolved by then and misses a cap of the
+	// rule. It is not serialized.
+	Stopped bool `json:"-"`
 }
 
 // Throughput returns served requests per second over the makespan.
@@ -93,6 +98,7 @@ func (r *FleetResult) Summary() FleetSummary {
 		ScaleDowns:     r.ScaleDowns,
 		PeakReplicas:   r.PeakReplicas,
 		PerReplica:     append([]ReplicaStats(nil), r.ReplicaStats...),
+		Stopped:        r.Stopped,
 	}
 	if s.Requests > 0 {
 		s.DropRatePct = float64(s.Rejected) / float64(s.Requests) * 100

@@ -245,6 +245,11 @@ func TestDisaggValidation(t *testing.T) {
 	if _, err := SimulateFleet(scaled, gpusim.VegaFE()); err == nil {
 		t.Error("disagg with autoscale should fail validation")
 	}
+	stopped := base
+	stopped.Stop = &StopRule{P99LatencyUS: 1000}
+	if _, err := SimulateFleet(stopped, gpusim.VegaFE()); err == nil {
+		t.Error("disagg with a stop rule should fail validation")
+	}
 	if err := (DisaggConfig{PrefillReplicas: 0, DecodeReplicas: 2}).Validate(); err == nil {
 		t.Error("empty prefill pool should fail validation")
 	}

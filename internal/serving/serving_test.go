@@ -449,6 +449,8 @@ func TestSingleQueueProjectionIsTotal(t *testing.T) {
 			f.SetFloat(float64(i) + 0.5)
 		case reflect.Slice:
 			f.Set(reflect.MakeSlice(f.Type(), i+1, i+1))
+		case reflect.Bool:
+			f.SetBool(true)
 		default:
 			t.Fatalf("FleetSummary.%s: no test value for kind %v", fv.Type().Field(i).Name, f.Kind())
 		}

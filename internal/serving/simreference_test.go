@@ -12,13 +12,15 @@ import (
 )
 
 // sameRun fails the test unless the fleet run reproduces the reference
-// loop's run: every request's timeline, then the batch count, busy
-// time, makespan and KV roll-up. That is stricter than comparing
-// summaries, which digest the timelines.
+// run: its rejections (the reference loop never rejects), every
+// request's timeline, then the batch count, busy time, makespan and KV
+// roll-up. That is stricter than comparing summaries, which digest the
+// timelines.
 func sameRun(t *testing.T, ref *Result, fleet *FleetResult) {
 	t.Helper()
-	if len(fleet.Rejections) > 0 {
-		t.Fatalf("1-replica unbounded fleet rejected %d requests", len(fleet.Rejections))
+	if !reflect.DeepEqual(fleet.Rejections, ref.Rejections) {
+		t.Fatalf("fleet rejected %d requests, reference %d:\nfleet:     %+v\nreference: %+v",
+			len(fleet.Rejections), len(ref.Rejections), fleet.Rejections, ref.Rejections)
 	}
 	if len(fleet.Requests) != len(ref.Requests) {
 		t.Fatalf("fleet served %d requests, reference %d", len(fleet.Requests), len(ref.Requests))

@@ -16,7 +16,7 @@ var fuzzPs = []float64{0, 25, 50, 95, 99, 100}
 // percentile of fuzzPs must equal the nearest-rank sample of a
 // sort.Float64s copy of the input, and xs must come back a permutation
 // of the input. The reference ranks are integer arithmetic here, not
-// nearestRank, and the sort is the test's own, since Percentiles itself
+// NearestRank, and the sort is the test's own, since Percentiles itself
 // selects through PercentilesInPlace.
 func FuzzPercentilesInPlace(f *testing.F) {
 	ramp := make([]float64, 100)

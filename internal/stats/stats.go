@@ -133,7 +133,7 @@ func PercentilesInPlace(xs []float64, ps ...float64) ([]float64, error) {
 		if p < 0 || p > 100 || math.IsNaN(p) {
 			return nil, fmt.Errorf("stats: percentile %v outside [0, 100]", p)
 		}
-		ranks = append(ranks, nearestRank(len(xs), p)-1)
+		ranks = append(ranks, NearestRank(len(xs), p)-1)
 	}
 	// Place the ranks in ascending order. Selecting k leaves xs[:k] <=
 	// xs[k] <= xs[k+1:], so each later rank is selected in xs[lo:] alone
@@ -228,12 +228,15 @@ func partition(xs []float64, lo, hi int) int {
 	return i
 }
 
-// nearestRank maps a percentile onto a 1-based rank in a sorted
-// n-sample list. p*n is computed before dividing (p*n/100 is exact
-// whenever p*n is, unlike p/100 which already rounds — e.g. 55/100),
-// and representation noise is shaved before the ceil so a rank that is
-// an integer up to float error stays that integer.
-func nearestRank(n int, p float64) int {
+// NearestRank maps a percentile onto the 1-based rank the percentile
+// functions read in a sorted n-sample list (n >= 1), so a caller can
+// reason about a percentile before the samples exist: the p99 exceeds
+// a cap exactly when more than n - NearestRank(n, 99) samples do. p*n
+// is computed before dividing (p*n/100 is exact whenever p*n is,
+// unlike p/100 which already rounds — e.g. 55/100), and representation
+// noise is shaved before the ceil so a rank that is an integer up to
+// float error stays that integer.
+func NearestRank(n int, p float64) int {
 	rank := int(math.Ceil(p*float64(n)/100 - 1e-9))
 	if rank < 1 {
 		rank = 1

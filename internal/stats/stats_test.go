@@ -104,6 +104,19 @@ func TestPercentilesAgreesWithPercentile(t *testing.T) {
 	}
 }
 
+// TestNearestRankP99Tail proves the property serving's early stop
+// rests on: the samples above a p99, n - NearestRank(n, 99), number
+// floor(n/100), so they never decrease as n grows, and a smaller sample
+// absorbs no more late requests than the whole trace. Checked for every
+// n up to 2^22, far past any trace the daemon accepts.
+func TestNearestRankP99Tail(t *testing.T) {
+	for n := 1; n <= 1<<22; n++ {
+		if tail := n - NearestRank(n, 99); tail != n/100 {
+			t.Fatalf("n - NearestRank(n, 99) = %d at n = %d, want %d", tail, n, n/100)
+		}
+	}
+}
+
 // TestPercentilesInPlace pins the allocation-free variant's contract:
 // same answers as the copying form, xs left a permutation of its input
 // (the ranks are selected, so no order is promised), and the same

@@ -18,10 +18,12 @@ type (
 	// bounds and the probe.
 	PlanSpec = planner.Spec
 	// PlanCandidate is one searched fleet shape (replicas, routing,
-	// optional policy/KV overrides).
+	// optional policy/KV overrides), plus the stop rule of a
+	// verdict-only probe, which a probe may pass on as FleetSpec.Stop.
 	PlanCandidate = planner.Candidate
 	// PlanProbeFunc prices one candidate at one offered rate; it must
-	// be deterministic.
+	// be a pure function of the two, so it builds any stateful piece,
+	// such as the router, per call.
 	PlanProbeFunc = planner.Probe
 	// CapacityPlan is the planner's answer: the minimal candidate, its
 	// SLO evidence and its saturation analysis.

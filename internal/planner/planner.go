@@ -493,8 +493,8 @@ func Solve(spec Spec) (Plan, error) {
 				// Feasibility is monotone in replicas: check the ceiling
 				// once, then binary-search the boundary. Until some
 				// combination is feasible, a failing ceiling's summary may
-				// be the closest one the infeasibility error names, so
-				// only then does the ceiling run to the end.
+				// be the closest one the infeasibility error names, so it
+				// runs to the end; after that it is read for its verdict.
 				cand.Replicas = hi
 				if best != nil {
 					cand.Stop = sv.stop

@@ -46,14 +46,18 @@ type PlanProbeConfig struct {
 
 // PlanProbe builds a planner probe for w served on cfg: one call
 // simulates one candidate fleet against a Poisson trace at the asked
-// rate (regenerated — and cached — per distinct rate, all from
-// w.Seed), under the candidate's routing, batching-policy and
-// KV-capacity overrides. Each call is a pure function of its candidate
-// and rate: it caches only immutable traces and policies, and builds a
-// fresh router per call, so po2's RNG and rr's cursor start over and a
-// probe's answer is what /v1/fleet reports for the same fleet. The
-// caches are unsynchronized, matching planner.Probe's sequential
-// contract.
+// rate, under the candidate's routing, batching-policy and KV-capacity
+// overrides. The probe prepares once per plan: it draws the seed's
+// Poisson gaps and SLs once and builds each rate's trace from them
+// (cached per distinct rate), caches parsed policies, and prices every
+// candidate through one serving.Runner, which keeps its run arrays and
+// its price table from probe to probe. Each call is still a pure
+// function of its candidate and rate: the runner's state changes no
+// summary byte, and a fresh router per call starts po2's RNG and rr's
+// cursor over, so a probe's answer is what /v1/fleet reports for the
+// same fleet. The state belongs to the one probe, so plans share
+// nothing, and it is unsynchronized, matching planner.Probe's
+// sequential contract.
 func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc PlanProbeConfig) (planner.Probe, error) {
 	if pc.Requests <= 0 {
 		pc.Requests = DefaultServeRequests
@@ -69,6 +73,10 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 	if timeoutUS == 0 {
 		timeoutUS = 50_000
 	}
+	var (
+		runner serving.Runner
+		draws  *workload.PoissonDraws
+	)
 	traces := make(map[float64]serving.Trace)
 	policies := map[string]serving.Policy{"": base}
 	return func(c planner.Candidate, ratePerSec float64) (serving.FleetSummary, error) {
@@ -79,7 +87,12 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 			if pc.Trace != nil {
 				trace, err = pc.Trace.ScaleToRate(ratePerSec)
 			} else {
-				trace, err = workload.PoissonTrace(w.Train, pc.Requests, ratePerSec, w.Seed)
+				if draws == nil {
+					draws, err = workload.NewPoissonDraws(w.Train, pc.Requests, w.Seed)
+				}
+				if err == nil {
+					trace, err = draws.Trace(ratePerSec)
+				}
 			}
 			if err != nil {
 				return zero, err
@@ -108,7 +121,7 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 			k.CapacityBytes = c.KVCapacityGB * 1e9
 			kv = &k
 		}
-		run, err := serving.SimulateFleet(serving.FleetSpec{
+		sum, err := runner.Run(serving.FleetSpec{
 			Model:    w.Model,
 			Trace:    trace,
 			Policy:   policy,
@@ -122,7 +135,7 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 		if err != nil {
 			return zero, fmt.Errorf("experiments: plan probe %s ×%d %s: %w", w.Name, c.Replicas, c.Routing, err)
 		}
-		return run.Summary(), nil
+		return sum, nil
 	}, nil
 }
 

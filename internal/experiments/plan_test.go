@@ -148,8 +148,19 @@ func TestPlanSweepMonotonicity(t *testing.T) {
 // service times with at most 1% drops, over two routings and up to 16
 // replicas, through PlanProbe on a warm engine. probes/op counts the
 // fleet simulations one plan costs; ns/op is their price, and it drops
-// when verdict-only probes stop at a certain miss.
-func BenchmarkPlanCapacity(b *testing.B) {
+// when verdict-only probes stop at a certain miss. One probe serves
+// every iteration, so its Poisson draws, traces, run arrays and price
+// table carry over from plan to plan; BenchmarkPlanCapacityPerRequest
+// is what one request pays.
+func BenchmarkPlanCapacity(b *testing.B) { benchmarkPlanCapacity(b, false) }
+
+// BenchmarkPlanCapacityPerRequest is BenchmarkPlanCapacity with a new
+// probe per plan, as PlanRequest.Spec builds one per /v1/plan request:
+// every plan draws its trace and grows its run arrays and price table
+// anew.
+func BenchmarkPlanCapacityPerRequest(b *testing.B) { benchmarkPlanCapacity(b, true) }
+
+func benchmarkPlanCapacity(b *testing.B, probePerPlan bool) {
 	lab := NewLabWith(engine.New())
 	w := sweepWorkload()
 	w.Batch = 16
@@ -158,9 +169,12 @@ func BenchmarkPlanCapacity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	probe, err := PlanProbe(run.eng, w, cfg, PlanProbeConfig{Requests: 1500, Policy: run.policy})
-	if err != nil {
-		b.Fatal(err)
+	newProbe := func() planner.Probe {
+		probe, err := PlanProbe(run.eng, w, cfg, PlanProbeConfig{Requests: 1500, Policy: run.policy})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return probe
 	}
 	drop := 1.0
 	spec := planner.Spec{
@@ -168,7 +182,7 @@ func BenchmarkPlanCapacity(b *testing.B) {
 		RatePerSec:  3.5 * capacity,
 		MaxReplicas: 16,
 		Routings:    []string{serving.RoutingRoundRobin, serving.RoutingPowerOfTwo},
-		Probe:       probe,
+		Probe:       newProbe(),
 	}
 	// One plan warms the profile cache, so iterations measure the search
 	// and its simulations, not first-touch profiling.
@@ -179,6 +193,9 @@ func BenchmarkPlanCapacity(b *testing.B) {
 	b.ResetTimer()
 	probes := 0
 	for i := 0; i < b.N; i++ {
+		if probePerPlan {
+			spec.Probe = newProbe()
+		}
 		plan, err := planner.Solve(spec)
 		if err != nil {
 			b.Fatal(err)

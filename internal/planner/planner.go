@@ -247,9 +247,11 @@ type Candidate struct {
 // returns the same summary whatever was probed before it, so the
 // planner's output is as reproducible as its probe, and the chosen
 // plan's summary is the one a direct simulation of that fleet reports.
-// It is called sequentially, so it may keep unsynchronized caches of
-// immutable inputs (traces, policies), but not of stateful ones such
-// as a router.
+// It is called sequentially, so it may keep unsynchronized caches and
+// buffers across calls, such as traces, policies, or a serving.Runner
+// with its run arrays and price table, as long as its answer stays a
+// pure function of candidate and rate. A stateful piece whose state
+// would reach the answer, such as a router, is built per call.
 type Probe func(c Candidate, ratePerSec float64) (serving.FleetSummary, error)
 
 // Spec is one planning problem.

@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 
 	"seqpoint/internal/gpusim"
@@ -334,8 +335,56 @@ type fleetReplica struct {
 // order, and the only randomness (po2 routing) is seeded. Profiling
 // parallelism changes how fast the answer is computed, never an output
 // byte. Every replica is one GPU, so one bulk ProfileSource call
-// prefetches the trace's unique SLs at the policy's max batch.
+// prefetches the trace's unique SLs at the policy's max batch. The run
+// is a fresh Runner's, so the result owns its arrays.
 func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
+	return new(Runner).simulate(spec, hw)
+}
+
+// Runner runs fleet specs one after another and returns each run's
+// summary, which is SimulateFleet's byte for byte. Each run reuses the
+// arrays the runs before it grew: the trace-indexed request metrics,
+// the replicas with their queue, batch and KV buffers, and the
+// summary's ranking scratch. It also keeps the price table when the
+// next run has the same profile source, hardware, model, max batch and
+// KV setting, and the table holds every SL of its trace: prices are
+// deterministic profile lookups, so a kept table changes only how often
+// the source is asked. A caller that simulates many fleets of one
+// workload, as a capacity plan's probes do, so pays for that state
+// once. The zero value is ready to use. A Runner is not safe for
+// concurrent use.
+type Runner struct {
+	served   []RequestMetric
+	replicas []*fleetReplica
+	xs       []float64
+
+	prices   *priceTable
+	priceKey priceKey
+}
+
+// priceKey is what a price table's prices depend on.
+type priceKey struct {
+	src      trainer.ProfileSource
+	hw       gpusim.Config
+	model    models.Model
+	maxBatch int
+	kv       bool
+}
+
+// Run simulates spec on hw, as SimulateFleet does, and returns the
+// run's summary, which shares no memory with the Runner. A
+// disaggregated spec runs its two stages on fresh arrays.
+func (rn *Runner) Run(spec FleetSpec, hw gpusim.Config) (FleetSummary, error) {
+	res, err := rn.simulate(spec, hw)
+	if err != nil {
+		return FleetSummary{}, err
+	}
+	rn.xs = resize(rn.xs, len(res.Requests))
+	return res.summary(rn.xs), nil
+}
+
+// simulate validates the spec and hardware and runs the spec.
+func (rn *Runner) simulate(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -345,13 +394,15 @@ func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	if spec.Disagg != nil {
 		return simulateDisagg(spec, hw)
 	}
-	return runFleet(spec, hw)
+	return rn.runFleet(spec, hw)
 }
 
 // runFleet runs the event loop over an aggregated (non-disaggregated)
 // spec its caller has already validated, so Simulate can validate its
-// trace once rather than again here.
-func runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
+// trace once rather than again here. The request metrics, replicas and
+// price table come from rn; the result's Requests alias rn's array
+// until rn's next run.
+func (rn *Runner) runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	src := spec.Profiles
 	if src == nil {
 		src = trainer.DefaultProfileSource()
@@ -363,15 +414,28 @@ func runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		kv = newKVState(spec.KV, spec.Model)
 	}
 
-	replicas := make([]*fleetReplica, allocated)
-	for i := range replicas {
-		replicas[i] = &fleetReplica{id: i, live: i < spec.Replicas, wakeAt: math.Inf(1)}
-	}
-
-	prices, err := newPriceTable(src, hw, spec.Model, maxBatch, spec.Trace.UniqueSLs(), kv != nil)
+	prices, err := rn.priceTable(priceKey{src: src, hw: hw, model: spec.Model, maxBatch: maxBatch, kv: kv != nil},
+		spec.Trace.UniqueSLs())
 	if err != nil {
 		return nil, err
 	}
+
+	for len(rn.replicas) < allocated {
+		rn.replicas = append(rn.replicas, new(fleetReplica))
+	}
+	replicas := rn.replicas[:allocated]
+	for i, r := range replicas {
+		// Every field starts over; only the arrays carry across runs.
+		*r = fleetReplica{
+			id:          i,
+			live:        i < spec.Replicas,
+			wakeAt:      math.Inf(1),
+			queue:       requestQueue{buf: r.queue.buf},
+			inflight:    r.inflight[:0],
+			launchTimes: r.launchTimes[:0],
+		}
+	}
+	rn.served = resize(rn.served, len(spec.Trace.Requests))
 
 	f := &fleetRun{
 		spec:     spec,
@@ -390,7 +454,7 @@ func runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		heap:        newReplicaHeap(allocated),
 		inDirty:     make([]bool, allocated),
 		viewScratch: make([]ReplicaView, allocated),
-		served:      make([]RequestMetric, len(spec.Trace.Requests)),
+		served:      rn.served,
 		lastScaleAt: math.Inf(-1),
 	}
 	if spec.Stop != nil {
@@ -400,6 +464,34 @@ func runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		return nil, err
 	}
 	return f.res, nil
+}
+
+// priceTable returns the table for key over the trace's unique SLs: the
+// one the last run built when its key is key and it holds every SL,
+// else a new one. Keys whose profile source or model cannot be compared
+// without a panic get a new table.
+func (rn *Runner) priceTable(key priceKey, uniqueSLs []int) (*priceTable, error) {
+	if rn.prices != nil && safeToCompare(key.src) && safeToCompare(key.model) && key == rn.priceKey && rn.prices.holds(uniqueSLs) {
+		return rn.prices, nil
+	}
+	t, err := newPriceTable(key.src, key.hw, key.model, key.maxBatch, uniqueSLs, key.kv)
+	if err != nil {
+		return nil, err
+	}
+	rn.prices, rn.priceKey = t, key
+	return t, nil
+}
+
+// safeToCompare reports whether v can be compared with == without a panic.
+func safeToCompare(v any) bool { return reflect.ValueOf(v).Comparable() }
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the elements' values are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // fleetRun is the in-progress event loop state.
@@ -686,43 +778,31 @@ func (f *fleetRun) drainDue() {
 // per-request metrics and counting the priced batches its busy period
 // contained (capacity waves under the KV model, 1 otherwise).
 func (f *fleetRun) completeReplica(r *fleetReplica) {
+	// Each metric is written field by field in place, every field, since
+	// a Runner's buffer holds an earlier run's metrics.
 	waves := 1
 	if f.kv == nil {
-		for _, q := range r.inflight {
-			f.served[q.ID] = RequestMetric{
-				ID:        q.ID,
-				SeqLen:    q.SeqLen,
-				ArrivalUS: q.ArrivalUS,
-				StartUS:   r.startedAt,
-				DoneUS:    r.doneAt,
-				BatchSize: len(r.inflight),
-				PaddedSL:  r.paddedSL,
-				Replica:   r.id,
-				Tenant:    q.Tenant,
-			}
+		for i := range r.inflight {
+			q := &r.inflight[i]
+			m := &f.served[q.ID]
+			m.ID, m.SeqLen, m.ArrivalUS = q.ID, q.SeqLen, q.ArrivalUS
+			m.StartUS, m.FirstUS, m.DoneUS = r.startedAt, 0, r.doneAt
+			m.BatchSize, m.PaddedSL, m.Replica, m.Tenant = len(r.inflight), r.paddedSL, r.id, q.Tenant
 		}
 	} else {
-		for i, q := range r.inflight {
-			t := r.launchTimes[i]
-			f.served[q.ID] = RequestMetric{
-				ID:        q.ID,
-				SeqLen:    q.SeqLen,
-				ArrivalUS: q.ArrivalUS,
-				StartUS:   r.startedAt + t.startOff,
-				FirstUS:   r.startedAt + t.firstOff,
-				DoneUS:    r.startedAt + t.doneOff,
-				BatchSize: t.batch,
-				PaddedSL:  t.paddedSL,
-				Replica:   r.id,
-				Tenant:    q.Tenant,
-			}
+		for i := range r.inflight {
+			q, t := &r.inflight[i], &r.launchTimes[i]
+			m := &f.served[q.ID]
+			m.ID, m.SeqLen, m.ArrivalUS = q.ID, q.SeqLen, q.ArrivalUS
+			m.StartUS, m.FirstUS, m.DoneUS = r.startedAt+t.startOff, r.startedAt+t.firstOff, r.startedAt+t.doneOff
+			m.BatchSize, m.PaddedSL, m.Replica, m.Tenant = t.batch, t.paddedSL, r.id, q.Tenant
 		}
 		waves = r.launchWaves
 		r.kvInflight = 0
 	}
 	if f.stop != nil {
-		for _, q := range r.inflight {
-			if f.served[q.ID].LatencyUS() > f.stop.lateUS {
+		for i := range r.inflight {
+			if f.served[r.inflight[i].ID].latency() > f.stop.lateUS {
 				f.stop.late++
 			}
 		}

@@ -37,7 +37,10 @@ import (
 //   - early stop: under stop rules whose caps sit at, just below and
 //     well below the full run's own p99 and drop rate, a run misses a
 //     cap exactly when the full run does. A stopped run is a prefix of
-//     the full run; one that did not stop is the full run.
+//     the full run; one that did not stop is the full run;
+//   - reuse: a Runner that has just run a different spec reports the
+//     summary SimulateFleet does, for the full run and for every stop
+//     rule's, one after another.
 func FuzzFleetInvariants(f *testing.F) {
 	f.Add(int64(1), 200.0, uint8(40), uint8(1), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0))
 	f.Add(int64(7), 900.0, uint8(120), uint8(3), uint8(4), uint8(1), uint8(1), false, uint8(0), uint8(3))
@@ -294,7 +297,37 @@ func FuzzFleetInvariants(f *testing.F) {
 			}
 		}
 
-		// Early stop: each rule's verdict is the full run's.
+		// Runner: the spec run on a runner that has just run a different
+		// spec (a longer trace at another rate with the tenants flipped,
+		// another fleet shape and queue bound, and, on odd seeds, the KV
+		// model flipped) serializes the same summary.
+		var rn Runner
+		other := spec
+		other.Trace = trace.Untenanted()
+		if tr, err := PoissonTrace(corpus, 256, rate*2, seed+1); err == nil && tr.Validate() == nil {
+			other.Trace = tr
+		}
+		if nTenants == 0 {
+			for i := range other.Trace.Requests {
+				other.Trace.Requests[i].Tenant = fmt.Sprintf("o%d", i%2)
+			}
+		}
+		other.Router = NewRoundRobin()
+		other.Autoscale, other.Replicas, other.QueueCap = nil, nReplicas%3+2, (cap+5)%8
+		if seed&1 != 0 {
+			if kv == nil {
+				other.KV = &KVConfig{CapacityBytes: 100_000, DecodeSteps: 3, BytesPerToken: 1000}
+			} else {
+				other.KV = nil
+			}
+		}
+		if _, err := rn.Run(other, gpusim.VegaFE()); err != nil {
+			t.Fatalf("Runner.Run of the other spec: %v", err)
+		}
+		checkRunnerRun(t, &rn, spec, routerNames[int(routing)%len(routerNames)], seed, sum)
+
+		// Early stop: each rule's verdict is the full run's, and the same
+		// runner, stopped or not, reports the same summary.
 		for _, rule := range stopRules(sum) {
 			srouter, err := ParseRouting(routerNames[int(routing)%len(routerNames)], seed)
 			if err != nil {
@@ -308,6 +341,7 @@ func FuzzFleetInvariants(f *testing.F) {
 				t.Fatalf("SimulateFleet with %+v: %v", rule, err)
 			}
 			checkStoppedRun(t, rule, res, sres)
+			checkRunnerRun(t, &rn, sspec, routerNames[int(routing)%len(routerNames)], seed, sres.Summary())
 		}
 
 		// Generalization: the 1-replica unbounded round-robin fleet is
@@ -400,6 +434,27 @@ func checkStoppedRun(t *testing.T, rule StopRule, full, stopped *FleetResult) {
 		if !rejected[r] {
 			t.Fatalf("rule %+v: stopped run rejected %+v, the full run did not", rule, r)
 		}
+	}
+}
+
+// checkRunnerRun runs spec on rn under a fresh router of the given
+// name and requires want, the summary of the same spec's SimulateFleet
+// run, byte for byte and in its stop flag.
+func checkRunnerRun(t *testing.T, rn *Runner, spec FleetSpec, routing string, seed int64, want FleetSummary) {
+	t.Helper()
+	router, err := ParseRouting(routing, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Router = router
+	got, err := rn.Run(spec, gpusim.VegaFE())
+	if err != nil {
+		t.Fatalf("Runner.Run: %v", err)
+	}
+	gb, _ := got.Serialize()
+	wb, _ := want.Serialize()
+	if !bytes.Equal(gb, wb) || got.Stopped != want.Stopped {
+		t.Fatalf("runner summary (stopped %v)\n%s\nSimulateFleet's (stopped %v)\n%s", got.Stopped, gb, want.Stopped, wb)
 	}
 }
 

@@ -80,6 +80,12 @@ func (r *FleetResult) Throughput() float64 {
 // replicas, so an autoscaled fleet is judged on the capacity it
 // actually kept on.
 func (r *FleetResult) Summary() FleetSummary {
+	return r.summary(make([]float64, len(r.Requests)))
+}
+
+// summary is Summary ranking in xs, which has one slot per served
+// request; the digest keeps no reference to it.
+func (r *FleetResult) summary(xs []float64) FleetSummary {
 	s := FleetSummary{
 		Config:         r.Config.Name,
 		Routing:        r.Routing,
@@ -125,19 +131,20 @@ func (r *FleetResult) Summary() FleetSummary {
 	if s.Served == 0 {
 		return s
 	}
-	// xs is this function's own scratch, ranked in place: first the
-	// latencies, then the TTFTs, which overwrite every slot.
-	xs := make([]float64, len(r.Requests))
+	// xs is ranked in place: first the latencies, then the TTFTs, which
+	// overwrite every slot. The loops read each metric in place, through
+	// the pointer helpers: the value methods would copy it per call.
 	var waitSum float64
-	for i, m := range r.Requests {
-		xs[i] = m.LatencyUS()
-		waitSum += m.WaitUS()
+	for i := range r.Requests {
+		m := &r.Requests[i]
+		xs[i] = m.latency()
+		waitSum += m.wait()
 	}
 	s.MeanWaitUS = waitSum / float64(len(r.Requests))
 	s.MeanLatencyUS, s.P50LatencyUS, s.P95LatencyUS, s.P99LatencyUS = digest(xs)
 	if r.KV != nil {
-		for i, m := range r.Requests {
-			xs[i] = m.TTFTUS()
+		for i := range r.Requests {
+			xs[i] = r.Requests[i].ttft()
 		}
 		s.MeanTTFTUS, s.P50TTFTUS, s.P95TTFTUS, s.P99TTFTUS = digest(xs)
 	}

@@ -41,8 +41,8 @@ const decodeSL = 1
 //
 // Unfilled slots hold NaN — a value no valid profile can produce
 // (fills reject non-finite prices with ErrNonFinitePrice), so presence
-// needs no side bitmap. A table belongs to one run, whose event loop
-// advances serially, so reads and fills take no lock.
+// needs no side bitmap. A table belongs to one run, or to the runs of
+// one Runner, which advance serially, so reads and fills take no lock.
 type priceTable struct {
 	src   trainer.ProfileSource
 	hw    gpusim.Config
@@ -133,6 +133,16 @@ func (t *priceTable) slIndex(sl int) int {
 		return 0
 	}
 	return t.slSparse[sl]
+}
+
+// holds reports whether every SL of sls has a slot in the table.
+func (t *priceTable) holds(sls []int) bool {
+	for _, sl := range sls {
+		if t.slIndex(sl) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // latency prices one batch of the given size padded to sl. The fast

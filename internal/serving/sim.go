@@ -56,15 +56,24 @@ type RequestMetric struct {
 }
 
 // WaitUS is the request's queueing delay.
-func (m RequestMetric) WaitUS() float64 { return m.StartUS - m.ArrivalUS }
+func (m RequestMetric) WaitUS() float64 { return m.wait() }
 
 // LatencyUS is the request's end-to-end latency (queueing + service).
-func (m RequestMetric) LatencyUS() float64 { return m.DoneUS - m.ArrivalUS }
+func (m RequestMetric) LatencyUS() float64 { return m.latency() }
 
 // TTFTUS is the request's time to first token (arrival to prefill
 // completion). Only meaningful under the KV model, which separates
 // the phases; 0 otherwise.
-func (m RequestMetric) TTFTUS() float64 {
+func (m RequestMetric) TTFTUS() float64 { return m.ttft() }
+
+// wait, latency and ttft are WaitUS, LatencyUS and TTFTUS for loops
+// over a metric slice: called through a pointer they read the metric in
+// place, where a value-receiver call copies all of it.
+func (m *RequestMetric) wait() float64 { return m.StartUS - m.ArrivalUS }
+
+func (m *RequestMetric) latency() float64 { return m.DoneUS - m.ArrivalUS }
+
+func (m *RequestMetric) ttft() float64 {
 	if m.FirstUS == 0 {
 		return 0
 	}
@@ -118,7 +127,7 @@ func Simulate(spec Spec, hw gpusim.Config) (*Result, error) {
 			}
 		}
 	}
-	fr, err := runFleet(fs, hw)
+	fr, err := new(Runner).runFleet(fs, hw)
 	if err != nil {
 		return nil, err
 	}

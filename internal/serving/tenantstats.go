@@ -61,15 +61,16 @@ func perTenantStats(metrics []RequestMetric, rejections []Rejection, kvOn bool) 
 		}
 		return &accs[i]
 	}
-	for _, m := range metrics {
+	for i := range metrics {
+		m := &metrics[i]
 		if m.Tenant == "" {
 			continue
 		}
 		a := grow(slot(m.Tenant))
 		a.served++
-		a.lats = append(a.lats, m.LatencyUS())
+		a.lats = append(a.lats, m.latency())
 		if kvOn {
-			a.ttfts = append(a.ttfts, m.TTFTUS())
+			a.ttfts = append(a.ttfts, m.ttft())
 		}
 	}
 	for _, rej := range rejections {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"seqpoint/internal/dataset"
 )
@@ -19,26 +20,60 @@ import (
 // PoissonTrace generates n requests with exponentially distributed
 // inter-arrival times at ratePerSec requests per second, each request's
 // sequence length drawn uniformly from the corpus. Everything is
-// seeded: the same (corpus, n, rate, seed) yields the same trace.
+// seeded: the same (corpus, n, rate, seed) yields the same trace. It is
+// NewPoissonDraws followed by Trace.
 func PoissonTrace(c *dataset.Corpus, n int, ratePerSec float64, seed int64) (Trace, error) {
+	d, err := NewPoissonDraws(c, n, seed)
+	if err != nil {
+		return Trace{}, err
+	}
+	return d.Trace(ratePerSec)
+}
+
+// PoissonDraws holds the rate-free random draws of a Poisson trace: for
+// each request, one unit-rate exponential gap and one sequence length,
+// drawn in the seeded order PoissonTrace has always used. A caller that
+// needs the same workload at many rates, such as a capacity plan's
+// probes, draws once and calls Trace per rate.
+type PoissonDraws struct {
+	corpus  string
+	gaps    []float64
+	seqLens []int
+}
+
+// NewPoissonDraws draws n requests from the corpus under the seed.
+func NewPoissonDraws(c *dataset.Corpus, n int, seed int64) (*PoissonDraws, error) {
 	if c == nil || c.Size() == 0 {
-		return Trace{}, fmt.Errorf("workload: Poisson trace needs a non-empty corpus")
+		return nil, fmt.Errorf("workload: Poisson trace needs a non-empty corpus")
 	}
 	if n <= 0 {
-		return Trace{}, fmt.Errorf("workload: request count must be positive, got %d", n)
+		return nil, fmt.Errorf("workload: request count must be positive, got %d", n)
 	}
+	rng := rand.New(rand.NewSource(seed))
+	d := &PoissonDraws{corpus: c.Name, gaps: make([]float64, n), seqLens: make([]int, n)}
+	for i := range d.gaps {
+		d.gaps[i] = rng.ExpFloat64()
+		d.seqLens[i] = c.Lengths[rng.Intn(c.Size())]
+	}
+	return d, nil
+}
+
+// Trace builds the trace at ratePerSec. Each arrival is the previous
+// one plus gap / ratePerSec * 1e6, the float operations a single-pass
+// generator makes, so the trace at a rate does not depend on which
+// rates were built from the draws before it.
+func (d *PoissonDraws) Trace(ratePerSec float64) (Trace, error) {
 	if ratePerSec <= 0 || math.IsNaN(ratePerSec) || math.IsInf(ratePerSec, 0) {
 		return Trace{}, fmt.Errorf("workload: arrival rate must be a positive finite rate, got %v", ratePerSec)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	reqs := make([]Request, n)
+	reqs := make([]Request, len(d.gaps))
 	t := 0.0
-	for i := range reqs {
-		t += rng.ExpFloat64() / ratePerSec * 1e6
-		reqs[i] = Request{ID: i, ArrivalUS: t, SeqLen: c.Lengths[rng.Intn(c.Size())]}
+	for i, gap := range d.gaps {
+		t += gap / ratePerSec * 1e6
+		reqs[i] = Request{ID: i, ArrivalUS: t, SeqLen: d.seqLens[i]}
 	}
 	return Trace{
-		Name:     fmt.Sprintf("poisson(%s, %.4g rps, n=%d)", c.Name, ratePerSec, n),
+		Name:     fmt.Sprintf("poisson(%s, %.4g rps, n=%d)", d.corpus, ratePerSec, len(reqs)),
 		Requests: reqs,
 	}, nil
 }
@@ -278,8 +313,14 @@ func Generate(spec GenSpec) (Trace, error) {
 		cohortCum[i] /= total
 	}
 	tenantPickers := make([]zipfPicker, len(spec.Cohorts))
+	// labels[i][j] is tenant j of cohort i's label, formatted on first
+	// use ("" until then: no label is empty).
+	labels := make([][]string, len(spec.Cohorts))
 	for i, c := range spec.Cohorts {
 		tenantPickers[i] = newZipfPicker(c.Tenants, c.ZipfS)
+		if c.Class != "" {
+			labels[i] = make([]string, c.Tenants)
+		}
 	}
 
 	kind := spec.Pattern.Kind
@@ -311,7 +352,11 @@ func Generate(spec GenSpec) (Trace, error) {
 		c := spec.Cohorts[ci]
 		tenant := ""
 		if c.Class != "" {
-			tenant = fmt.Sprintf("%s-%d", c.Class, tenantPickers[ci].pick(rng.Float64()))
+			j := tenantPickers[ci].pick(rng.Float64())
+			if labels[ci][j] == "" {
+				labels[ci][j] = c.Class + "-" + strconv.Itoa(j)
+			}
+			tenant = labels[ci][j]
 		}
 		clump := c.Burst
 		if clump < 1 {

@@ -21,9 +21,10 @@ type (
 	// optional policy/KV overrides), plus the stop rule of a
 	// verdict-only probe, which a probe may pass on as FleetSpec.Stop.
 	PlanCandidate = planner.Candidate
-	// PlanProbeFunc prices one candidate at one offered rate; it must
-	// be a pure function of the two, so it builds any stateful piece,
-	// such as the router, per call.
+	// PlanProbeFunc prices one candidate at one offered rate. It may
+	// keep caches and buffers across calls, as long as its answer stays
+	// a pure function of the two; a stateful piece whose state would
+	// reach the answer, such as the router, is built per call.
 	PlanProbeFunc = planner.Probe
 	// CapacityPlan is the planner's answer: the minimal candidate, its
 	// SLO evidence and its saturation analysis.

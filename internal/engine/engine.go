@@ -357,9 +357,10 @@ func computeProfile(hw gpusim.Config, cl gpusim.ClusterConfig, m models.Model, b
 }
 
 // ProfileSLs profiles every requested sequence length through the
-// cache, fanning cache misses out over the engine's bounded worker
-// pool. The returned map is independent of pool width and request
-// order.
+// cache. It answers completed entries inline and fans only the rest
+// out over the engine's bounded worker pool, so a warm lookup starts
+// no goroutine. The returned map is independent of pool width and
+// request order.
 func (e *Engine) ProfileSLs(hw gpusim.Config, cl gpusim.ClusterConfig, m models.Model, batch int, seqLens []int, phase Phase) (map[int]profiler.IterationProfile, error) {
 	cl = cl.Normalized()
 	// Reject invalid clusters before any Key is built: NaN fields in a
@@ -367,34 +368,69 @@ func (e *Engine) ProfileSLs(hw gpusim.Config, cl gpusim.ClusterConfig, m models.
 	if err := cl.Validate(); err != nil {
 		return nil, err
 	}
-	uniq := make([]int, 0, len(seqLens))
-	seen := make(map[int]bool, len(seqLens))
+	key := Key{Model: e.fingerprint(m), Config: hw, Cluster: cl, Batch: batch, Phase: phase}
+	// out doubles as the seen set: a pending SL holds a placeholder
+	// until its lookup returns.
+	out := make(map[int]profiler.IterationProfile, len(seqLens))
+	var pending []int
 	for _, sl := range seqLens {
-		if !seen[sl] {
-			seen[sl] = true
-			uniq = append(uniq, sl)
+		if _, seen := out[sl]; seen {
+			continue
 		}
+		key.SeqLen = sl
+		p, ok := e.cached(key)
+		if !ok {
+			pending = append(pending, sl)
+		}
+		out[sl] = p
 	}
-
-	out := make(map[int]profiler.IterationProfile, len(uniq))
-	profiles := make([]profiler.IterationProfile, len(uniq))
-	errs := make([]error, len(uniq))
-
-	fp := e.fingerprint(m)
-	key := func(sl int) Key {
-		return Key{Model: fp, Config: hw, Cluster: cl, Batch: batch, Phase: phase, SeqLen: sl}
+	if len(pending) == 0 {
+		return out, nil
 	}
-
-	forEach(len(uniq), e.Parallelism(), func(i int) {
-		profiles[i], errs[i] = e.profileKeyed(key(uniq[i]), m)
+	profiles := make([]profiler.IterationProfile, len(pending))
+	errs := make([]error, len(pending))
+	forEach(len(pending), e.Parallelism(), func(i int) {
+		k := key
+		k.SeqLen = pending[i]
+		profiles[i], errs[i] = e.profileKeyed(k, m)
 	})
-	for i, sl := range uniq {
+	for i, sl := range pending {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
 		out[sl] = profiles[i]
 	}
 	return out, nil
+}
+
+// cached returns k's profile when its entry has completed without an
+// error, counting a hit. Any other key is left for profileKeyed, which
+// counts it.
+func (e *Engine) cached(k Key) (profiler.IterationProfile, bool) {
+	s := e.shardFor(k)
+	s.mu.Lock()
+	en, ok := s.m[k]
+	s.mu.Unlock()
+	if ok {
+		select {
+		case <-en.done:
+			if en.err == nil {
+				e.hits.Add(1)
+				return en.p, true
+			}
+		default:
+		}
+	}
+	return profiler.IterationProfile{}, false
+}
+
+// EvalTimeUS returns the single-GPU eval-pass time of (hw, m, batch,
+// seqLen): the TimeUS EvalProfiles reports for that one SL, through the
+// same cache and counters, without a map or a fan-out. A serving price
+// table fills a slot with it.
+func (e *Engine) EvalTimeUS(hw gpusim.Config, m models.Model, batch, seqLen int) (float64, error) {
+	p, err := e.profileKeyed(Key{Model: e.fingerprint(m), Config: hw, Cluster: gpusim.SingleGPU(), Batch: batch, Phase: PhaseEval, SeqLen: seqLen}, m)
+	return p.TimeUS, err
 }
 
 // TrainProfiles implements trainer.ProfileSource.

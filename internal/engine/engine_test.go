@@ -7,12 +7,14 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"seqpoint/internal/dataset"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
 	"seqpoint/internal/nn"
 	"seqpoint/internal/profiler"
+	"seqpoint/internal/tensor"
 	"seqpoint/internal/trainer"
 )
 
@@ -411,5 +413,107 @@ func TestProfileClusterRejectsInvalidBeforeKeying(t *testing.T) {
 	}
 	if st := e.Stats(); st.Entries != 0 || st.Misses != 0 {
 		t.Errorf("invalid cluster leaked cache state: %+v", st)
+	}
+}
+
+// TestEvalTimeUSMatchesEvalProfiles holds the single-key lookup to the
+// bulk one: on a miss and on a hit, at several batches and SLs, it
+// returns the TimeUS EvalProfiles reports.
+func TestEvalTimeUSMatchesEvalProfiles(t *testing.T) {
+	cfg := gpusim.VegaFE()
+	m := models.NewGNMT()
+	ref := New()
+	for _, batch := range []int{1, 4, 16} {
+		for _, sl := range []int{1, 20, 57} {
+			want, err := ref.EvalProfiles(cfg, gpusim.SingleGPU(), m, batch, []int{sl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New()
+			for _, lookup := range []string{"miss", "hit"} {
+				got, err := e.EvalTimeUS(cfg, m, batch, sl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want[sl].TimeUS {
+					t.Errorf("batch %d SL %d, %s: EvalTimeUS %v, EvalProfiles %v", batch, sl, lookup, got, want[sl].TimeUS)
+				}
+			}
+			if st := e.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+				t.Errorf("batch %d SL %d: stats %+v, want one miss, one hit, one entry", batch, sl, st)
+			}
+		}
+	}
+}
+
+// gatedModel is GNMT whose eval pass at one SL waits for gate to close,
+// after closing entered: a test holds a cold computation in flight to
+// make a concurrent request for the same key a dedup.
+type gatedModel struct {
+	models.Model
+	sl      int
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedModel) EvalBlocks(batch, seqLen int) []tensor.Block {
+	if seqLen == g.sl {
+		close(g.entered)
+		<-g.gate
+	}
+	return g.Model.EvalBlocks(batch, seqLen)
+}
+
+// TestLookupCountsMatchBulkOnly scripts bulk and single-key lookups —
+// misses, hits, a repeated SL, both phases, and two goroutines asking
+// for one cold key — and requires the counters the engine gave when a
+// single-key lookup was a one-SL EvalProfiles call and every bulk SL
+// went through the worker pool: answering hits inline and pricing one
+// key alone change no count.
+func TestLookupCountsMatchBulkOnly(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		e := New()
+		e.SetParallelism(par)
+		cfg := gpusim.VegaFE()
+		gm := &gatedModel{Model: models.NewGNMT(), sl: 30, entered: make(chan struct{}), gate: make(chan struct{})}
+		bulk := func(batch int, sls []int, phase Phase) {
+			t.Helper()
+			if _, err := e.ProfileSLs(cfg, gpusim.SingleGPU(), gm, batch, sls, phase); err != nil {
+				t.Error(err)
+			}
+		}
+		one := func(batch, sl int) {
+			t.Helper()
+			if _, err := e.EvalTimeUS(cfg, gm, batch, sl); err != nil {
+				t.Error(err)
+			}
+		}
+		bulk(4, []int{20, 21, 20, 22}, PhaseEval) // 3 misses
+		one(4, 21)                                // hit
+		one(4, 23)                                // miss
+		bulk(4, []int{23, 21, 24, 24}, PhaseEval) // 2 hits, 1 miss
+		one(4, 24)                                // hit
+		one(4, 24)                                // hit
+		bulk(4, []int{20, 21, 22}, PhaseTrain)    // 3 misses
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); one(8, 30) }() // miss, held in flight
+		<-gm.entered
+		go func() { defer wg.Done(); bulk(8, []int{30, 20}, PhaseEval) }() // dedup, miss
+		for deadline := time.Now().Add(10 * time.Second); e.Stats().Dedups == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				close(gm.gate)
+				wg.Wait()
+				t.Fatalf("parallelism %d: the second request for the in-flight key never waited on it: %+v", par, e.Stats())
+			}
+		}
+		close(gm.gate)
+		wg.Wait()
+		// Measured with the engine before EvalTimeUS existed, each
+		// single-key lookup made as EvalProfiles with one SL.
+		want := Stats{Hits: 5, Misses: 10, Dedups: 1, Entries: 10}
+		if got := e.Stats(); got != want {
+			t.Errorf("parallelism %d: stats %+v, want %+v", par, got, want)
+		}
 	}
 }

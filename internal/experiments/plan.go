@@ -48,16 +48,20 @@ type PlanProbeConfig struct {
 // simulates one candidate fleet against a Poisson trace at the asked
 // rate, under the candidate's routing, batching-policy and KV-capacity
 // overrides. The probe prepares once per plan: it draws the seed's
-// Poisson gaps and SLs once and builds each rate's trace from them
-// (cached per distinct rate), caches parsed policies, and prices every
+// Poisson gaps and SLs once, caches parsed policies, and prices every
 // candidate through one serving.Runner, which keeps its run arrays and
-// its price table from probe to probe. Each call is still a pure
-// function of its candidate and rate: the runner's state changes no
-// summary byte, and a fresh router per call starts po2's RNG and rr's
-// cursor over, so a probe's answer is what /v1/fleet reports for the
-// same fleet. The state belongs to the one probe, so plans share
-// nothing, and it is unsynchronized, matching planner.Probe's
-// sequential contract.
+// its price table from probe to probe. It keeps one trace, the last
+// rate's, and builds any other rate into that trace's array: a Solve
+// probes its search rate first and never returns to it, and each knee
+// rate is new, so a plan builds as many traces as a cache of every
+// rate would. A summary holds nothing of the trace it was simulated
+// on, so a rebuild changes none returned before it. Each call is
+// still a pure function of its candidate and rate: the runner's state
+// changes no summary byte, and a fresh router per call starts po2's
+// RNG and rr's cursor over, so a probe's answer is what /v1/fleet
+// reports for the same fleet. The state belongs to the one probe, so
+// plans share nothing, and it is unsynchronized, matching
+// planner.Probe's sequential contract.
 func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc PlanProbeConfig) (planner.Probe, error) {
 	if pc.Requests <= 0 {
 		pc.Requests = DefaultServeRequests
@@ -74,30 +78,33 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 		timeoutUS = 50_000
 	}
 	var (
-		runner serving.Runner
-		draws  *workload.PoissonDraws
+		runner    serving.Runner
+		draws     *workload.PoissonDraws
+		trace     serving.Trace
+		traceRate float64 // trace's rate; 0 until the first build
 	)
-	traces := make(map[float64]serving.Trace)
 	policies := map[string]serving.Policy{"": base}
 	return func(c planner.Candidate, ratePerSec float64) (serving.FleetSummary, error) {
 		var zero serving.FleetSummary
-		trace, ok := traces[ratePerSec]
-		if !ok {
-			var err error
+		if ratePerSec != traceRate || traceRate == 0 {
+			var (
+				next serving.Trace
+				err  error
+			)
 			if pc.Trace != nil {
-				trace, err = pc.Trace.ScaleToRate(ratePerSec)
+				next, err = pc.Trace.ScaleToRate(ratePerSec)
 			} else {
 				if draws == nil {
 					draws, err = workload.NewPoissonDraws(w.Train, pc.Requests, w.Seed)
 				}
 				if err == nil {
-					trace, err = draws.Trace(ratePerSec)
+					next, err = draws.TraceInto(trace.Requests, ratePerSec)
 				}
 			}
 			if err != nil {
 				return zero, err
 			}
-			traces[ratePerSec] = trace
+			trace, traceRate = next, ratePerSec
 		}
 		policy, ok := policies[c.Policy]
 		if !ok {

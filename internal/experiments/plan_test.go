@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -16,7 +17,10 @@ import (
 // each call is a pure function of its candidate and rate — under every
 // routing, however calls for other candidates interleave, it answers
 // what a fresh probe answers — and candidate overrides (routing,
-// policy, KV capacity) actually reach the simulation.
+// policy, KV capacity) actually reach the simulation. The rates
+// alternate, so each call rebuilds the probe's one trace into its
+// array; every summary serializes to the same bytes after the rebuilds
+// that follow it, and a refused rate leaves the kept trace usable.
 func TestPlanProbeDeterminism(t *testing.T) {
 	lab := NewLabWith(engine.New())
 	w := sweepWorkload()
@@ -39,6 +43,11 @@ func TestPlanProbeDeterminism(t *testing.T) {
 	}
 	rates := []float64{300, 500}
 	want := make(map[string]serving.FleetSummary)
+	type returned struct {
+		sum   serving.FleetSummary
+		bytes []byte
+	}
+	var earlier []returned
 	for round := 0; round < 2; round++ {
 		for _, c := range cands {
 			for _, rate := range rates {
@@ -59,8 +68,28 @@ func TestPlanProbeDeterminism(t *testing.T) {
 				if !reflect.DeepEqual(got, want[key]) {
 					t.Errorf("round %d: %s depends on the probes before it:\n%+v\nvs a fresh probe's\n%+v", round, key, got, want[key])
 				}
+				b, err := got.Serialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				earlier = append(earlier, returned{got, b})
 			}
 		}
+	}
+	for i, r := range earlier {
+		if b, _ := r.sum.Serialize(); !bytes.Equal(b, r.bytes) {
+			t.Fatalf("summary %d serializes differently once later probes rebuilt the trace:\n%s\nvs\n%s", i, b, r.bytes)
+		}
+	}
+	if _, err := probe(cands[0], 0); err == nil {
+		t.Error("rate 0 should error")
+	}
+	again, err := probe(cands[0], rates[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := fmt.Sprintf("%d×%s@%v", cands[0].Replicas, cands[0].Routing, rates[1]); !reflect.DeepEqual(again, want[key]) {
+		t.Errorf("after a refused rate, %s reads\n%+v\nvs a fresh probe's\n%+v", key, again, want[key])
 	}
 	first, err := probe(planner.Candidate{Replicas: 2, Routing: "rr"}, 300)
 	if err != nil {
@@ -149,7 +178,7 @@ func TestPlanSweepMonotonicity(t *testing.T) {
 // replicas, through PlanProbe on a warm engine. probes/op counts the
 // fleet simulations one plan costs; ns/op is their price, and it drops
 // when verdict-only probes stop at a certain miss. One probe serves
-// every iteration, so its Poisson draws, traces, run arrays and price
+// every iteration, so its Poisson draws, trace array, run arrays and price
 // table carry over from plan to plan; BenchmarkPlanCapacityPerRequest
 // is what one request pays.
 func BenchmarkPlanCapacity(b *testing.B) { benchmarkPlanCapacity(b, false) }

@@ -6,11 +6,13 @@ package serving
 // optimized snapshot, and CI's bench-regression gate compares fresh
 // runs against the committed snapshot (see cmd/benchgate).
 //
-// Both benchmarks price batches through the hermetic stub source so
-// they measure the event loop — scheduling, routing, batching,
-// metrics — rather than the analytical cost model, and both report
-// allocations: the alloc trajectory is as load-bearing as ns/op, since
-// at millions of requests GC pressure dominates wall time.
+// They price batches through the hermetic stub source so they measure
+// the event loop — scheduling, routing, batching, metrics — rather
+// than the analytical cost model, and they report allocations: the
+// alloc trajectory is as load-bearing as ns/op, since at millions of
+// requests GC pressure dominates wall time. Each also reports
+// ns/request, the wall time per simulated request, which compares
+// across trace lengths.
 
 import (
 	"fmt"
@@ -76,6 +78,7 @@ func BenchmarkFleetMillionEvents(b *testing.B) {
 			b.Fatalf("summary served %d, want %d", sum.Served, requests)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/request")
 }
 
 // BenchmarkFleetKV measures the memory-aware fleet: 32 replicas,
@@ -127,6 +130,7 @@ func BenchmarkFleetKV(b *testing.B) {
 			b.Fatalf("KV stats %+v violate the %v-byte ceiling", res.KV, kv.CapacityBytes)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/request")
 }
 
 // BenchmarkServingHotPath measures Simulate — the fleet event loop
@@ -165,6 +169,7 @@ func BenchmarkServingHotPath(b *testing.B) {
 			b.Fatalf("summary requests %d, want %d", sum.Requests, requests)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/request")
 }
 
 // BenchmarkServingBacklog measures the dispatch layer under a growing

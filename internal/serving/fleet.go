@@ -19,11 +19,17 @@ import (
 // round-robin replica and an unbounded queue, and the disaggregated
 // topology (disagg.go) composes two runs of it.
 //
-// The event loop is indexed, not scanned: replica wake/finish times
-// live in a min-heap (fleetheap.go) and policy re-consults in a dirty
-// set, so one event costs O(log R) instead of O(R). Batch latencies
+// The event loop keeps what it can index instead of scanning the
+// fleet: replica wake/finish times live in a min-heap (fleetheap.go),
+// so finding the next event costs O(log R); policy re-consults wait
+// in a dirty set; and the router's snapshot of the fleet is kept for
+// the whole run, with only the replicas whose state changed since
+// recomputed, so keeping it costs what changed, not R. Batch latencies
 // come from a flat price table (pricetable.go). Replicas advance
-// serially, in (time, replica ID) order.
+// serially, in (time, replica ID) order. Three parts still cost O(R)
+// per call: a bundled router's pick (every one but rr scans all views
+// on each arrival), the autoscaler's depth count at each event, and
+// the flush of partial batches once the trace is drained.
 
 // MaxFleetReplicas bounds the modeled fleet size; beyond it the O(N)
 // per-arrival routing scan stops being the simulation's cheap part.
@@ -453,9 +459,15 @@ func (rn *Runner) runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, erro
 		},
 		heap:        newReplicaHeap(allocated),
 		inDirty:     make([]bool, allocated),
-		viewScratch: make([]ReplicaView, allocated),
+		snapshot:    make([]ReplicaView, allocated),
+		inStale:     make([]bool, allocated),
+		stale:       make([]int, 0, allocated),
 		served:      rn.served,
 		lastScaleAt: math.Inf(-1),
+	}
+	// Every view starts stale; the first routed arrival computes them.
+	for i := range replicas {
+		f.markView(i)
 	}
 	if spec.Stop != nil {
 		f.stop = newStopCheck(*spec.Stop, len(spec.Trace.Requests))
@@ -515,9 +527,17 @@ type fleetRun struct {
 	inDirty   []bool
 	busyCount int
 
-	// viewScratch is the reused router-snapshot buffer, pickScratch the
-	// reused takeBatch index scratch.
-	viewScratch []ReplicaView
+	// snapshot is the router's view of the fleet, kept for the whole
+	// run, and eligible counts its eligible views. A replica whose
+	// queue, batch, liveness or KV bytes change is marked stale (stale,
+	// deduped by inStale), and refreshViews recomputes only the marked
+	// views.
+	snapshot []ReplicaView
+	eligible int
+	stale    []int
+	inStale  []bool
+
+	// pickScratch is the reused takeBatch index scratch.
 	pickScratch []int
 
 	served      []RequestMetric
@@ -747,6 +767,7 @@ func (f *fleetRun) launch(r *fleetReplica, pick []int) error {
 	r.wakeAt = math.Inf(1)
 	r.needConsult = false
 	r.consults = 0
+	f.markView(r.id)
 	return nil
 }
 
@@ -818,6 +839,7 @@ func (f *fleetRun) completeReplica(r *fleetReplica) {
 		f.res.MakespanUS = r.doneAt
 	}
 	f.busyCount--
+	f.markView(r.id)
 	r.needConsult = r.queue.size() > 0
 	if r.needConsult {
 		f.markDirty(r.id)
@@ -829,22 +851,20 @@ func (f *fleetRun) completeReplica(r *fleetReplica) {
 // none has room the request is rejected. Under the KV model a request
 // whose own cache footprint exceeds the capacity is rejected outright
 // (no replica could ever serve it), and a router that returns an
-// ineligible replica fails the run with ErrBadRoute. The fleet
-// snapshot is built in the reused scratch buffer and updated in place
-// as arrivals land.
+// ineligible replica fails the run with ErrBadRoute. The first routed
+// arrival of the pass refreshes the stale views of the kept snapshot;
+// each arrival then updates its replica's view in place and marks it
+// stale.
 //
 // While the fleet is quiet until the next arrival, the pass advances
 // the clock and routes it too: the event loop would otherwise make a
 // round trip that changes nothing but the clock. Only queues change in
 // a quiet stretch, so the in-place snapshot stays exact — except for
 // KV bytes, whose in-place float sum can round differently from a
-// rebuild's, so with the KV model each arrival instant rebuilds it.
+// rebuild's, so with the KV model each arrival instant refreshes it.
 func (f *fleetRun) routeArrivals() error {
 	trace := f.spec.Trace.Requests
-	var (
-		views    []ReplicaView
-		eligible int
-	)
+	fresh := false
 	for f.next < len(trace) {
 		req := trace[f.next]
 		if req.ArrivalUS > f.clock {
@@ -853,7 +873,7 @@ func (f *fleetRun) routeArrivals() error {
 			}
 			f.clock = req.ArrivalUS
 			if f.kv != nil {
-				views = nil
+				fresh = false
 			}
 		}
 		f.next++
@@ -864,38 +884,47 @@ func (f *fleetRun) routeArrivals() error {
 			f.done++
 			continue
 		}
-		if views == nil {
-			views, eligible = f.views()
+		refreshed := !fresh
+		if refreshed {
+			f.refreshViews()
+			fresh = true
 		}
-		if eligible == 0 {
+		if routeHook != nil {
+			routeHook(f, refreshed)
+		}
+		if f.eligible == 0 {
 			f.res.Rejections = append(f.res.Rejections, Rejection{
 				ID: req.ID, ArrivalUS: req.ArrivalUS, SeqLen: req.SeqLen, Reason: RejectReasonQueueFull, Tenant: req.Tenant,
 			})
 			f.done++
 			continue
 		}
-		id := f.spec.Router.Route(req, views)
-		if id < 0 || id >= len(f.replicas) || !views[id].eligible() {
+		id := f.spec.Router.Route(req, f.snapshot)
+		if id < 0 || id >= len(f.replicas) || !f.snapshot[id].eligible() {
 			return fmt.Errorf("%w: router %q picked replica %d for request %d at %v with %d eligible replicas",
-				ErrBadRoute, f.spec.Router.Name(), id, req.ID, req.ArrivalUS, eligible)
+				ErrBadRoute, f.spec.Router.Name(), id, req.ID, req.ArrivalUS, f.eligible)
 		}
 		r := f.replicas[id]
 		r.queue.push(req)
 		r.needConsult = true
 		r.consults = 0
 		f.markDirty(id)
-		// Only the routed replica's view changed; update it in place.
-		views[id].Queued++
+		// Only the routed replica's view changed; update it in place,
+		// and mark it so the next refresh replaces the in-place KV sum
+		// with a rebuild's.
+		f.markView(id)
+		v := &f.snapshot[id]
+		v.Queued++
 		if f.kv != nil {
 			need := f.kv.peakBytes(req)
 			r.kvQueued += need
-			views[id].KVBytes += need
+			v.KVBytes += need
 		}
 		if f.spec.QueueCap != 0 && r.queue.size() >= f.spec.QueueCap {
-			if views[id].eligible() {
-				eligible--
+			if v.eligible() {
+				f.eligible--
 			}
-			views[id].HasRoom = false
+			v.HasRoom = false
 		}
 	}
 	if f.next == len(trace) {
@@ -910,6 +939,11 @@ func (f *fleetRun) routeArrivals() error {
 	}
 	return nil
 }
+
+// routeHook, when set, is called at every routing decision, before
+// the router sees the snapshot; refreshed reports that the decision
+// refreshed it. Tests hold the snapshot to a rebuild.
+var routeHook func(f *fleetRun, refreshed bool)
 
 // quietUntil reports whether the event loop would do nothing but route
 // arrivals up to time t: no autoscaler evaluates (it runs at every
@@ -928,28 +962,38 @@ func (f *fleetRun) quietUntil(t float64) bool {
 	return true
 }
 
-// views snapshots the fleet for the router into the reused scratch
-// buffer and counts eligible replicas. The returned slice is only
-// valid until the next call.
-func (f *fleetRun) views() ([]ReplicaView, int) {
-	views := f.viewScratch
-	eligible := 0
-	for i, r := range f.replicas {
-		views[i] = ReplicaView{
-			ID:       i,
+// markView records that replica id's state no longer matches its view.
+func (f *fleetRun) markView(id int) {
+	if !f.inStale[id] {
+		f.inStale[id] = true
+		f.stale = append(f.stale, id)
+	}
+}
+
+// refreshViews recomputes every stale view from its replica's state and
+// keeps the eligible count.
+func (f *fleetRun) refreshViews() {
+	for _, id := range f.stale {
+		f.inStale[id] = false
+		r, v := f.replicas[id], &f.snapshot[id]
+		if v.eligible() {
+			f.eligible--
+		}
+		*v = ReplicaView{
+			ID:       id,
 			Live:     r.live,
 			Queued:   r.queue.size(),
 			InFlight: len(r.inflight),
 			HasRoom:  f.spec.QueueCap == 0 || r.queue.size() < f.spec.QueueCap,
 		}
 		if f.kv != nil {
-			views[i].KVBytes = r.kvQueued + r.kvInflight
+			v.KVBytes = r.kvQueued + r.kvInflight
 		}
-		if views[i].eligible() {
-			eligible++
+		if v.eligible() {
+			f.eligible++
 		}
 	}
-	return views, eligible
+	f.stale = f.stale[:0]
 }
 
 // autoscale evaluates the reactive scaler at the current event: at
@@ -974,6 +1018,7 @@ func (f *fleetRun) autoscale() {
 			if !r.live {
 				r.live = true
 				r.liveSince = f.clock
+				f.markView(r.id)
 				f.res.ScaleUps++
 				f.lastScaleAt = f.clock
 				if live+1 > f.res.PeakReplicas {
@@ -990,6 +1035,7 @@ func (f *fleetRun) autoscale() {
 			if r.live && !r.busy && r.queue.size() == 0 {
 				r.live = false
 				r.liveUS += f.clock - r.liveSince
+				f.markView(r.id)
 				f.res.ScaleDowns++
 				f.lastScaleAt = f.clock
 				return

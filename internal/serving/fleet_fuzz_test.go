@@ -40,7 +40,10 @@ import (
 //     the full run; one that did not stop is the full run;
 //   - reuse: a Runner that has just run a different spec reports the
 //     summary SimulateFleet does, for the full run and for every stop
-//     rule's, one after another.
+//     rule's, one after another;
+//   - snapshot: at every routing decision of every run above, the
+//     views the router is handed and the eligible count are a full
+//     rebuild's from the replicas (checkKeptViews).
 func FuzzFleetInvariants(f *testing.F) {
 	f.Add(int64(1), 200.0, uint8(40), uint8(1), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0))
 	f.Add(int64(7), 900.0, uint8(120), uint8(3), uint8(4), uint8(1), uint8(1), false, uint8(0), uint8(3))
@@ -49,6 +52,13 @@ func FuzzFleetInvariants(f *testing.F) {
 	f.Add(int64(99), 1e6, uint8(255), uint8(8), uint8(8), uint8(2), uint8(0), false, uint8(0), uint8(7))
 	f.Add(int64(11), 800.0, uint8(96), uint8(4), uint8(0), uint8(4), uint8(1), false, uint8(5), uint8(2))
 	f.Add(int64(13), 3000.0, uint8(180), uint8(6), uint8(3), uint8(1), uint8(3), false, uint8(2), uint8(3))
+	// Autoscaled fleets that scale up and back down: KV off with
+	// queue-cap rejections, KV evict with scale-downs between arrivals,
+	// KV evict, and KV block with a queue cap.
+	f.Add(int64(21), 3000.0, uint8(200), uint8(5), uint8(4), uint8(1), uint8(1), true, uint8(0), uint8(0))
+	f.Add(int64(1), 800.0, uint8(200), uint8(5), uint8(4), uint8(1), uint8(1), true, uint8(4), uint8(0))
+	f.Add(int64(33), 3000.0, uint8(240), uint8(6), uint8(16), uint8(4), uint8(4), true, uint8(4), uint8(0))
+	f.Add(int64(47), 2500.0, uint8(240), uint8(5), uint8(8), uint8(4), uint8(4), true, uint8(5), uint8(0))
 
 	f.Fuzz(func(t *testing.T, seed int64, rate float64, n, replicas, queueCap, routing, policyKind uint8, autoscale bool, kvMode, tenantMode uint8) {
 		if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) || rate > 1e8 {
@@ -57,6 +67,8 @@ func FuzzFleetInvariants(f *testing.F) {
 		requests := int(n)%256 + 1
 		nReplicas := int(replicas)%8 + 1
 		cap := int(queueCap) % 16 // 0 = unbounded
+		routeHook = func(f *fleetRun, _ bool) { checkKeptViews(t, f, true) }
+		defer func() { routeHook = nil }()
 
 		corpus, err := dataset.Synthetic("fuzz", fuzzLengths(seed), 1000)
 		if err != nil {
@@ -469,4 +481,51 @@ func fuzzLengths(seed int64) []int {
 		lengths[i] = 1 + int((seed+int64(i)*7)%61)
 	}
 	return lengths
+}
+
+// views rebuilds the router's snapshot of the fleet from the replicas'
+// state, as the event loop did before it kept one, and counts the
+// eligible replicas.
+func (f *fleetRun) views() ([]ReplicaView, int) {
+	views := make([]ReplicaView, len(f.replicas))
+	eligible := 0
+	for i, r := range f.replicas {
+		views[i] = ReplicaView{
+			ID:       i,
+			Live:     r.live,
+			Queued:   r.queue.size(),
+			InFlight: len(r.inflight),
+			HasRoom:  f.spec.QueueCap == 0 || r.queue.size() < f.spec.QueueCap,
+		}
+		if f.kv != nil {
+			views[i].KVBytes = r.kvQueued + r.kvInflight
+		}
+		if views[i].eligible() {
+			eligible++
+		}
+	}
+	return views, eligible
+}
+
+// checkKeptViews requires the fleet's kept snapshot to equal a
+// rebuild, KV bytes included when exactKV is set. An in-place KV sum
+// within one arrival instant may round differently from a rebuild's;
+// the fuzzer's KV bytes are whole multiples of 1,000, so its sums are
+// exact and every decision compares them.
+func checkKeptViews(t *testing.T, f *fleetRun, exactKV bool) {
+	t.Helper()
+	want, eligible := f.views()
+	if f.eligible != eligible {
+		t.Fatalf("clock %v, request %d: kept snapshot counts %d eligible replicas, a rebuild %d",
+			f.clock, f.next-1, f.eligible, eligible)
+	}
+	for i, w := range want {
+		got := f.snapshot[i]
+		if !exactKV {
+			got.KVBytes = w.KVBytes
+		}
+		if got != w {
+			t.Fatalf("clock %v, request %d: kept view %+v, a rebuild %+v", f.clock, f.next-1, f.snapshot[i], w)
+		}
+	}
 }

@@ -496,3 +496,48 @@ func TestParallelismValidation(t *testing.T) {
 		t.Fatalf("Parallelism changed the summary:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// TestKeptSnapshotRefreshesKVSums holds the kept snapshot to a rebuild
+// where KV byte sums round: 0.1 bytes per token. Within an arrival
+// instant a routed replica's KV bytes are an in-place sum, as the
+// router has always seen them; each decision that refreshes the
+// snapshot must replace that sum with the rebuild's queued + in-flight
+// sum, so the routed replica has to be marked stale.
+func TestKeptSnapshotRefreshesKVSums(t *testing.T) {
+	corpus, err := dataset.Synthetic("kvsums", fuzzLengths(5), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := PoissonTrace(corpus, 400, 4000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := NewDynamicBatch(4, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refreshes := 0
+	routeHook = func(f *fleetRun, refreshed bool) {
+		if refreshed {
+			refreshes++
+		}
+		checkKeptViews(t, f, refreshed)
+	}
+	defer func() { routeHook = nil }()
+	for _, preempt := range []string{PreemptEvict, PreemptBlock} {
+		if _, err := SimulateFleet(FleetSpec{
+			Model:    models.NewGNMT(),
+			Trace:    trace,
+			Policy:   policy,
+			Router:   NewKVRouter(),
+			Replicas: 4,
+			Profiles: &stubSource{},
+			KV:       &KVConfig{CapacityBytes: 25, DecodeSteps: 7, BytesPerToken: 0.1, Preempt: preempt},
+		}, gpusim.VegaFE()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if refreshes == 0 {
+		t.Fatal("no routing decision refreshed the snapshot")
+	}
+}

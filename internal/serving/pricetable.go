@@ -45,6 +45,7 @@ const decodeSL = 1
 // one Runner, which advance serially, so reads and fills take no lock.
 type priceTable struct {
 	src   trainer.ProfileSource
+	timer evalTimer // src's single-key lookup; nil when it has none
 	hw    gpusim.Config
 	model models.Model
 
@@ -77,6 +78,7 @@ func checkFinite(us float64, batch, sl int) error {
 func newPriceTable(src trainer.ProfileSource, hw gpusim.Config, model models.Model,
 	maxBatch int, uniqueSLs []int, withDecode bool) (*priceTable, error) {
 	t := &priceTable{src: src, hw: hw, model: model, numSL: len(uniqueSLs)}
+	t.timer, _ = src.(evalTimer)
 	maxSL := 0
 	for _, sl := range uniqueSLs {
 		if sl > maxSL {
@@ -102,13 +104,15 @@ func newPriceTable(src trainer.ProfileSource, hw gpusim.Config, model models.Mod
 	if err != nil {
 		return nil, err
 	}
+	// Checked in trace order, so a source with several bad prices
+	// names the same one on every run.
 	base := (maxBatch - 1) * t.numSL
-	for sl, prof := range profiles {
-		if si := t.slIndex(sl); si > 0 {
+	for _, sl := range uniqueSLs {
+		if prof, ok := profiles[sl]; ok {
 			if err := checkFinite(prof.TimeUS, maxBatch, sl); err != nil {
 				return nil, err
 			}
-			t.prices[base+si-1] = prof.TimeUS
+			t.prices[base+t.slIndex(sl)-1] = prof.TimeUS
 		}
 	}
 	if withDecode {
@@ -183,19 +187,36 @@ func (t *priceTable) decodeLatency(batch int) (float64, error) {
 	return us, nil
 }
 
+// evalTimer is a profile source that prices one single-GPU eval key
+// without a bulk call (engine.Engine does). A fill asks it for the one
+// time it stores instead of a one-SL map of whole profiles.
+type evalTimer interface {
+	EvalTimeUS(hw gpusim.Config, m models.Model, batch, seqLen int) (float64, error)
+}
+
 // fetch prices one (batch, SL) through the profile source, rejecting
-// non-finite results at the fill boundary.
+// non-finite results at the fill boundary. A source without EvalTimeUS
+// is asked through EvalProfiles.
 func (t *priceTable) fetch(batch, sl int) (float64, error) {
-	profiles, err := t.src.EvalProfiles(t.hw, gpusim.SingleGPU(), t.model, batch, []int{sl})
-	if err != nil {
+	var us float64
+	if t.timer != nil {
+		var err error
+		if us, err = t.timer.EvalTimeUS(t.hw, t.model, batch, sl); err != nil {
+			return 0, err
+		}
+	} else {
+		profiles, err := t.src.EvalProfiles(t.hw, gpusim.SingleGPU(), t.model, batch, []int{sl})
+		if err != nil {
+			return 0, err
+		}
+		prof, ok := profiles[sl]
+		if !ok {
+			return 0, fmt.Errorf("serving: profile source returned no eval profile for batch %d SL %d", batch, sl)
+		}
+		us = prof.TimeUS
+	}
+	if err := checkFinite(us, batch, sl); err != nil {
 		return 0, err
 	}
-	prof, ok := profiles[sl]
-	if !ok {
-		return 0, fmt.Errorf("serving: profile source returned no eval profile for batch %d SL %d", batch, sl)
-	}
-	if err := checkFinite(prof.TimeUS, batch, sl); err != nil {
-		return 0, err
-	}
-	return prof.TimeUS, nil
+	return us, nil
 }

@@ -15,7 +15,9 @@ var ErrBadRoute = errors.New("serving: router returned an ineligible replica")
 
 // ReplicaView is the router-visible state of one replica at a routing
 // instant: enough to implement the classic load-balancing policies
-// without exposing the event loop's internals.
+// without exposing the event loop's internals. The fleet keeps one
+// slice of views for a whole run and updates it as replicas change, so
+// a router reads it and never writes it.
 type ReplicaView struct {
 	// ID is the replica's index in the fleet.
 	ID int
@@ -46,7 +48,9 @@ func (v ReplicaView) Outstanding() int { return v.Queued + v.InFlight }
 // called once per admitted arrival, in strict arrival order, with the
 // full fleet view; at least one replica is eligible (Live && HasRoom —
 // when none is, the fleet rejects the request without consulting the
-// router). Route must return an eligible replica's ID. Routers may
+// router). Route must return an eligible replica's ID. The slice is
+// the fleet's kept snapshot, which later arrivals see too, so Route
+// must not modify it or keep it past the call. Routers may
 // keep deterministic internal state (a rotation cursor, a seeded RNG);
 // given the same construction and call sequence they must make the
 // same picks, which keeps fleet summaries byte-identical across runs.

@@ -63,10 +63,22 @@ func NewPoissonDraws(c *dataset.Corpus, n int, seed int64) (*PoissonDraws, error
 // generator makes, so the trace at a rate does not depend on which
 // rates were built from the draws before it.
 func (d *PoissonDraws) Trace(ratePerSec float64) (Trace, error) {
+	return d.TraceInto(nil, ratePerSec)
+}
+
+// TraceInto is Trace built into buf's array when it holds the trace,
+// so a caller that needs one rate at a time reuses one array. The
+// returned trace's requests alias that array, and so does any trace
+// built into it before.
+func (d *PoissonDraws) TraceInto(buf []Request, ratePerSec float64) (Trace, error) {
 	if ratePerSec <= 0 || math.IsNaN(ratePerSec) || math.IsInf(ratePerSec, 0) {
 		return Trace{}, fmt.Errorf("workload: arrival rate must be a positive finite rate, got %v", ratePerSec)
 	}
-	reqs := make([]Request, len(d.gaps))
+	reqs := buf[:cap(buf)]
+	if len(reqs) < len(d.gaps) {
+		reqs = make([]Request, len(d.gaps))
+	}
+	reqs = reqs[:len(d.gaps)]
 	t := 0.0
 	for i, gap := range d.gaps {
 		t += gap / ratePerSec * 1e6

@@ -59,6 +59,9 @@ func sameTraceBits(got, want Trace) error {
 // PoissonTrace through it, to the single-pass generator over seeds,
 // lengths and rates, with rates revisited and built in an order that
 // is not sorted, so a trace cannot depend on the ones built before it.
+// TraceInto builds every rate into one array that holds the previous
+// rate's trace, and into an array too short for the trace (a nil one
+// first), and must match too.
 func TestPoissonDrawsMatchSinglePass(t *testing.T) {
 	c := testCorpus(t)
 	rates := []float64{1000, 0.5, 123.456, 3e7, 1e-3, 1000, 750.25}
@@ -68,6 +71,8 @@ func TestPoissonDrawsMatchSinglePass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var reused Trace
+			short := make([]Request, n-1)
 			for _, rate := range rates {
 				want, err := singlePassPoisson(c, n, rate, seed)
 				if err != nil {
@@ -86,6 +91,33 @@ func TestPoissonDrawsMatchSinglePass(t *testing.T) {
 				}
 				if err := sameTraceBits(direct, want); err != nil {
 					t.Fatalf("seed %d n %d rate %v: PoissonTrace: %v", seed, n, rate, err)
+				}
+				held := reused.Requests
+				if reused, err = d.TraceInto(held, rate); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameTraceBits(reused, want); err != nil {
+					t.Fatalf("seed %d n %d rate %v: TraceInto: %v", seed, n, rate, err)
+				}
+				if held != nil && &reused.Requests[0] != &held[0] {
+					t.Fatalf("seed %d n %d rate %v: TraceInto did not build into the array it was handed", seed, n, rate)
+				}
+				into, err := d.TraceInto(short, rate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameTraceBits(into, want); err != nil {
+					t.Fatalf("seed %d n %d rate %v: TraceInto a short array: %v", seed, n, rate, err)
+				}
+				stale := make([]Request, n+3)
+				for i := range stale {
+					stale[i] = Request{ID: -1, ArrivalUS: -1, SeqLen: -1, DecodeSteps: 9, Tenant: "stale"}
+				}
+				if into, err = d.TraceInto(stale, rate); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameTraceBits(into, want); err != nil {
+					t.Fatalf("seed %d n %d rate %v: TraceInto an array of other requests: %v", seed, n, rate, err)
 				}
 			}
 		}

@@ -145,9 +145,10 @@ func Select(records []SLRecord, opts Options) (Selection, error) {
 		}, nil
 	}
 
-	// Steps 2-6: bin, pick, weight, project; grow k until under e.
+	// Steps 2-6: bin, pick, weight, project; grow k until under e. A
+	// starting k above the cap starts at the cap.
 	var best Selection
-	for k := opts.InitialBins; k <= opts.MaxBins; k++ {
+	for k := min(opts.InitialBins, opts.MaxBins); k <= opts.MaxBins; k++ {
 		points := selectWithBins(recs, k)
 		proj := projectTotal(points)
 		sel := Selection{

@@ -162,6 +162,46 @@ func TestSelectMaxBinsCapReturnsBest(t *testing.T) {
 	}
 }
 
+// TestSelectInitialBinsAboveCap: a starting k above the SL span, or
+// above an explicit MaxBins, starts the refinement at the cap instead of
+// skipping it and returning an empty selection. At k = span every SL
+// sits in its own bin, so the projection is exact.
+func TestSelectInitialBinsAboveCap(t *testing.T) {
+	recs := linearRecords(rangeSLs(10, 39, 1), func(sl int) int { return 1 + sl%3 }, 3, 7)
+	iterations := 0
+	for _, r := range recs {
+		iterations += r.Freq
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		wantBins int
+	}{
+		{"k above span", Options{InitialBins: 1000}, 30},
+		{"k above max bins", Options{InitialBins: 12, MaxBins: 8}, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sel, err := Select(recs, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sel.Bins != tc.wantBins || !sel.Binned {
+				t.Fatalf("bins = %d (binned %v), want %d", sel.Bins, sel.Binned, tc.wantBins)
+			}
+			weight := 0.0
+			for _, p := range sel.Points {
+				weight += p.Weight
+			}
+			if weight != float64(iterations) {
+				t.Errorf("weights sum to %v over %d points, want the epoch's %d iterations", weight, len(sel.Points), iterations)
+			}
+			if tc.wantBins == 30 && (len(sel.Points) != len(recs) || sel.ErrorPct > 1e-9) {
+				t.Errorf("k = span: %d points at %v%% error, want all %d SLs, exact", len(sel.Points), sel.ErrorPct, len(recs))
+			}
+		})
+	}
+}
+
 func TestSelectMergesDuplicateRecords(t *testing.T) {
 	recs := []SLRecord{
 		{SeqLen: 10, Freq: 2, Stat: 5},

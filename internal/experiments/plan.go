@@ -34,7 +34,8 @@ type PlanProbeConfig struct {
 	// time at the median SL).
 	Policy serving.Policy
 	// PolicyTimeoutUS is the batching window used when a candidate
-	// names a policy override; 0 uses the serve default.
+	// names a policy override, as given: 0 serves a request as soon as
+	// it waits.
 	PolicyTimeoutUS float64
 	// Trace, when set, replaces the per-rate Poisson traces with this
 	// recorded trace rescaled to each probed rate (ScaleToRate): the
@@ -73,10 +74,6 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 			return nil, err
 		}
 	}
-	timeoutUS := pc.PolicyTimeoutUS
-	if timeoutUS == 0 {
-		timeoutUS = 50_000
-	}
 	var (
 		runner    serving.Runner
 		draws     *workload.PoissonDraws
@@ -109,7 +106,7 @@ func PlanProbe(eng trainer.ProfileSource, w Workload, cfg gpusim.Config, pc Plan
 		policy, ok := policies[c.Policy]
 		if !ok {
 			var err error
-			policy, err = serving.ParsePolicy(c.Policy, w.Batch, timeoutUS)
+			policy, err = serving.ParsePolicy(c.Policy, w.Batch, pc.PolicyTimeoutUS)
 			if err != nil {
 				return zero, err
 			}

@@ -136,17 +136,8 @@ func buildSpec(r SimulateRequest) (trainer.Spec, gpusim.Config, error) {
 	if !r.Eval {
 		w.Eval = nil
 	}
-
-	return trainer.Spec{
-		Model:    w.Model,
-		Train:    w.Train,
-		Eval:     w.Eval,
-		Batch:    r.Batch,
-		Epochs:   r.Epochs,
-		Schedule: w.Schedule,
-		Seed:     r.Seed,
-		Cluster:  cl,
-	}, hw, nil
+	w.Batch, w.Epochs, w.Cluster = r.Batch, r.Epochs, cl
+	return w.Spec(), hw, nil
 }
 
 // configByName resolves a Table II configuration name.

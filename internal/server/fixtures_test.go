@@ -8,12 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"seqpoint/internal/trainer"
 )
 
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite the committed request/response wire fixtures")
 
-// The committed fixtures pin the wire protocol of the serving-family
-// endpoints: the request files are what clients send, the response
+// The committed fixtures pin the wire protocol of every POST endpoint:
+// the request files are what clients send, the response
 // files are what this server version answers. Both must round-trip
 // through the typed structs unchanged — a field the structs don't
 // cover, a renamed tag, or a drifted simulation all fail here.
@@ -38,10 +40,32 @@ func fixtureRequests() map[string]struct {
 		SeqLens:  []int{4, 7, 9, 12},
 	}
 	kvCapacityGB := 0.02
+	training := SimulateRequest{
+		Model:   "gnmt",
+		Batch:   4,
+		Seed:    7,
+		SeqLens: []int{4, 7, 9, 12, 12, 15, 20, 26},
+	}
 	return map[string]struct {
 		path string
 		req  any
 	}{
+		"simulate": {"/v1/simulate", training},
+		// seqpoint logs enough unique SLs past n to pin a binned pick.
+		"seqpoint": {"/v1/seqpoint", SeqPointRequest{
+			SimulateRequest: SimulateRequest{
+				Model:   "gnmt",
+				Batch:   2,
+				Seed:    7,
+				SeqLens: []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27},
+			},
+			MaxUniqueNoBinning: 2,
+			InitialBins:        2,
+		}},
+		"sweep": {"/v1/sweep", SweepRequest{Tasks: []SimulateRequest{
+			training,
+			{Model: "transformer", Batch: 2, Config: "#3", GPUs: 2, SeqLens: []int{5, 11, 16}},
+		}}},
 		"serve": {"/v1/serve", ServeRequest{WorkloadSpec: workload}},
 		// serve_kv pins a KV-enabled single-queue summary: TTFT
 		// percentiles, preemptions and per-tenant TTFT tails.
@@ -145,6 +169,33 @@ func TestWireFixtures(t *testing.T) {
 				return marshalFixture(t, dst)
 			}
 			switch fx.path {
+			case "/v1/simulate":
+				var req SimulateRequest
+				var resp trainer.RunSummary
+				if got := roundTrip(wantReq, &req); !bytes.Equal(got, wantReq) {
+					t.Errorf("simulate request round-trip changed:\n%s\nvs\n%s", got, wantReq)
+				}
+				if got := roundTrip(wantResp, &resp); !bytes.Equal(got, wantResp) {
+					t.Errorf("simulate response round-trip changed:\n%s\nvs\n%s", got, wantResp)
+				}
+			case "/v1/seqpoint":
+				var req SeqPointRequest
+				var resp SeqPointResponse
+				if got := roundTrip(wantReq, &req); !bytes.Equal(got, wantReq) {
+					t.Errorf("seqpoint request round-trip changed:\n%s\nvs\n%s", got, wantReq)
+				}
+				if got := roundTrip(wantResp, &resp); !bytes.Equal(got, wantResp) {
+					t.Errorf("seqpoint response round-trip changed:\n%s\nvs\n%s", got, wantResp)
+				}
+			case "/v1/sweep":
+				var req SweepRequest
+				var resp SweepResponse
+				if got := roundTrip(wantReq, &req); !bytes.Equal(got, wantReq) {
+					t.Errorf("sweep request round-trip changed:\n%s\nvs\n%s", got, wantReq)
+				}
+				if got := roundTrip(wantResp, &resp); !bytes.Equal(got, wantResp) {
+					t.Errorf("sweep response round-trip changed:\n%s\nvs\n%s", got, wantResp)
+				}
 			case "/v1/serve":
 				var req ServeRequest
 				var resp ServeResponse

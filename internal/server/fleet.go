@@ -2,8 +2,8 @@ package server
 
 import (
 	"fmt"
-	"net/http"
 
+	"seqpoint/internal/engine"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/serving"
 	"seqpoint/internal/trainer"
@@ -252,38 +252,30 @@ type FleetResponse struct {
 	Summary serving.FleetSummary `json:"summary"`
 }
 
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	var req FleetRequest
-	if !s.decodePost(w, r, &req) {
-		return
+func (r FleetRequest) resolve(eng *engine.Engine) (any, func() (any, error), error) {
+	r = r.normalize()
+	if err := r.limits(); err != nil {
+		return nil, nil, err
 	}
-	req = req.normalize()
-	if err := req.limits(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, hw, err := req.Spec(s.eng)
+	spec, hw, err := r.Spec(eng)
 	if err == nil {
-		err = req.traceFileLimit(spec.Trace)
+		err = r.traceFileLimit(spec.Trace)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-
-	status, body := s.execute(r.Context(), coalesceKey("fleet", req), func() (int, []byte) {
+	return r, func() (any, error) {
 		res, err := serving.SimulateFleet(spec, hw)
 		if err != nil {
-			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
+			return nil, err
 		}
-		return http.StatusOK, marshalBody(FleetResponse{
-			Model:      req.Model,
-			Config:     req.Config,
+		return FleetResponse{
+			Model:      r.Model,
+			Config:     r.Config,
 			Trace:      spec.Trace.Name,
 			Routing:    spec.Router.Name(),
-			RatePerSec: req.Rate,
+			RatePerSec: r.Rate,
 			Summary:    res.Summary(),
-		})
-	})
-	writeRaw(w, status, body)
+		}, nil
+	}, nil
 }

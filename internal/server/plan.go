@@ -1,11 +1,10 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"net/http"
 
+	"seqpoint/internal/engine"
 	"seqpoint/internal/experiments"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/planner"
@@ -238,36 +237,25 @@ type PlanResponse struct {
 	Plan planner.Plan `json:"plan"`
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if !s.decodePost(w, r, &req) {
-		return
+func (r PlanRequest) resolve(eng *engine.Engine) (any, func() (any, error), error) {
+	r = r.normalize()
+	if err := r.limits(); err != nil {
+		return nil, nil, err
 	}
-	req = req.normalize()
-	if err := req.limits(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, _, err := req.Spec(s.eng)
+	spec, _, err := r.Spec(eng)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-
-	status, body := s.execute(r.Context(), coalesceKey("plan", req), func() (int, []byte) {
+	return r, func() (any, error) {
 		plan, err := planner.Solve(spec)
-		if errors.Is(err, planner.ErrInfeasible) {
-			return http.StatusUnprocessableEntity, errorBody(http.StatusUnprocessableEntity, err)
-		}
 		if err != nil {
-			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
+			return nil, err
 		}
-		return http.StatusOK, marshalBody(PlanResponse{
-			Model:      req.Model,
-			Config:     req.Config,
-			RatePerSec: req.Rate,
+		return PlanResponse{
+			Model:      r.Model,
+			Config:     r.Config,
+			RatePerSec: r.Rate,
 			Plan:       plan,
-		})
-	})
-	writeRaw(w, status, body)
+		}, nil
+	}, nil
 }

@@ -287,3 +287,30 @@ func TestPlanSummaryIsFleetSummary(t *testing.T) {
 		})
 	}
 }
+
+// TestPlanPolicyAxisKeepsZeroTimeout: an explicit timeout_us of 0 (serve
+// as soon as a request waits) holds for the candidates a policies axis
+// names, as it does for the envelope's own policy.
+func TestPlanPolicyAxisKeepsZeroTimeout(t *testing.T) {
+	s := testServer(Options{})
+	const envelope = `"model":"gnmt","rate":200,"batch":4,"requests":64,"seqlens":[8,12,16],"timeout_us":0,` +
+		`"routings":["rr"],"max_replicas":2,"slo":{"max_drop_rate_pct":100}`
+	for name, body := range map[string]string{
+		"envelope policy": `{` + envelope + `}`,
+		"policies axis":   `{` + envelope + `,"policies":["dynamic"]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := postJSON(t, s, "/v1/plan", body)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+			}
+			var resp PlanResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if want := "dynamic(4,0us)"; resp.Plan.Policy != want {
+				t.Errorf("plan policy = %q, want %q", resp.Plan.Policy, want)
+			}
+		})
+	}
+}

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"errors"
-	"net/http"
-
+	"seqpoint/internal/engine"
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/serving"
 	"seqpoint/internal/trainer"
@@ -56,40 +54,29 @@ type ServeResponse struct {
 	Summary serving.Summary `json:"summary"`
 }
 
-func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
-	var req ServeRequest
-	if !s.decodePost(w, r, &req) {
-		return
+func (r ServeRequest) resolve(eng *engine.Engine) (any, func() (any, error), error) {
+	r = r.normalize()
+	if err := r.limits(); err != nil {
+		return nil, nil, err
 	}
-	req = req.normalize()
-	if err := req.limits(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, hw, err := req.Spec(s.eng)
+	spec, hw, err := r.Spec(eng)
 	if err == nil {
-		err = req.traceFileLimit(spec.Trace)
+		err = r.traceFileLimit(spec.Trace)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-
-	status, body := s.execute(r.Context(), coalesceKey("serve", req), func() (int, []byte) {
+	return r, func() (any, error) {
 		res, err := serving.Simulate(spec, hw)
-		if errors.Is(err, serving.ErrKVCapacity) {
-			return http.StatusBadRequest, errorBody(http.StatusBadRequest, withCode(CodeKVCapacity, err))
-		}
 		if err != nil {
-			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
+			return nil, err
 		}
-		return http.StatusOK, marshalBody(ServeResponse{
-			Model:      req.Model,
-			Config:     req.Config,
+		return ServeResponse{
+			Model:      r.Model,
+			Config:     r.Config,
 			Trace:      spec.Trace.Name,
-			RatePerSec: req.Rate,
+			RatePerSec: r.Rate,
 			Summary:    res.Summary(),
-		})
-	})
-	writeRaw(w, status, body)
+		}, nil
+	}, nil
 }

@@ -46,6 +46,8 @@ import (
 	"seqpoint/internal/core"
 	"seqpoint/internal/engine"
 	"seqpoint/internal/experiments"
+	"seqpoint/internal/planner"
+	"seqpoint/internal/serving"
 )
 
 // Defaults for Options fields left zero.
@@ -162,12 +164,12 @@ func New(opts Options) *Server {
 		{"/healthz", s.handleHealthz},
 		{"/v1/stats", s.handleStats},
 		{"/metrics", s.handleMetrics},
-		{"/v1/simulate", s.handleSimulate},
-		{"/v1/sweep", s.handleSweep},
-		{"/v1/seqpoint", s.handleSeqPoint},
-		{"/v1/serve", s.handleServe},
-		{"/v1/fleet", s.handleFleet},
-		{"/v1/plan", s.handlePlan},
+		{"/v1/simulate", post[SimulateRequest](s, "simulate")},
+		{"/v1/sweep", post[SweepRequest](s, "sweep")},
+		{"/v1/seqpoint", post[SeqPointRequest](s, "seqpoint")},
+		{"/v1/serve", post[ServeRequest](s, "serve")},
+		{"/v1/fleet", post[FleetRequest](s, "fleet")},
+		{"/v1/plan", post[PlanRequest](s, "plan")},
 	}
 	paths := make([]string, len(routes))
 	for i, rt := range routes {
@@ -242,7 +244,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": status})
+	writeJSON(w, map[string]string{"status": status})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -250,50 +252,82 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeMethodNotAllowed(w, http.MethodGet, r.Method)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Stats())
+	writeJSON(w, s.Stats())
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if !s.decodePost(w, r, &req) {
-		return
+// A postRequest is one POST endpoint's request type. resolve is all the
+// endpoint adds to the shared request path: it normalizes and checks
+// the decoded request and builds the computation over eng. It returns
+// the normalized request, which is the coalescing identity; any error
+// it returns is a 400.
+type postRequest interface {
+	resolve(eng *engine.Engine) (id any, compute func() (any, error), err error)
+}
+
+// post is the request path of every POST endpoint: strict decoding,
+// the endpoint's resolve, then the computation under execute's
+// throttles. A computed value is the 2xx body; an error maps to its
+// status in computeFailure.
+func post[Req postRequest](s *Server, endpoint string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !s.decodePost(w, r, &req) {
+			return
+		}
+		id, compute, err := req.resolve(s.eng)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		status, body := s.execute(r.Context(), coalesceKey(endpoint, id), func() (int, []byte) {
+			v, err := compute()
+			if err != nil {
+				return computeFailure(err)
+			}
+			return marshalBody(v)
+		})
+		writeRaw(w, status, body)
 	}
-	req = req.normalize()
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+}
+
+// computeFailure maps a computation's error to its response: a request
+// whose own KV cache exceeds the capacity is the client's 400, an SLO
+// no candidate fleet meets is 422, and anything else is a 500.
+func computeFailure(err error) (int, []byte) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, serving.ErrKVCapacity):
+		status, err = http.StatusBadRequest, withCode(CodeKVCapacity, err)
+	case errors.Is(err, planner.ErrInfeasible):
+		status = http.StatusUnprocessableEntity
 	}
-	spec, hw, err := buildSpec(req)
+	return status, errorBody(status, err)
+}
+
+func (r SimulateRequest) resolve(eng *engine.Engine) (any, func() (any, error), error) {
+	r = r.normalize()
+	if err := r.validate(); err != nil {
+		return nil, nil, err
+	}
+	spec, hw, err := buildSpec(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-
-	status, body := s.execute(r.Context(), coalesceKey("simulate", req), func() (int, []byte) {
-		run, err := s.eng.Simulate(spec, hw)
+	return r, func() (any, error) {
+		run, err := eng.Simulate(spec, hw)
 		if err != nil {
-			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
+			return nil, err
 		}
-		buf, err := run.Summary().Serialize()
-		if err != nil {
-			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
-		}
-		return http.StatusOK, buf
-	})
-	writeRaw(w, status, body)
+		return run.Summary(), nil
+	}, nil
 }
 
-func (s *Server) handleSeqPoint(w http.ResponseWriter, r *http.Request) {
-	var req SeqPointRequest
-	if !s.decodePost(w, r, &req) {
-		return
+func (r SeqPointRequest) resolve(eng *engine.Engine) (any, func() (any, error), error) {
+	r.SimulateRequest = r.SimulateRequest.normalize()
+	if err := r.validate(); err != nil {
+		return nil, nil, err
 	}
-	req.SimulateRequest = req.SimulateRequest.normalize()
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	method := req.Method
+	method := r.Method
 	if method == "" {
 		method = "seqpoint"
 	}
@@ -301,9 +335,9 @@ func (s *Server) handleSeqPoint(w http.ResponseWriter, r *http.Request) {
 	switch method {
 	case "seqpoint":
 		opts := core.Options{
-			MaxUniqueNoBinning: req.MaxUniqueNoBinning,
-			InitialBins:        req.InitialBins,
-			ErrorThresholdPct:  req.ErrorThresholdPct,
+			MaxUniqueNoBinning: r.MaxUniqueNoBinning,
+			InitialBins:        r.InitialBins,
+			ErrorThresholdPct:  r.ErrorThresholdPct,
 		}
 		selectFn = func(recs []core.SLRecord) (core.Selection, error) { return core.Select(recs, opts) }
 	case "frequent":
@@ -313,32 +347,28 @@ func (s *Server) handleSeqPoint(w http.ResponseWriter, r *http.Request) {
 	case "worst":
 		selectFn = core.Worst
 	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown method %q (want seqpoint, frequent, median or worst)", req.Method))
-		return
+		return nil, nil, fmt.Errorf("unknown method %q (want seqpoint, frequent, median or worst)", r.Method)
 	}
-	spec, hw, err := buildSpec(req.SimulateRequest)
+	spec, hw, err := buildSpec(r.SimulateRequest)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-
-	status, body := s.execute(r.Context(), coalesceKey("seqpoint", req), func() (int, []byte) {
-		run, err := s.eng.Simulate(spec, hw)
+	return r, func() (any, error) {
+		run, err := eng.Simulate(spec, hw)
 		if err != nil {
-			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
+			return nil, err
 		}
 		recs, err := experiments.SLRecords(run, 0)
 		if err != nil {
-			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
+			return nil, err
 		}
 		sel, err := selectFn(recs)
 		if err != nil {
-			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
+			return nil, err
 		}
 		resp := SeqPointResponse{
-			Model:     req.Model,
-			Config:    req.Config,
+			Model:     r.Model,
+			Config:    r.Config,
 			Method:    method,
 			UniqueSLs: len(recs),
 			Bins:      sel.Bins,
@@ -349,45 +379,34 @@ func (s *Server) handleSeqPoint(w http.ResponseWriter, r *http.Request) {
 		for i, p := range sel.Points {
 			resp.Points[i] = SeqPointResult{SeqLen: p.SeqLen, Weight: p.Weight, IterTimeUS: p.Stat}
 		}
-		return http.StatusOK, marshalBody(resp)
-	})
-	writeRaw(w, status, body)
+		return resp, nil
+	}, nil
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !s.decodePost(w, r, &req) {
-		return
+func (r SweepRequest) resolve(eng *engine.Engine) (any, func() (any, error), error) {
+	if len(r.Tasks) == 0 {
+		return nil, nil, errors.New("sweep needs at least one task")
 	}
-	if len(req.Tasks) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("sweep needs at least one task"))
-		return
+	if len(r.Tasks) > maxSweepTasks {
+		return nil, nil, fmt.Errorf("sweep of %d tasks exceeds the %d-task limit", len(r.Tasks), maxSweepTasks)
 	}
-	if len(req.Tasks) > maxSweepTasks {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sweep of %d tasks exceeds the %d-task limit", len(req.Tasks), maxSweepTasks))
-		return
-	}
-	tasks := make([]engine.SweepTask, len(req.Tasks))
-	for i, tr := range req.Tasks {
+	tasks := make([]engine.SweepTask, len(r.Tasks))
+	for i, tr := range r.Tasks {
 		tr = tr.normalize()
-		req.Tasks[i] = tr
+		r.Tasks[i] = tr
 		if err := tr.validate(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("task %d: %w", i, err))
-			return
+			return nil, nil, fmt.Errorf("task %d: %w", i, err)
 		}
 		spec, hw, err := buildSpec(tr)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("task %d: %w", i, err))
-			return
+			return nil, nil, fmt.Errorf("task %d: %w", i, err)
 		}
 		tasks[i] = engine.SweepTask{Name: taskName(tr), Spec: spec, Config: hw}
 	}
-
 	// A sweep occupies one limiter slot regardless of its internal
 	// parallelism; the engine's own pool bounds the real fan-out.
-	status, body := s.execute(r.Context(), coalesceKey("sweep", req), func() (int, []byte) {
-		results := s.eng.Sweep(context.Background(), tasks, req.Parallelism)
+	return r, func() (any, error) {
+		results := eng.Sweep(context.Background(), tasks, r.Parallelism)
 		resp := SweepResponse{Results: make([]SweepTaskResult, len(results))}
 		for i, res := range results {
 			out := SweepTaskResult{Name: res.Task.Name}
@@ -399,9 +418,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Results[i] = out
 		}
-		return http.StatusOK, marshalBody(resp)
-	})
-	writeRaw(w, status, body)
+		return resp, nil
+	}, nil
 }
 
 // decodePost enforces the POST method and strict JSON decoding; it
@@ -582,12 +600,15 @@ func statusForContext(err error) int {
 	return http.StatusServiceUnavailable
 }
 
-func marshalBody(v any) []byte {
+// marshalBody encodes a 2xx body as indented JSON with a trailing
+// newline, the bytes trainer.RunSummary.Serialize writes; a value that
+// fails to encode answers 500.
+func marshalBody(v any) (int, []byte) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return errorBody(http.StatusInternalServerError, err)
+		return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)
 	}
-	return append(b, '\n')
+	return http.StatusOK, append(b, '\n')
 }
 
 // codedError carries a machine-readable code that overrides the
@@ -664,6 +685,7 @@ func writeMethodNotAllowed(w http.ResponseWriter, allow, method string) {
 	writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed; use %s", method, allow))
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	writeRaw(w, status, marshalBody(v))
+func writeJSON(w http.ResponseWriter, v any) {
+	status, body := marshalBody(v)
+	writeRaw(w, status, body)
 }

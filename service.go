@@ -7,14 +7,15 @@ import (
 
 // HTTP simulation service (internal/server): the engine behind
 // seqpointd. A Server exposes the engine over HTTP/JSON — POST
-// /v1/simulate, /v1/sweep and /v1/seqpoint, GET /healthz, /v1/stats
-// and /metrics (Prometheus text exposition) — with per-request
-// timeouts, a bounded in-flight limiter and request coalescing on top
-// of the engine's per-profile singleflight. For shutdown, StartDrain
-// flips the server into drain mode (new simulations get a typed 503)
-// and Drain additionally joins every detached computation, so a final
-// cache snapshot taken afterwards holds everything in-flight work
-// priced. The typed ServiceClient speaks the same wire format.
+// /v1/simulate, /v1/sweep, /v1/seqpoint, /v1/serve, /v1/fleet and
+// /v1/plan, GET /healthz, /v1/stats and /metrics (Prometheus text
+// exposition) — with per-request timeouts, a bounded in-flight limiter
+// and request coalescing on top of the engine's per-profile
+// singleflight. For shutdown, StartDrain flips the server into drain
+// mode (new simulations get a typed 503) and Drain additionally joins
+// every detached computation, so a final cache snapshot taken
+// afterwards holds everything in-flight work priced. The typed
+// ServiceClient speaks the same wire format.
 type (
 	// Server serves an engine over HTTP; it is an http.Handler.
 	Server = server.Server

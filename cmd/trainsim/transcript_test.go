@@ -27,8 +27,9 @@ func TestMain(m *testing.M) {
 }
 
 // transcriptRuns are trainsim invocations in the order they run: the
-// README's drives, then edge cases that must fail. The -trace-in runs
-// replay files that earlier runs write into the shared directory.
+// README's drives, then edge cases that must fail, then a tenanted
+// disaggregated fleet, which pins its per-tenant table. The -trace-in
+// runs replay files that earlier runs write into the shared directory.
 var transcriptRuns = [][]string{
 	{"-model", "gnmt", "-config", "3", "-parallelism", "4"},
 	{"-model", "gnmt", "-serve", "-rate", "600", "-replicas", "3", "-routing", "po2", "-queue-cap", "64"},
@@ -60,6 +61,7 @@ var transcriptRuns = [][]string{
 	{"-model", "gnmt", "-serve", "-config", "9", "-rate", "200"},
 	{"-model", "cnn", "-serve", "-rate", "200"},
 	{"-model", "gnmt", "-serve", "-rate", "200", "-decode-steps", "8"},
+	{"-model", "gnmt", "-serve", "-rate", "600", "-batch", "8", "-replicas", "3", "-kv-capacity-gb", "0.05", "-decode-steps", "16", "-disagg", "1:2", "-tenants", "chat=2,bulk=1"},
 }
 
 // transcriptHeader labels one run in the transcript, quoting empty

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"seqpoint/internal/gpusim"
@@ -62,22 +63,24 @@ func simulateDisagg(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	}
 
 	// The handoff queue: prefill completions in (done time, trace ID)
-	// order become the decode pool's arrival trace.
-	hand := append([]RequestMetric(nil), preRes.Requests...)
-	sort.Slice(hand, func(i, j int) bool {
-		if hand[i].DoneUS != hand[j].DoneUS {
-			return hand[i].DoneUS < hand[j].DoneUS
-		}
-		return hand[i].ID < hand[j].ID
-	})
-	orig := spec.Trace.Requests
+	// order become the decode pool's arrival trace. The decode pool's
+	// request i is served[hand[i]]; served is in trace-ID order, so a
+	// stable sort by done time breaks ties by ID.
+	served := preRes.Requests
+	hand := make([]int, len(served))
+	for i := range hand {
+		hand[i] = i
+	}
+	sort.SliceStable(hand, func(i, j int) bool { return served[hand[i]].DoneUS < served[hand[j]].DoneUS })
 	reqs := make([]Request, len(hand))
-	for i, m := range hand {
+	for i, k := range hand {
+		m := &served[k]
 		reqs[i] = Request{
 			ID:          i,
 			ArrivalUS:   m.DoneUS,
 			SeqLen:      m.SeqLen,
-			DecodeSteps: orig[m.ID].DecodeSteps,
+			DecodeSteps: spec.Trace.Requests[m.ID].DecodeSteps,
+			Tenant:      m.Tenant,
 		}
 	}
 
@@ -116,45 +119,27 @@ func simulateDisagg(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		}
 	}
 
-	// Merge per-request metrics back under original trace IDs: queueing
-	// and prefill timing from stage 1, completion (and the decode batch
-	// it rode) from stage 2. FirstUS — the TTFT instant — is the
-	// prefill completion, which is where the first output token exists
-	// in this topology too.
+	// Merge per-request metrics back under original trace IDs, in the
+	// prefill record: each request keeps its prefill metric (queueing
+	// and prefill timing, tenant) and takes its completion, and the
+	// decode batch and replica it rode, from stage 2. FirstUS — the TTFT
+	// instant — is the prefill completion, which is where the first
+	// output token exists in this topology too.
 	if decRes != nil {
-		res.Requests = make([]RequestMetric, 0, len(decRes.Requests))
-		byOrig := make([]RequestMetric, len(orig))
-		taken := make([]bool, len(orig))
 		for _, dm := range decRes.Requests {
-			pm := hand[dm.ID]
-			origID := pm.ID
-			byOrig[origID] = RequestMetric{
-				ID:        origID,
-				SeqLen:    pm.SeqLen,
-				ArrivalUS: pm.ArrivalUS,
-				StartUS:   pm.StartUS,
-				FirstUS:   pm.FirstUS,
-				DoneUS:    dm.DoneUS,
-				BatchSize: dm.BatchSize,
-				PaddedSL:  pm.PaddedSL,
-				Replica:   P + dm.Replica,
-			}
-			taken[origID] = true
-		}
-		for id, ok := range taken {
-			if ok {
-				res.Requests = append(res.Requests, byOrig[id])
-			}
+			m := &served[hand[dm.ID]]
+			m.DoneUS, m.BatchSize, m.Replica = dm.DoneUS, dm.BatchSize, P+dm.Replica
 		}
 		// A request the decode pool refused (its full context can never
 		// fit) surfaces as a kv_capacity rejection under its original
-		// identity.
+		// identity, and leaves the served metrics.
 		for _, rej := range decRes.Rejections {
-			origID := hand[rej.ID].ID
-			res.Rejections = append(res.Rejections, Rejection{
-				ID: origID, ArrivalUS: orig[origID].ArrivalUS, SeqLen: rej.SeqLen, Reason: rej.Reason,
-			})
+			m := &served[hand[rej.ID]]
+			rej.ID, rej.ArrivalUS = m.ID, m.ArrivalUS
+			res.Rejections = append(res.Rejections, rej)
+			m.ID = -1
 		}
+		res.Requests = slices.DeleteFunc(served, func(m RequestMetric) bool { return m.ID < 0 })
 		sort.Slice(res.Rejections, func(i, j int) bool { return res.Rejections[i].ID < res.Rejections[j].ID })
 	}
 

@@ -23,13 +23,15 @@ import (
 // fleet: replica wake/finish times live in a min-heap (fleetheap.go),
 // so finding the next event costs O(log R); policy re-consults wait
 // in a dirty set; and the router's snapshot of the fleet is kept for
-// the whole run, with only the replicas whose state changed since
-// recomputed, so keeping it costs what changed, not R. Batch latencies
-// come from a flat price table (pricetable.go). Replicas advance
-// serially, in (time, replica ID) order. Three parts still cost O(R)
-// per call: a bundled router's pick (every one but rr scans all views
-// on each arrival), the autoscaler's depth count at each event, and
-// the flush of partial batches once the trace is drained.
+// the whole run and written through: each change to a replica's queue,
+// batch, liveness or KV bytes rewrites that replica's view at once, so
+// keeping it costs what changed, not R. Batch latencies come from a
+// flat price table (pricetable.go), which is also the run's index of
+// the trace's SLs. Replicas advance serially, in (time, replica ID)
+// order. Three parts still cost O(R) per call: a bundled router's pick
+// (every one but rr scans all views on each arrival), the autoscaler's
+// depth count at each event, and the flush of partial batches once the
+// trace is drained.
 
 // MaxFleetReplicas bounds the modeled fleet size; beyond it the O(N)
 // per-arrival routing scan stops being the simulation's cheap part.
@@ -353,9 +355,9 @@ func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 // the replicas with their queue, batch and KV buffers, and the
 // summary's ranking scratch. It also keeps the price table when the
 // next run has the same profile source, hardware, model, max batch and
-// KV setting, and the table holds every SL of its trace: prices are
-// deterministic profile lookups, so a kept table changes only how often
-// the source is asked. A caller that simulates many fleets of one
+// KV setting, and the table has a slot for every SL of its trace:
+// prices are deterministic profile lookups, so a kept table changes
+// only how often the source is asked. A caller that simulates many fleets of one
 // workload, as a capacity plan's probes do, so pays for that state
 // once. The zero value is ready to use. A Runner is not safe for
 // concurrent use.
@@ -364,17 +366,7 @@ type Runner struct {
 	replicas []*fleetReplica
 	xs       []float64
 
-	prices   *priceTable
-	priceKey priceKey
-}
-
-// priceKey is what a price table's prices depend on.
-type priceKey struct {
-	src      trainer.ProfileSource
-	hw       gpusim.Config
-	model    models.Model
-	maxBatch int
-	kv       bool
+	prices *priceTable
 }
 
 // Run simulates spec on hw, as SimulateFleet does, and returns the
@@ -420,8 +412,7 @@ func (rn *Runner) runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, erro
 		kv = newKVState(spec.KV, spec.Model)
 	}
 
-	prices, err := rn.priceTable(priceKey{src: src, hw: hw, model: spec.Model, maxBatch: maxBatch, kv: kv != nil},
-		spec.Trace.UniqueSLs())
+	prices, err := rn.priceTable(src, hw, spec.Model, maxBatch, spec.Trace.Requests, kv != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -460,14 +451,11 @@ func (rn *Runner) runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, erro
 		heap:        newReplicaHeap(allocated),
 		inDirty:     make([]bool, allocated),
 		snapshot:    make([]ReplicaView, allocated),
-		inStale:     make([]bool, allocated),
-		stale:       make([]int, 0, allocated),
 		served:      rn.served,
 		lastScaleAt: math.Inf(-1),
 	}
-	// Every view starts stale; the first routed arrival computes them.
 	for i := range replicas {
-		f.markView(i)
+		f.setView(i)
 	}
 	if spec.Stop != nil {
 		f.stop = newStopCheck(*spec.Stop, len(spec.Trace.Requests))
@@ -478,19 +466,23 @@ func (rn *Runner) runFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, erro
 	return f.res, nil
 }
 
-// priceTable returns the table for key over the trace's unique SLs: the
-// one the last run built when its key is key and it holds every SL,
-// else a new one. Keys whose profile source or model cannot be compared
-// without a panic get a new table.
-func (rn *Runner) priceTable(key priceKey, uniqueSLs []int) (*priceTable, error) {
-	if rn.prices != nil && safeToCompare(key.src) && safeToCompare(key.model) && key == rn.priceKey && rn.prices.holds(uniqueSLs) {
-		return rn.prices, nil
+// priceTable returns a table over the SLs of reqs: the one the last run
+// built when it was built for the same source, hardware, model, max
+// batch and KV setting and has a slot for every request's SL, else a
+// new one. A profile source or model that cannot be compared without a
+// panic gets a new table.
+func (rn *Runner) priceTable(src trainer.ProfileSource, hw gpusim.Config, model models.Model,
+	maxBatch int, reqs []Request, withDecode bool) (*priceTable, error) {
+	if t := rn.prices; t != nil && safeToCompare(src) && safeToCompare(model) &&
+		t.src == src && t.hw == hw && t.model == model && t.maxBatch == maxBatch &&
+		(t.decode != nil) == withDecode && t.holds(reqs) {
+		return t, nil
 	}
-	t, err := newPriceTable(key.src, key.hw, key.model, key.maxBatch, uniqueSLs, key.kv)
+	t, err := newPriceTable(src, hw, model, maxBatch, reqs, withDecode)
 	if err != nil {
 		return nil, err
 	}
-	rn.prices, rn.priceKey = t, key
+	rn.prices = t
 	return t, nil
 }
 
@@ -528,14 +520,11 @@ type fleetRun struct {
 	busyCount int
 
 	// snapshot is the router's view of the fleet, kept for the whole
-	// run, and eligible counts its eligible views. A replica whose
-	// queue, batch, liveness or KV bytes change is marked stale (stale,
-	// deduped by inStale), and refreshViews recomputes only the marked
-	// views.
+	// run, and eligible counts its eligible views. Every change to a
+	// replica's queue, batch, liveness or KV bytes rewrites its view at
+	// once (setView; a routed arrival updates its view in place).
 	snapshot []ReplicaView
 	eligible int
-	stale    []int
-	inStale  []bool
 
 	// pickScratch is the reused takeBatch index scratch.
 	pickScratch []int
@@ -767,7 +756,7 @@ func (f *fleetRun) launch(r *fleetReplica, pick []int) error {
 	r.wakeAt = math.Inf(1)
 	r.needConsult = false
 	r.consults = 0
-	f.markView(r.id)
+	f.setView(r.id)
 	return nil
 }
 
@@ -839,7 +828,7 @@ func (f *fleetRun) completeReplica(r *fleetReplica) {
 		f.res.MakespanUS = r.doneAt
 	}
 	f.busyCount--
-	f.markView(r.id)
+	f.setView(r.id)
 	r.needConsult = r.queue.size() > 0
 	if r.needConsult {
 		f.markDirty(r.id)
@@ -851,20 +840,14 @@ func (f *fleetRun) completeReplica(r *fleetReplica) {
 // none has room the request is rejected. Under the KV model a request
 // whose own cache footprint exceeds the capacity is rejected outright
 // (no replica could ever serve it), and a router that returns an
-// ineligible replica fails the run with ErrBadRoute. The first routed
-// arrival of the pass refreshes the stale views of the kept snapshot;
-// each arrival then updates its replica's view in place and marks it
-// stale.
+// ineligible replica fails the run with ErrBadRoute. Each arrival
+// updates its replica's view in place.
 //
 // While the fleet is quiet until the next arrival, the pass advances
 // the clock and routes it too: the event loop would otherwise make a
-// round trip that changes nothing but the clock. Only queues change in
-// a quiet stretch, so the in-place snapshot stays exact — except for
-// KV bytes, whose in-place float sum can round differently from a
-// rebuild's, so with the KV model each arrival instant refreshes it.
+// round trip that changes nothing but the clock.
 func (f *fleetRun) routeArrivals() error {
 	trace := f.spec.Trace.Requests
-	fresh := false
 	for f.next < len(trace) {
 		req := trace[f.next]
 		if req.ArrivalUS > f.clock {
@@ -872,25 +855,20 @@ func (f *fleetRun) routeArrivals() error {
 				break
 			}
 			f.clock = req.ArrivalUS
-			if f.kv != nil {
-				fresh = false
-			}
 		}
 		f.next++
-		if f.kv != nil && f.kv.peakBytes(req) > f.kv.capacity {
-			f.res.Rejections = append(f.res.Rejections, Rejection{
-				ID: req.ID, ArrivalUS: req.ArrivalUS, SeqLen: req.SeqLen, Reason: RejectReasonKVCapacity, Tenant: req.Tenant,
-			})
-			f.done++
-			continue
-		}
-		refreshed := !fresh
-		if refreshed {
-			f.refreshViews()
-			fresh = true
+		var need float64
+		if f.kv != nil {
+			if need = f.kv.peakBytes(req); need > f.kv.capacity {
+				f.res.Rejections = append(f.res.Rejections, Rejection{
+					ID: req.ID, ArrivalUS: req.ArrivalUS, SeqLen: req.SeqLen, Reason: RejectReasonKVCapacity, Tenant: req.Tenant,
+				})
+				f.done++
+				continue
+			}
 		}
 		if routeHook != nil {
-			routeHook(f, refreshed)
+			routeHook(f)
 		}
 		if f.eligible == 0 {
 			f.res.Rejections = append(f.res.Rejections, Rejection{
@@ -909,22 +887,15 @@ func (f *fleetRun) routeArrivals() error {
 		r.needConsult = true
 		r.consults = 0
 		f.markDirty(id)
-		// Only the routed replica's view changed; update it in place,
-		// and mark it so the next refresh replaces the in-place KV sum
-		// with a rebuild's.
-		f.markView(id)
+		// Only the routed replica's queue and KV bytes changed. Its view
+		// was eligible, so a full queue takes it out of the count.
+		r.kvQueued += need
 		v := &f.snapshot[id]
 		v.Queued++
-		if f.kv != nil {
-			need := f.kv.peakBytes(req)
-			r.kvQueued += need
-			v.KVBytes += need
-		}
+		v.KVBytes = r.kvQueued + r.kvInflight
 		if f.spec.QueueCap != 0 && r.queue.size() >= f.spec.QueueCap {
-			if v.eligible() {
-				f.eligible--
-			}
 			v.HasRoom = false
+			f.eligible--
 		}
 	}
 	if f.next == len(trace) {
@@ -941,9 +912,8 @@ func (f *fleetRun) routeArrivals() error {
 }
 
 // routeHook, when set, is called at every routing decision, before
-// the router sees the snapshot; refreshed reports that the decision
-// refreshed it. Tests hold the snapshot to a rebuild.
-var routeHook func(f *fleetRun, refreshed bool)
+// the router sees the snapshot. Tests hold the snapshot to a rebuild.
+var routeHook func(f *fleetRun)
 
 // quietUntil reports whether the event loop would do nothing but route
 // arrivals up to time t: no autoscaler evaluates (it runs at every
@@ -962,38 +932,24 @@ func (f *fleetRun) quietUntil(t float64) bool {
 	return true
 }
 
-// markView records that replica id's state no longer matches its view.
-func (f *fleetRun) markView(id int) {
-	if !f.inStale[id] {
-		f.inStale[id] = true
-		f.stale = append(f.stale, id)
+// setView rewrites replica id's view from its state and keeps the
+// eligible count.
+func (f *fleetRun) setView(id int) {
+	r, v := f.replicas[id], &f.snapshot[id]
+	if v.eligible() {
+		f.eligible--
 	}
-}
-
-// refreshViews recomputes every stale view from its replica's state and
-// keeps the eligible count.
-func (f *fleetRun) refreshViews() {
-	for _, id := range f.stale {
-		f.inStale[id] = false
-		r, v := f.replicas[id], &f.snapshot[id]
-		if v.eligible() {
-			f.eligible--
-		}
-		*v = ReplicaView{
-			ID:       id,
-			Live:     r.live,
-			Queued:   r.queue.size(),
-			InFlight: len(r.inflight),
-			HasRoom:  f.spec.QueueCap == 0 || r.queue.size() < f.spec.QueueCap,
-		}
-		if f.kv != nil {
-			v.KVBytes = r.kvQueued + r.kvInflight
-		}
-		if v.eligible() {
-			f.eligible++
-		}
+	*v = ReplicaView{
+		ID:       id,
+		Live:     r.live,
+		Queued:   r.queue.size(),
+		InFlight: len(r.inflight),
+		HasRoom:  f.spec.QueueCap == 0 || r.queue.size() < f.spec.QueueCap,
+		KVBytes:  r.kvQueued + r.kvInflight,
 	}
-	f.stale = f.stale[:0]
+	if v.eligible() {
+		f.eligible++
+	}
 }
 
 // autoscale evaluates the reactive scaler at the current event: at
@@ -1018,7 +974,7 @@ func (f *fleetRun) autoscale() {
 			if !r.live {
 				r.live = true
 				r.liveSince = f.clock
-				f.markView(r.id)
+				f.setView(r.id)
 				f.res.ScaleUps++
 				f.lastScaleAt = f.clock
 				if live+1 > f.res.PeakReplicas {
@@ -1035,7 +991,7 @@ func (f *fleetRun) autoscale() {
 			if r.live && !r.busy && r.queue.size() == 0 {
 				r.live = false
 				r.liveUS += f.clock - r.liveSince
-				f.markView(r.id)
+				f.setView(r.id)
 				f.res.ScaleDowns++
 				f.lastScaleAt = f.clock
 				return

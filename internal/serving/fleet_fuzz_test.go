@@ -25,6 +25,11 @@ import (
 //   - memory (kvMode > 0): no replica's cache peak exceeds the
 //     capacity ceiling, first-token instants sit inside each request's
 //     service window, and preemption counts attribute to replicas;
+//   - disaggregation (kvMode >= 128 on a fixed fleet of 2 or more
+//     replicas): the fleet splits into a prefill and a decode pool,
+//     and each pool's replicas serve every served request. Every other
+//     check here but generalization and early stop holds for the
+//     merged run, tenancy included;
 //   - tenancy (tenantMode > 0): every served metric and rejection
 //     carries its trace request's tenant, the per-tenant roll-ups
 //     conserve arrivals (requests = served + rejected, summing to the
@@ -34,10 +39,11 @@ import (
 //   - generalization: a 1-replica round-robin unbounded fleet matches
 //     the single-queue reference loop request by request, KV model
 //     included;
-//   - early stop: under stop rules whose caps sit at, just below and
-//     well below the full run's own p99 and drop rate, a run misses a
-//     cap exactly when the full run does. A stopped run is a prefix of
-//     the full run; one that did not stop is the full run;
+//   - early stop (not disaggregated): under stop rules whose caps sit
+//     at, just below and well below the full run's own p99 and drop
+//     rate, a run misses a cap exactly when the full run does. A
+//     stopped run is a prefix of the full run; one that did not stop is
+//     the full run;
 //   - reuse: a Runner that has just run a different spec reports the
 //     summary SimulateFleet does, for the full run and for every stop
 //     rule's, one after another;
@@ -59,6 +65,9 @@ func FuzzFleetInvariants(f *testing.F) {
 	f.Add(int64(1), 800.0, uint8(200), uint8(5), uint8(4), uint8(1), uint8(1), true, uint8(4), uint8(0))
 	f.Add(int64(33), 3000.0, uint8(240), uint8(6), uint8(16), uint8(4), uint8(4), true, uint8(4), uint8(0))
 	f.Add(int64(47), 2500.0, uint8(240), uint8(5), uint8(8), uint8(4), uint8(4), true, uint8(5), uint8(0))
+	// A disaggregated fleet, 2 prefill and 2 decode replicas, with three
+	// tenants and a queue cap that rejects at the front door.
+	f.Add(int64(5), 4000.0, uint8(200), uint8(3), uint8(3), uint8(1), uint8(9), false, uint8(133), uint8(3))
 
 	f.Fuzz(func(t *testing.T, seed int64, rate float64, n, replicas, queueCap, routing, policyKind uint8, autoscale bool, kvMode, tenantMode uint8) {
 		if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) || rate > 1e8 {
@@ -67,7 +76,7 @@ func FuzzFleetInvariants(f *testing.F) {
 		requests := int(n)%256 + 1
 		nReplicas := int(replicas)%8 + 1
 		cap := int(queueCap) % 16 // 0 = unbounded
-		routeHook = func(f *fleetRun, _ bool) { checkKeptViews(t, f, true) }
+		routeHook = func(f *fleetRun) { checkKeptViews(t, f) }
 		defer func() { routeHook = nil }()
 
 		corpus, err := dataset.Synthetic("fuzz", fuzzLengths(seed), 1000)
@@ -141,6 +150,14 @@ func FuzzFleetInvariants(f *testing.F) {
 			}
 			spec.Replicas = 1
 		}
+		// The pools split the fleet; with at most (61+16)×1000B per
+		// request both admit every request, so only the front door
+		// rejects.
+		prefill := 0
+		if kv != nil && kvMode >= 128 && nReplicas >= 2 && !autoscale {
+			prefill = 1 + int(kvMode)%(nReplicas-1)
+			spec.Disagg = &DisaggConfig{PrefillReplicas: prefill, DecodeReplicas: nReplicas - prefill}
+		}
 		res, err := SimulateFleet(spec, gpusim.VegaFE())
 		if err != nil {
 			t.Fatalf("SimulateFleet: %v", err)
@@ -193,16 +210,21 @@ func FuzzFleetInvariants(f *testing.F) {
 			t.Fatalf("makespan %v != last completion %v", res.MakespanUS, lastDone)
 		}
 
-		// Attribution: per-replica counts sum to the fleet totals.
-		var served, batches int
+		// Attribution: per-replica counts sum to the fleet totals; each
+		// pool of a disaggregated fleet serves every served request.
+		var served, prefillServed, batches int
 		var busy float64
 		for _, rs := range res.ReplicaStats {
-			served += rs.Served
+			if rs.Replica < prefill {
+				prefillServed += rs.Served
+			} else {
+				served += rs.Served
+			}
 			batches += rs.Batches
 			busy += rs.BusyUS
 		}
-		if served != len(res.Requests) {
-			t.Fatalf("replica served sum %d != fleet served %d", served, len(res.Requests))
+		if served != len(res.Requests) || (prefill > 0 && prefillServed != served) {
+			t.Fatalf("replica served sum %d (prefill pool %d) != fleet served %d", served, prefillServed, len(res.Requests))
 		}
 		if batches != res.Batches {
 			t.Fatalf("replica batch sum %d != fleet batches %d", batches, res.Batches)
@@ -325,7 +347,7 @@ func FuzzFleetInvariants(f *testing.F) {
 			}
 		}
 		other.Router = NewRoundRobin()
-		other.Autoscale, other.Replicas, other.QueueCap = nil, nReplicas%3+2, (cap+5)%8
+		other.Autoscale, other.Disagg, other.Replicas, other.QueueCap = nil, nil, nReplicas%3+2, (cap+5)%8
 		if seed&1 != 0 {
 			if kv == nil {
 				other.KV = &KVConfig{CapacityBytes: 100_000, DecodeSteps: 3, BytesPerToken: 1000}
@@ -339,8 +361,12 @@ func FuzzFleetInvariants(f *testing.F) {
 		checkRunnerRun(t, &rn, spec, routerNames[int(routing)%len(routerNames)], seed, sum)
 
 		// Early stop: each rule's verdict is the full run's, and the same
-		// runner, stopped or not, reports the same summary.
+		// runner, stopped or not, reports the same summary. Disaggregated
+		// fleets refuse a stop rule.
 		for _, rule := range stopRules(sum) {
+			if spec.Disagg != nil {
+				break
+			}
 			srouter, err := ParseRouting(routerNames[int(routing)%len(routerNames)], seed)
 			if err != nil {
 				t.Fatal(err)
@@ -507,12 +533,9 @@ func (f *fleetRun) views() ([]ReplicaView, int) {
 	return views, eligible
 }
 
-// checkKeptViews requires the fleet's kept snapshot to equal a
-// rebuild, KV bytes included when exactKV is set. An in-place KV sum
-// within one arrival instant may round differently from a rebuild's;
-// the fuzzer's KV bytes are whole multiples of 1,000, so its sums are
-// exact and every decision compares them.
-func checkKeptViews(t *testing.T, f *fleetRun, exactKV bool) {
+// checkKeptViews requires the fleet's kept snapshot, KV bytes
+// included, and its eligible count to equal a rebuild.
+func checkKeptViews(t *testing.T, f *fleetRun) {
 	t.Helper()
 	want, eligible := f.views()
 	if f.eligible != eligible {
@@ -520,11 +543,7 @@ func checkKeptViews(t *testing.T, f *fleetRun, exactKV bool) {
 			f.clock, f.next-1, f.eligible, eligible)
 	}
 	for i, w := range want {
-		got := f.snapshot[i]
-		if !exactKV {
-			got.KVBytes = w.KVBytes
-		}
-		if got != w {
+		if f.snapshot[i] != w {
 			t.Fatalf("clock %v, request %d: kept view %+v, a rebuild %+v", f.clock, f.next-1, f.snapshot[i], w)
 		}
 	}

@@ -497,47 +497,50 @@ func TestParallelismValidation(t *testing.T) {
 	}
 }
 
-// TestKeptSnapshotRefreshesKVSums holds the kept snapshot to a rebuild
-// where KV byte sums round: 0.1 bytes per token. Within an arrival
-// instant a routed replica's KV bytes are an in-place sum, as the
-// router has always seen them; each decision that refreshes the
-// snapshot must replace that sum with the rebuild's queued + in-flight
-// sum, so the routed replica has to be marked stale.
-func TestKeptSnapshotRefreshesKVSums(t *testing.T) {
-	corpus, err := dataset.Synthetic("kvsums", fuzzLengths(5), 1000)
-	if err != nil {
-		t.Fatal(err)
+// TestKeptSnapshotSameInstantArrivals holds the kept snapshot to a
+// rebuild at every routing decision, KV bytes included, where arrivals
+// share an instant and KV byte sums round: requests arrive four at a
+// time, at 0.1, 0.3 and 1.7 bytes per token. A routed replica's KV
+// bytes must be its queued plus in-flight sum, as a rebuild adds them,
+// not a running sum of what the instant routed to it.
+func TestKeptSnapshotSameInstantArrivals(t *testing.T) {
+	const n = 400
+	arrivals, sls := make([]float64, n), make([]int, n)
+	for i := range arrivals {
+		arrivals[i] = float64(i/4) * 37
+		sls[i] = 3 + (7*i)%11
 	}
-	trace, err := PoissonTrace(corpus, 400, 4000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := replay(t, arrivals, sls)
 	policy, err := NewDynamicBatch(4, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refreshes := 0
-	routeHook = func(f *fleetRun, refreshed bool) {
-		if refreshed {
-			refreshes++
+	shared, last := 0, math.Inf(-1)
+	routeHook = func(f *fleetRun) {
+		checkKeptViews(t, f)
+		if f.clock == last {
+			shared++
 		}
-		checkKeptViews(t, f, refreshed)
+		last = f.clock
 	}
 	defer func() { routeHook = nil }()
-	for _, preempt := range []string{PreemptEvict, PreemptBlock} {
-		if _, err := SimulateFleet(FleetSpec{
-			Model:    models.NewGNMT(),
-			Trace:    trace,
-			Policy:   policy,
-			Router:   NewKVRouter(),
-			Replicas: 4,
-			Profiles: &stubSource{},
-			KV:       &KVConfig{CapacityBytes: 25, DecodeSteps: 7, BytesPerToken: 0.1, Preempt: preempt},
-		}, gpusim.VegaFE()); err != nil {
-			t.Fatal(err)
+	for _, bpt := range []float64{0.1, 0.3, 1.7} {
+		for _, preempt := range []string{PreemptEvict, PreemptBlock} {
+			last = math.Inf(-1)
+			if _, err := SimulateFleet(FleetSpec{
+				Model:    models.NewGNMT(),
+				Trace:    trace,
+				Policy:   policy,
+				Router:   NewKVRouter(),
+				Replicas: 3,
+				Profiles: &stubSource{},
+				KV:       &KVConfig{CapacityBytes: 25, DecodeSteps: 7, BytesPerToken: bpt, Preempt: preempt},
+			}, gpusim.VegaFE()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if refreshes == 0 {
-		t.Fatal("no routing decision refreshed the snapshot")
+	if shared == 0 {
+		t.Fatal("no routing decision shared its instant with the one before")
 	}
 }

@@ -39,19 +39,25 @@ const decodeSL = 1
 // (or prefetch) the decode row, so their profile-source call sequence
 // is byte-for-byte the pre-KV one.
 //
+// The table is also the run's one index of the trace's SLs: it numbers
+// them in first-arrival order as it is built, and records what its
+// prices depend on, so a Runner can tell whether the next run may keep
+// it.
+//
 // Unfilled slots hold NaN — a value no valid profile can produce
 // (fills reject non-finite prices with ErrNonFinitePrice), so presence
 // needs no side bitmap. A table belongs to one run, or to the runs of
 // one Runner, which advance serially, so reads and fills take no lock.
 type priceTable struct {
-	src   trainer.ProfileSource
-	timer evalTimer // src's single-key lookup; nil when it has none
-	hw    gpusim.Config
-	model models.Model
+	src      trainer.ProfileSource
+	timer    evalTimer // src's single-key lookup; nil when it has none
+	hw       gpusim.Config
+	model    models.Model
+	maxBatch int
 
-	// slDense maps a sequence length to its 1-based table index (0 =
-	// unknown SL) when the trace's max SL is small enough for a dense
-	// array; slSparse is the fallback for pathological SLs.
+	// slDense maps a sequence length below maxDenseSL to its 1-based
+	// table index (0 = unknown SL); slSparse indexes the longer ones,
+	// and stays nil when the trace has none.
 	slDense  []int32
 	slSparse map[int]int
 	numSL    int
@@ -60,8 +66,8 @@ type priceTable struct {
 	decode []float64 // [batch-1] per-decode-step latency; nil when KV is off
 }
 
-// maxDenseSL bounds the dense SL-index array: traces with longer
-// sequences fall back to a map index without losing correctness.
+// maxDenseSL bounds the dense SL-index array: longer sequences fall
+// back to a map index without losing correctness.
 const maxDenseSL = 1 << 16
 
 // checkFinite validates one fetched price at fill time.
@@ -72,42 +78,45 @@ func checkFinite(us float64, batch, sl int) error {
 	return nil
 }
 
-// newPriceTable builds the table over the trace's unique SLs,
-// prefetching the maxBatch row — and, with withDecode, the maxBatch
-// decode-step price.
+// newPriceTable indexes the SLs of a trace's requests, in one pass and
+// in first-arrival order, and prefetches their maxBatch row in that
+// order — and, with withDecode, the maxBatch decode-step price.
 func newPriceTable(src trainer.ProfileSource, hw gpusim.Config, model models.Model,
-	maxBatch int, uniqueSLs []int, withDecode bool) (*priceTable, error) {
-	t := &priceTable{src: src, hw: hw, model: model, numSL: len(uniqueSLs)}
+	maxBatch int, reqs []Request, withDecode bool) (*priceTable, error) {
+	t := &priceTable{src: src, hw: hw, model: model, maxBatch: maxBatch}
 	t.timer, _ = src.(evalTimer)
-	maxSL := 0
-	for _, sl := range uniqueSLs {
-		if sl > maxSL {
-			maxSL = sl
+	var sls []int
+	for i := range reqs {
+		sl := reqs[i].SeqLen
+		if t.slIndex(sl) != 0 {
+			continue
+		}
+		sls = append(sls, sl)
+		if sl < maxDenseSL {
+			if sl >= len(t.slDense) {
+				t.slDense = append(t.slDense, make([]int32, sl+1-len(t.slDense))...)
+			}
+			t.slDense[sl] = int32(len(sls))
+		} else {
+			if t.slSparse == nil {
+				t.slSparse = make(map[int]int)
+			}
+			t.slSparse[sl] = len(sls)
 		}
 	}
-	if maxSL < maxDenseSL {
-		t.slDense = make([]int32, maxSL+1)
-		for i, sl := range uniqueSLs {
-			t.slDense[sl] = int32(i) + 1
-		}
-	} else {
-		t.slSparse = make(map[int]int, len(uniqueSLs))
-		for i, sl := range uniqueSLs {
-			t.slSparse[sl] = i + 1
-		}
-	}
+	t.numSL = len(sls)
 	t.prices = make([]float64, maxBatch*t.numSL)
 	for i := range t.prices {
 		t.prices[i] = math.NaN()
 	}
-	profiles, err := src.EvalProfiles(hw, gpusim.SingleGPU(), model, maxBatch, uniqueSLs)
+	profiles, err := src.EvalProfiles(hw, gpusim.SingleGPU(), model, maxBatch, sls)
 	if err != nil {
 		return nil, err
 	}
 	// Checked in trace order, so a source with several bad prices
 	// names the same one on every run.
 	base := (maxBatch - 1) * t.numSL
-	for _, sl := range uniqueSLs {
+	for _, sl := range sls {
 		if prof, ok := profiles[sl]; ok {
 			if err := checkFinite(prof.TimeUS, maxBatch, sl); err != nil {
 				return nil, err
@@ -130,19 +139,16 @@ func newPriceTable(src trainer.ProfileSource, hw gpusim.Config, model models.Mod
 // slIndex returns the 1-based table index for sl, or 0 when the SL is
 // not one of the trace's.
 func (t *priceTable) slIndex(sl int) int {
-	if t.slDense != nil {
-		if sl < len(t.slDense) {
-			return int(t.slDense[sl])
-		}
-		return 0
+	if sl < len(t.slDense) {
+		return int(t.slDense[sl])
 	}
 	return t.slSparse[sl]
 }
 
-// holds reports whether every SL of sls has a slot in the table.
-func (t *priceTable) holds(sls []int) bool {
-	for _, sl := range sls {
-		if t.slIndex(sl) == 0 {
+// holds reports whether every request's SL has a slot in the table.
+func (t *priceTable) holds(reqs []Request) bool {
+	for i := range reqs {
+		if t.slIndex(reqs[i].SeqLen) == 0 {
 			return false
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"seqpoint/internal/dataset"
@@ -159,6 +160,50 @@ func TestPriceTableSingleKeyFills(t *testing.T) {
 		if single.calls != 1 || single.lookups != bulk.calls-1 || single.lookups == 0 {
 			t.Errorf("KV %v: single-key source made %d bulk and %d single calls; the bulk-only one %d bulk calls",
 				kv != nil, single.calls, single.lookups, bulk.calls)
+		}
+	}
+}
+
+// slRecorder is stubSource that records the SLs of every bulk call.
+type slRecorder struct {
+	stubSource
+	bulk [][]int
+}
+
+func (s *slRecorder) EvalProfiles(hw gpusim.Config, cl gpusim.ClusterConfig, m models.Model, batch int, seqLens []int) (map[int]profiler.IterationProfile, error) {
+	s.bulk = append(s.bulk, append([]int(nil), seqLens...))
+	return s.stubSource.EvalProfiles(hw, cl, m, batch, seqLens)
+}
+
+// TestPriceTableIndex: the table numbers a trace's SLs in first-arrival
+// order and prefetches them in that order, indexes an SL past the dense
+// range through its map, and holds a trace only when it has a slot for
+// every request's SL.
+func TestPriceTableIndex(t *testing.T) {
+	reqs := []Request{{SeqLen: 8}, {SeqLen: 4}, {SeqLen: 8}, {SeqLen: 1 << 20}, {SeqLen: 16}, {SeqLen: 1 << 20}, {SeqLen: 4}}
+	src := &slRecorder{}
+	pt, err := newPriceTable(src, gpusim.VegaFE(), models.NewGNMT(), 2, reqs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := []int{8, 4, 1 << 20, 16}
+	if len(src.bulk) != 1 || !slices.Equal(src.bulk[0], order) {
+		t.Fatalf("bulk prefetches %v, want one of %v", src.bulk, order)
+	}
+	for i, sl := range order {
+		if got := pt.slIndex(sl); got != i+1 {
+			t.Errorf("SL %d has index %d, want %d", sl, got, i+1)
+		}
+	}
+	if _, ok := pt.slSparse[1<<20]; !ok || len(pt.slDense) > maxDenseSL {
+		t.Errorf("SL 2^20 is not indexed through the map (dense index of %d SLs)", len(pt.slDense))
+	}
+	if !pt.holds(reqs) {
+		t.Error("the table does not hold its own trace")
+	}
+	for _, sl := range []int{3, 17, maxDenseSL, 1<<20 + 1} {
+		if pt.holds(append(reqs[:3:3], Request{SeqLen: sl})) {
+			t.Errorf("the table holds a trace with SL %d, which it has no slot for", sl)
 		}
 	}
 }

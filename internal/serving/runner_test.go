@@ -42,7 +42,8 @@ func runnerTrace(t *testing.T, lengths []int, n int, rate float64, seed int64, t
 // runnerSteps grows and shrinks the trace and the fleet, switches the
 // KV model and tenants on and off, rejects at queue caps, autoscales,
 // stops a run just before running the same fleet in full, and ends on
-// a disaggregated fleet.
+// two tenanted disaggregated fleets, the second with a decode pool that
+// rejects.
 func runnerSteps(t *testing.T) []runnerStep {
 	short := []int{4, 8, 12, 16, 20, 24, 28, 32}
 	long := []int{10, 30, 50, 70, 90}
@@ -65,6 +66,9 @@ func runnerSteps(t *testing.T) []runnerStep {
 		return r
 	}
 	heavyKV := &KVConfig{CapacityBytes: 60_000, DecodeSteps: 16, BytesPerToken: 1000}
+	// Prefill holds at most 32 tokens, decode 16 more: SLs above 24 fit
+	// the prefill pool but not the decode pool.
+	decodeRejectsKV := &KVConfig{CapacityBytes: 40_000, DecodeSteps: 16, BytesPerToken: 1000}
 	blockKV := &KVConfig{CapacityBytes: 120_000, DecodeSteps: 4, BytesPerToken: 1000, Preempt: PreemptBlock}
 	gnmt := models.NewGNMT()
 	late := StopRule{P99LatencyUS: 1}
@@ -89,6 +93,16 @@ func runnerSteps(t *testing.T) []runnerStep {
 			}
 			return nil
 		}
+	}
+	// tenanted reports whether the summary has n per-tenant rows whose
+	// served and rejected counts add up to the fleet's.
+	tenanted := func(s FleetSummary, n int) bool {
+		served, rejected := 0, 0
+		for _, ts := range s.PerTenant {
+			served += ts.Served
+			rejected += ts.Rejected
+		}
+		return len(s.PerTenant) == n && served == s.Served && rejected == s.Rejected
 	}
 	return []runnerStep{
 		{name: "small rr", spec: spec(runnerTrace(t, short, 64, 2000, 1, 0), fixed(4), RoutingRoundRobin, 2, 0)},
@@ -125,10 +139,22 @@ func runnerSteps(t *testing.T) []runnerStep {
 		{name: "SLs outside the table", spec: spec(runnerTrace(t, long, 100, 1500, 7, 0), fixed(4), RoutingRoundRobin, 3, 0)},
 		{name: "one replica, dynamic batching", spec: spec(runnerTrace(t, long, 20, 400, 8, 0), dynamic, RoutingRoundRobin, 1, 0)},
 		{
-			name: "disaggregated",
-			spec: with(spec(runnerTrace(t, short, 120, 5000, 9, 0), fixed(4), RoutingRoundRobin, 3, 0),
+			name: "disaggregated, tenants",
+			spec: with(spec(runnerTrace(t, short, 120, 5000, 9, 3), fixed(4), RoutingRoundRobin, 3, 0),
 				func(s *FleetSpec) { s.KV, s.Disagg = blockKV, &DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2} }),
-			check: need("a disaggregated run", func(s FleetSummary) bool { return s.Disagg != "" }),
+			check: need("a disaggregated run with three tenants", func(s FleetSummary) bool {
+				return s.Disagg != "" && tenanted(s, 3)
+			}),
+		},
+		{
+			name: "disaggregated, tenants, the decode pool rejects",
+			spec: with(spec(runnerTrace(t, short, 120, 5000, 10, 3), fixed(4), RoutingRoundRobin, 3, 0),
+				func(s *FleetSpec) {
+					s.KV, s.Disagg = decodeRejectsKV, &DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}
+				}),
+			check: need("decode-pool rejections that keep their tenants", func(s FleetSummary) bool {
+				return s.Disagg != "" && s.Rejected > 0 && tenanted(s, 3)
+			}),
 		},
 	}
 }

@@ -82,7 +82,7 @@ func referenceSimulate(spec Spec, hw gpusim.Config) (*Result, error) {
 	// batch size (every full batch's padded SL is one of the trace's
 	// SLs) and prices each dispatch by integer offset; partial-batch
 	// sizes fill their slots on first use.
-	prices, err := newPriceTable(src, hw, spec.Model, maxBatch, spec.Trace.UniqueSLs(), kv != nil)
+	prices, err := newPriceTable(src, hw, spec.Model, maxBatch, spec.Trace.Requests, kv != nil)
 	if err != nil {
 		return nil, err
 	}

@@ -82,44 +82,6 @@ func (t Trace) Validate() error {
 	return nil
 }
 
-// UniqueSLs returns the distinct sequence lengths of the trace in
-// first-arrival order. Every serving run calls it over its whole trace,
-// so SLs below maxDenseSL are deduplicated in a dense seen-slice — one
-// indexed load per request instead of a map probe — and only outliers
-// fall back to a map.
-func (t Trace) UniqueSLs() []int {
-	var (
-		out    []int
-		dense  []bool
-		sparse map[int]bool
-	)
-	for _, r := range t.Requests {
-		sl := r.SeqLen
-		if sl >= 0 && sl < maxDenseSL {
-			if sl >= len(dense) {
-				dense = append(dense, make([]bool, sl+1-len(dense))...)
-			}
-			if dense[sl] {
-				continue
-			}
-			dense[sl] = true
-		} else {
-			if sparse[sl] {
-				continue
-			}
-			if sparse == nil {
-				sparse = make(map[int]bool)
-			}
-			sparse[sl] = true
-		}
-		out = append(out, sl)
-	}
-	return out
-}
-
-// maxDenseSL bounds the dense seen-slice UniqueSLs indexes by SL.
-const maxDenseSL = 1 << 16
-
 // Tenants returns the distinct non-empty tenant labels of the trace in
 // first-arrival order; nil for single-tenant traces.
 func (t Trace) Tenants() []string {

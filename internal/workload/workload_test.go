@@ -278,9 +278,6 @@ func TestTraceHelpers(t *testing.T) {
 		{ID: 2, ArrivalUS: 200, SeqLen: 8, Tenant: "b-1"},
 		{ID: 3, ArrivalUS: 1e6, SeqLen: 16},
 	}}
-	if got, want := tr.UniqueSLs(), []int{8, 4, 16}; !reflect.DeepEqual(got, want) {
-		t.Errorf("UniqueSLs() = %v, want %v", got, want)
-	}
 	if got, want := tr.Tenants(), []string{"b-1", "a-0"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Tenants() = %v, want %v", got, want)
 	}
@@ -296,12 +293,6 @@ func TestTraceHelpers(t *testing.T) {
 	// 4 requests over 1 second.
 	if got := tr.ImpliedRatePerSec(); math.Abs(got-4) > 1e-9 {
 		t.Errorf("ImpliedRatePerSec() = %v, want 4", got)
-	}
-	// SLs past the dense range dedupe through the map fallback, in the
-	// same first-arrival order.
-	long := Trace{Requests: []Request{{SeqLen: 1 << 20}, {SeqLen: 3}, {SeqLen: 1 << 20}, {SeqLen: 3}}}
-	if got, want := long.UniqueSLs(), []int{1 << 20, 3}; !reflect.DeepEqual(got, want) {
-		t.Errorf("UniqueSLs() with an outlier SL = %v, want %v", got, want)
 	}
 }
 
